@@ -46,7 +46,15 @@ counters, watermark, and the monitor's dense state id.  A deoptimised
 monitor (alive but off the dense array) is deliberately *not*
 snapshotted — its machine state has no stable serialisation — so
 recovery just replays more log; correctness never depends on a snapshot
-existing.
+existing.  A snapshot's file name is a hash of its key, so recovery
+opens ``worker-*/snapshots/<name>`` directly rather than parsing every
+snapshot.
+
+Recovery finds a key's records through a :class:`LogIndex`: an
+incremental key → record-location map over every worker's logs.  Logs
+are append-only, so the index only ever reads the bytes appended since
+its previous refresh; one recovery costs the new bytes plus the key's
+own records, not the size of the data directory.
 """
 
 from __future__ import annotations
@@ -55,7 +63,9 @@ import hashlib
 import json
 import os
 import struct
+from array import array
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterator
 
@@ -74,6 +84,7 @@ __all__ = [
     "DEFAULT_FSYNC_EVERY",
     "DEFAULT_SNAPSHOT_EVERY",
     "DurabilityError",
+    "LogIndex",
     "Record",
     "RecoveredSession",
     "WorkerStore",
@@ -149,6 +160,16 @@ def decode_records(blob: bytes) -> Iterator[Record]:
     appended.  Truncation mid-record therefore stops iteration instead
     of raising — the lost suffix was never acknowledged to any client.
     """
+    for _, _, record in _walk_records(blob):
+        yield record
+
+
+def _walk_records(blob: bytes) -> Iterator[tuple[int, int, Record]]:
+    """``(start, end, record)`` per whole record of ``blob``.
+
+    The one header walk: :func:`decode_records`, the torn-tail cut and
+    :class:`LogIndex` all go through it.
+    """
     offset = 0
     total = len(blob)
     while offset + _HEADER.size <= total:
@@ -158,20 +179,43 @@ def decode_records(blob: bytes) -> Iterator[Record]:
         if end > total:
             return  # torn tail: the record was still being written
         payload = blob[start:end]
-        offset = end
         if len(payload) < _PREFIX.size:
             raise DurabilityError("record payload shorter than its prefix")
         lsn, received, keylen = _PREFIX.unpack_from(payload)
         key_end = _PREFIX.size + keylen
         if key_end > len(payload):
             raise DurabilityError("record payload truncated inside its key")
-        yield Record(
+        try:
+            key = payload[_PREFIX.size:key_end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DurabilityError("record key is not utf-8") from exc
+        yield offset, end, Record(
             opcode=opcode,
-            key=payload[_PREFIX.size:key_end].decode("utf-8"),
+            key=key,
             lsn=lsn,
             received=received,
             body=payload[key_end:],
         )
+        offset = end
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Truncate a log to its last whole record (a crash's torn append).
+
+    Appending behind a torn record would glue the new bytes into its
+    body: the garbage record decodes and the real ones after it are
+    lost.  Only the worker that owns the file calls this, before its
+    first append, and every reader stops at the last whole record too.
+    """
+    try:
+        blob = path.read_bytes()
+    except FileNotFoundError:
+        return
+    end = 0
+    for _, end, _ in _walk_records(blob):
+        pass
+    if end < len(blob):
+        os.truncate(path, end)
 
 
 def _snapshot_name(key: str) -> str:
@@ -234,7 +278,9 @@ class WorkerStore:
         """Append one encoded record to a shard's log; flush immediately."""
         fh = self._files.get(shard)
         if fh is None:
-            fh = open(self.root / f"shard-{shard}.log", "ab")
+            path = self.root / f"shard-{shard}.log"
+            _cut_torn_tail(path)
+            fh = open(path, "ab")
             self._files[shard] = fh
             self._unsynced[shard] = 0
             self._g_logs.inc()
@@ -282,6 +328,99 @@ class WorkerStore:
 # -- recovery ---------------------------------------------------------------
 
 
+#: A record location packs ``file number << _OFFSET_BITS | byte offset``
+#: into one signed 64-bit integer (files up to 1 TiB).
+_OFFSET_BITS = 40
+_OFFSET_MASK = (1 << _OFFSET_BITS) - 1
+
+
+class LogIndex:
+    """Incremental key → record-location index over a data dir's logs.
+
+    Covers every ``worker-*/shard-*.log``, this process's and every
+    other worker's alike.  For each file it keeps the byte offset just
+    past the last whole record it has consumed; a refresh reads only the
+    bytes beyond it, so a torn or still-being-written tail waits for the
+    next refresh.  Per key it keeps packed record locations in an
+    ``array('q')`` — never record bodies — and :meth:`records` re-reads
+    just those records.  A file shorter than its consumed offset (or
+    replaced, or gone) means the directory was rewritten under the
+    index: it drops everything and rebuilds from scratch.
+    """
+
+    def __init__(self, data_dir: str | Path) -> None:
+        self.data_dir = Path(data_dir)
+        #: total log bytes read by refreshes (each byte once, bar torn tails)
+        self.scanned_bytes = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        self._paths: list[Path] = []  # file number → path
+        self._numbers: dict[Path, int] = {}
+        self._inodes: list[int] = []
+        self._consumed: list[int] = []
+        self._locations: dict[str, array] = {}
+
+    def refresh(self) -> None:
+        """Index every whole record appended since the last refresh."""
+        paths = sorted(self.data_dir.glob("worker-*/shard-*.log"))
+        present = set(paths)
+        if any(path not in present for path in self._paths):
+            self._reset()  # a log vanished: the directory was rewritten
+        for path in paths:
+            try:
+                stat = path.stat()
+            except FileNotFoundError:
+                continue
+            number = self._numbers.get(path)
+            if number is None:
+                number = len(self._paths)
+                self._paths.append(path)
+                self._numbers[path] = number
+                self._inodes.append(stat.st_ino)
+                self._consumed.append(0)
+            elif (
+                stat.st_ino != self._inodes[number]
+                or stat.st_size < self._consumed[number]
+            ):
+                self._reset()
+                return self.refresh()
+            base = self._consumed[number]
+            if stat.st_size > base:
+                self._consume(number, base)
+
+    def _consume(self, number: int, base: int) -> None:
+        with open(self._paths[number], "rb") as fh:
+            fh.seek(base)
+            blob = fh.read()
+        self.scanned_bytes += len(blob)
+        tag = number << _OFFSET_BITS
+        for start, end, record in _walk_records(blob):
+            locations = self._locations.get(record.key)
+            if locations is None:
+                locations = self._locations[record.key] = array("q")
+            locations.append(tag | (base + start))
+            self._consumed[number] = base + end
+
+    def records(self, key: str) -> list[Record]:
+        """Every whole record for ``key``, sorted by lsn (refreshes first)."""
+        self.refresh()
+        records: list[Record] = []
+        by_file = groupby(
+            sorted(self._locations.get(key, ())),
+            key=lambda location: location >> _OFFSET_BITS,
+        )
+        for number, locations in by_file:
+            with open(self._paths[number], "rb") as fh:
+                for location in locations:
+                    fh.seek(location & _OFFSET_MASK)
+                    head = fh.read(_HEADER.size)
+                    blob = head + fh.read(_HEADER.unpack(head)[1])
+                    records.extend(decode_records(blob))
+        records.sort(key=lambda r: r.lsn)
+        return records
+
+
 def scan_records(data_dir: str | Path, key: str) -> list[Record]:
     """Every record for ``key`` across all worker dirs, sorted by lsn.
 
@@ -289,32 +428,64 @@ def scan_records(data_dir: str | Path, key: str) -> list[Record]:
     restarted worker may hash its events to different shards), so one
     key's records can be spread over many files; ``lsn`` is monotonic
     per key across its whole life, so the sort alone rebuilds the total
-    order.
+    order.  This is a fresh :class:`LogIndex`'s answer.
     """
-    records: list[Record] = []
-    root = Path(data_dir)
-    if not root.exists():
-        return records
-    for log in sorted(root.glob("worker-*/shard-*.log")):
-        for record in decode_records(log.read_bytes()):
-            if record.key == key:
-                records.append(record)
-    records.sort(key=lambda r: r.lsn)
-    return records
+    return LogIndex(data_dir).records(key)
+
+
+#: Snapshot fields that must be counts when present (absent means 0).
+_SNAPSHOT_COUNTS = ("lsn", "received", "events", "skipped", "errors")
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _read_snapshot(path: Path, key: str) -> dict | None:
+    """``key``'s snapshot at ``path``, or None when absent or unusable.
+
+    Anything but a JSON object of the right key and field types counts
+    as torn: recovery then replays more log, which is always correct.
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None  # absent, or torn: the rename never happened
+    if not isinstance(payload, dict) or payload.get("key") != key:
+        return None
+    if not all(_is_count(payload.get(name, 0)) for name in _SNAPSHOT_COUNTS):
+        return None
+    spec = payload.get("spec")
+    violation = payload.get("violation")
+    monitor = payload.get("monitor")
+    if spec is not None and not isinstance(spec, str):
+        return None
+    if violation is not None and not (
+        isinstance(violation, dict)
+        and _is_count(violation.get("index"))
+        and isinstance(violation.get("event", ""), (str, type(None)))
+    ):
+        return None
+    if monitor is not None and not (
+        isinstance(monitor, dict)
+        and isinstance(monitor.get("alive", True), bool)
+        and (monitor.get("dstate") is None or _is_count(monitor["dstate"]))
+    ):
+        return None
+    return payload
 
 
 def load_best_snapshot(data_dir: str | Path, key: str) -> dict | None:
-    """The freshest (highest-lsn) snapshot of ``key``, any worker dir."""
+    """The freshest (highest-lsn) snapshot of ``key``, any worker dir.
+
+    Each worker keeps at most one snapshot per key, under a name derived
+    from the key, so this opens one file per worker dir.
+    """
+    name = _snapshot_name(key)
     best: dict | None = None
-    root = Path(data_dir)
-    if not root.exists():
-        return None
-    for path in sorted(root.glob("worker-*/snapshots/*.snap")):
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue  # torn snapshot: the rename never happened
-        if payload.get("key") != key:
+    for worker in sorted(Path(data_dir).glob("worker-*")):
+        payload = _read_snapshot(worker / "snapshots" / name, key)
+        if payload is None:
             continue
         if best is None or payload.get("lsn", 0) > best.get("lsn", 0):
             best = payload
@@ -346,15 +517,19 @@ class RecoveredSession:
 
 
 def _restore_from_snapshot(state: RecoveredSession, snap: dict, registry) -> None:
-    """Seed the recovery state from a snapshot (in place)."""
-    state.events = int(snap.get("events", 0))
-    state.skipped = int(snap.get("skipped", 0))
-    state.errors = int(snap.get("errors", 0))
-    state.received = int(snap.get("received", 0))
-    state.next_lsn = int(snap.get("lsn", 0))
+    """Seed the recovery state from a snapshot (in place).
+
+    ``snap`` passed :func:`_read_snapshot`'s shape checks; a dense state
+    the spec's image does not have raises :class:`DurabilityError`.
+    """
+    state.events = snap.get("events", 0)
+    state.skipped = snap.get("skipped", 0)
+    state.errors = snap.get("errors", 0)
+    state.received = snap.get("received", 0)
+    state.next_lsn = snap.get("lsn", 0)
     violation = snap.get("violation")
     if violation is not None:
-        state.violation_index = int(violation["index"])
+        state.violation_index = violation["index"]
         state.violation_line = violation.get("event")
     name = snap.get("spec")
     if name is None:
@@ -382,6 +557,8 @@ def _restore_from_snapshot(state: RecoveredSession, snap: dict, registry) -> Non
         dstate = snap_monitor.get("dstate")
         monitor._dstate = dstate
         if dstate is not None and monitor.dense is not None:
+            if dstate >= len(monitor.dense.states):
+                raise DurabilityError(f"snapshot dense state {dstate} out of range")
             monitor.state = monitor.dense.states[dstate]
     state.monitor = monitor
 
@@ -455,7 +632,9 @@ def _reset_state(state: RecoveredSession) -> None:
     state.violation_line = None
 
 
-def recover(data_dir: str | Path, key: str, registry) -> RecoveredSession:
+def recover(
+    data_dir: str | Path, key: str, registry, *, index: LogIndex | None = None
+) -> RecoveredSession:
     """Rebuild a session: freshest snapshot + lsn-ordered log replay.
 
     The replay re-runs every surviving record through the same
@@ -466,15 +645,22 @@ def recover(data_dir: str | Path, key: str, registry) -> RecoveredSession:
     uninterrupted run would have put them.  The ``received`` watermark
     makes the replay idempotent: inputs the snapshot already covers are
     skipped, including partially-covered ``EVENTS`` batches.
+
+    ``index`` is the caller's long-lived :class:`LogIndex` over
+    ``data_dir``; without one a fresh index reads every log.
     """
     state = RecoveredSession()
     snap = load_best_snapshot(data_dir, key)
-    records = scan_records(data_dir, key)
+    if snap is not None:
+        try:
+            _restore_from_snapshot(state, snap, registry)
+        except DurabilityError:
+            # A state the spec's dense image does not have: as if torn.
+            state, snap = RecoveredSession(), None
+    records = (index or LogIndex(data_dir)).records(key)
     with span(
         "durability.replay", key=key, snapshot=snap is not None
     ) as sp:
-        if snap is not None:
-            _restore_from_snapshot(state, snap, registry)
         replayed = get_registry().counter(
             "repro_durability_replayed_records_total",
             help="log records replayed during session recovery",

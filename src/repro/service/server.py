@@ -183,6 +183,12 @@ class MonitorServer:
             if self.data_dir is not None
             else None
         )
+        #: Every worker's logs, indexed incrementally across recoveries.
+        self._log_index = (
+            durability.LogIndex(self.data_dir)
+            if self.data_dir is not None
+            else None
+        )
         self.snapshot_every = snapshot_every
         self._watch = Path(watch) if watch is not None else None
         self._watch_interval = watch_interval
@@ -607,7 +613,9 @@ class MonitorServer:
                 session.key = key
                 self._install_recovery(
                     session,
-                    durability.recover(self.data_dir, key, self.registry),
+                    durability.recover(
+                        self.data_dir, key, self.registry, index=self._log_index
+                    ),
                 )
                 durable = " durable=1"
             names = ",".join(self.registry.names())

@@ -28,7 +28,8 @@ process the shard pool still routes (session, callee) keys and pins
 coupled callees whole-session.  Across processes a session lives
 wholly on one worker (a TCP connection lands exactly once), so the
 invariant scales out unchanged.  Durable session keys do not need
-sticky routing: recovery scans every worker's log directory, so a
+sticky routing: recovery indexes every worker's logs incrementally and
+opens the key's snapshot by name in every worker directory, so a
 resumed session replays its history no matter which worker the
 reconnect lands on.
 

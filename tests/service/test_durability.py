@@ -7,10 +7,16 @@ event, counters) must be identical to an uninterrupted run.
 """
 
 import asyncio
+import json
 import random
 import shutil
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 from repro.service import durability
@@ -20,6 +26,7 @@ from repro.service.durability import (
     REC_LINE,
     REC_RESET,
     DurabilityError,
+    LogIndex,
     Record,
     WorkerStore,
     decode_records,
@@ -97,6 +104,38 @@ class TestRecordCodec:
         with pytest.raises(DurabilityError):
             encode_record(REC_LINE, "k" * 70_000, 0, 0, b"")
 
+    def test_non_utf8_key_is_a_durability_error(self):
+        payload = struct.pack("<IIH", 0, 0, 2) + b"\xff\xfe"
+        with pytest.raises(DurabilityError):
+            list(decode_records(wire.encode_frame(REC_LINE, payload)))
+
+
+_OPCODES = st.sampled_from([REC_BIND, REC_LINE, REC_IDS, REC_RESET])
+_U32S = st.integers(0, 2**32 - 1)
+_RECORDS = st.tuples(
+    _OPCODES, st.text(max_size=12), _U32S, _U32S, st.binary(max_size=40)
+)
+
+
+class TestRecordCodecProperties:
+    @settings(max_examples=300)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes_decode_or_raise_durability_error(self, blob):
+        try:
+            records = list(decode_records(blob))
+        except DurabilityError:
+            return
+        assert all(isinstance(r, Record) for r in records)
+
+    @settings(max_examples=200)
+    @given(st.lists(_RECORDS, max_size=8))
+    def test_decode_inverts_encode(self, fields):
+        blob = b"".join(encode_record(*f) for f in fields)
+        assert list(decode_records(blob)) == [
+            Record(opcode=op, key=key, lsn=lsn, received=received, body=body)
+            for op, key, lsn, received, body in fields
+        ]
+
 
 # -- worker store ------------------------------------------------------------
 
@@ -140,6 +179,25 @@ class TestWorkerStore:
     def test_fsync_every_must_be_positive(self, tmp_path):
         with pytest.raises(DurabilityError):
             WorkerStore(tmp_path, fsync_every=0)
+
+    def test_append_after_a_torn_tail_keeps_every_whole_record(self, tmp_path):
+        # A crash left half a record at the end of the log; the restarted
+        # worker's appends must start on a record boundary, not inside it.
+        store = WorkerStore(tmp_path)
+        store.append(0, encode_record(REC_LINE, "k", 0, 0, b"a"))
+        store.close()
+        torn = encode_record(REC_LINE, "k", 1, 1, b"b" * 16)
+        with open(tmp_path / "worker-0" / "shard-0.log", "ab") as fh:
+            fh.write(torn[: len(torn) // 2])
+        store = WorkerStore(tmp_path)
+        store.append(0, encode_record(REC_LINE, "k", 1, 1, b"c"))
+        store.append(0, encode_record(REC_LINE, "k", 2, 2, b"d"))
+        store.close()
+        assert [(r.lsn, r.body) for r in scan_records(tmp_path, "k")] == [
+            (0, b"a"),
+            (1, b"c"),
+            (2, b"d"),
+        ]
 
 
 # -- recovery units ----------------------------------------------------------
@@ -250,6 +308,199 @@ class TestRecover:
     def test_unknown_key_recovers_to_a_blank_session(self, tmp_path, registry):
         state = recover(tmp_path, "ghost", registry)
         assert state.spec is None and state.events == 0 and state.received == 0
+
+
+# -- snapshot loader -----------------------------------------------------------
+
+
+def _write_raw_snapshot(root, key, text, worker=0):
+    path = root / f"worker-{worker}" / "snapshots" / durability._snapshot_name(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+_GOOD_SNAPSHOT = {
+    "key": "k",
+    "spec": "Write",
+    "lsn": 99,
+    "received": 99,
+    "events": 99,
+    "skipped": 0,
+    "errors": 0,
+    "violation": None,
+    "monitor": None,
+}
+
+
+class TestSnapshotLoader:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            "k",
+            7,
+            {**_GOOD_SNAPSHOT, "lsn": "99"},
+            {**_GOOD_SNAPSHOT, "received": None},
+            {**_GOOD_SNAPSHOT, "events": 9.5},
+            {**_GOOD_SNAPSHOT, "skipped": -1},
+            {**_GOOD_SNAPSHOT, "lsn": True},
+            {**_GOOD_SNAPSHOT, "errors": [1]},
+            {**_GOOD_SNAPSHOT, "spec": 3},
+            {**_GOOD_SNAPSHOT, "violation": {"index": "2"}},
+            {**_GOOD_SNAPSHOT, "monitor": {"dstate": "0"}},
+            {**_GOOD_SNAPSHOT, "monitor": ["alive"]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_snapshot_counts_as_torn(self, tmp_path, registry, payload):
+        store = WorkerStore(tmp_path)
+        next_lsn, received = _log_lines(store, "k", WRITE_LINES)
+        store.close()
+        _write_raw_snapshot(tmp_path, "k", json.dumps(payload))
+        assert load_best_snapshot(tmp_path, "k") is None
+        # recovery replays the whole log instead
+        state = recover(tmp_path, "k", registry)
+        assert state.replayed == len(WRITE_LINES) + 1
+        assert state.events == len(WRITE_LINES)
+        assert (state.received, state.next_lsn) == (received, next_lsn)
+
+    def test_malformed_snapshot_loses_to_a_good_one(self, tmp_path):
+        _write_raw_snapshot(tmp_path, "k", json.dumps(_GOOD_SNAPSHOT), worker=0)
+        _write_raw_snapshot(
+            tmp_path, "k", json.dumps({**_GOOD_SNAPSHOT, "lsn": "500"}), worker=1
+        )
+        assert load_best_snapshot(tmp_path, "k") == _GOOD_SNAPSHOT
+
+    def test_snapshot_of_another_key_is_ignored(self, tmp_path):
+        # a name collision (or a copied file) must not hand over state
+        _write_raw_snapshot(tmp_path, "k", json.dumps({**_GOOD_SNAPSHOT, "key": "j"}))
+        assert load_best_snapshot(tmp_path, "k") is None
+
+    def test_out_of_range_dense_state_replays_the_log(self, tmp_path, registry):
+        store = WorkerStore(tmp_path)
+        _log_lines(store, "k", WRITE_LINES)
+        store.close()
+        payload = {**_GOOD_SNAPSHOT, "monitor": {"alive": True, "dstate": 10**6}}
+        _write_raw_snapshot(tmp_path, "k", json.dumps(payload))
+        state = recover(tmp_path, "k", registry)
+        assert state.replayed == len(WRITE_LINES) + 1
+        assert state.events == len(WRITE_LINES)
+
+    @settings(
+        max_examples=100,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.dictionaries(
+            st.sampled_from(sorted(_GOOD_SNAPSHOT)),
+            st.recursive(
+                st.none() | st.booleans() | st.integers(-3, 300) | st.text(max_size=4),
+                lambda inner: st.lists(inner, max_size=2)
+                | st.dictionaries(st.sampled_from(["index", "event", "alive", "dstate"]), inner, max_size=3),
+                max_leaves=4,
+            ),
+        )
+    )
+    def test_any_json_snapshot_recovers_without_crashing(
+        self, tmp_path, registry, fields
+    ):
+        # the law: a usable snapshot or a skipped one, never an exception
+        _write_raw_snapshot(tmp_path, "k", json.dumps({**fields, "key": "k"}))
+        state = recover(tmp_path, "k", registry)
+        assert min(state.events, state.received, state.next_lsn) >= 0
+
+
+# -- log index -----------------------------------------------------------------
+
+
+def _full_scan(root, key):
+    """The reference: decode every log in full and keep ``key``'s records."""
+    records = [
+        record
+        for log in sorted(Path(root).glob("worker-*/shard-*.log"))
+        for record in decode_records(log.read_bytes())
+        if record.key == key
+    ]
+    return sorted(records, key=lambda r: r.lsn)
+
+
+_KEYS = ["k0", "k1", "k2"]
+_APPENDS = st.tuples(
+    st.just("append"),
+    st.integers(0, 1),  # worker
+    st.integers(0, 2),  # shard
+    st.sampled_from(_KEYS),
+    st.binary(max_size=24),
+    st.none() | st.floats(0.01, 0.99),  # cut: visible half-written first
+)
+_QUERIES = st.tuples(st.just("query"))
+
+
+class TestLogIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(_APPENDS, _QUERIES), min_size=1, max_size=30))
+    def test_index_equals_a_full_scan(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            index = LogIndex(root)
+            lsns = dict.fromkeys(_KEYS, 0)
+
+            def check():
+                for key in _KEYS:
+                    assert index.records(key) == _full_scan(root, key)
+
+            for op in ops:
+                if op[0] == "query":
+                    check()
+                    continue
+                _, worker, shard, key, body, cut = op
+                record = encode_record(REC_LINE, key, lsns[key], lsns[key], body)
+                lsns[key] += 1
+                log = root / f"worker-{worker}" / f"shard-{shard}.log"
+                log.parent.mkdir(parents=True, exist_ok=True)
+                with open(log, "ab") as fh:
+                    if cut is not None:
+                        split = max(1, int(len(record) * cut))
+                        fh.write(record[:split])
+                        fh.flush()
+                        check()  # the half-written record is not visible yet
+                        record = record[split:]
+                    fh.write(record)
+            check()
+
+    def test_fresh_key_recoveries_read_each_log_byte_once(self, tmp_path, registry):
+        stores = [WorkerStore(tmp_path, worker_id=i, fsync_every=1) for i in range(2)]
+        index = LogIndex(tmp_path)
+        for n in range(12):
+            key = f"fresh-{n}"
+            state = recover(tmp_path, key, registry, index=index)
+            assert state.received == 0 and state.next_lsn == 0
+            _log_lines(stores[n % 2], key, WRITE_LINES, shard=n % 3)
+        for store in stores:
+            store.close()
+        index.refresh()
+        logs = sorted(tmp_path.glob("worker-*/shard-*.log"))
+        sizes = [log.stat().st_size for log in logs]
+        assert sorted(index._consumed) == sorted(sizes)
+        assert index.scanned_bytes == sum(sizes)
+        # a returning key finds its whole history through the warm index
+        state = recover(tmp_path, "fresh-5", registry, index=index)
+        assert state.events == len(WRITE_LINES)
+        assert index.scanned_bytes == sum(sizes)
+
+    def test_rewritten_directory_rebuilds_the_index(self, tmp_path):
+        store = WorkerStore(tmp_path)
+        _log_lines(store, "k", WRITE_LINES)
+        store.close()
+        index = LogIndex(tmp_path)
+        assert len(index.records("k")) == len(WRITE_LINES) + 1
+        # the log is replaced by a shorter one: offsets past its end are void
+        shutil.rmtree(tmp_path / "worker-0")
+        store = WorkerStore(tmp_path)
+        _log_lines(store, "k", WRITE_LINES[:1])
+        store.close()
+        assert index.records("k") == _full_scan(tmp_path, "k")
+        assert len(index.records("k")) == 2
 
 
 # -- end-to-end replay law ---------------------------------------------------
