@@ -32,7 +32,7 @@ import time
 import pytest
 
 from repro.automata.ops import equivalence_counterexample
-from repro.automata.stats import collect_exploration
+from repro.obs import collect_exploration
 from repro.casestudies.twophase import TwoPhaseCast
 from repro.checker.cache import MachineCache, use_cache
 from repro.checker.compile import traceset_dfa

@@ -15,24 +15,19 @@ successors indexed by ``state * n_letters + letter_id``.  Every hot kernel
 letters are hashed only at the boundary — encoding a word once on the way
 in, decoding a counterexample on the way out.
 
-The historical event-keyed API is preserved as a thin shim: the
-constructor still accepts per-state ``{letter: state}`` dicts (encoded
-once, eagerly validated) and :attr:`transitions` materialises them back on
-demand, so callers migrate to ids incrementally.
+The constructor still accepts per-state ``{letter: state}`` dicts
+(encoded once, eagerly validated); reading goes through the dense
+accessors (:meth:`DFA.step`, :meth:`DFA.step_id`, :meth:`DFA.run_ids`).
 """
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from typing import Hashable, Iterable, Sequence
 
 from repro.automata.letters import LetterTable
 from repro.obs.exploration import active_exploration_stats
 from repro.core.errors import AutomatonError
-
-#: Once-per-process latch for the ``DFA.transitions`` deprecation notice.
-_WARNED_TRANSITIONS = False
 
 __all__ = ["DFA"]
 
@@ -41,7 +36,7 @@ class DFA:
     """A total DFA: states ``0..n-1``, dense integer-coded transitions.
 
     ``DFA(letters, rows, start, accepting)`` takes event-keyed row dicts
-    (the legacy shim, fully validated); the kernels construct directly via
+    (fully validated); the kernels construct directly via
     :meth:`from_dense`.  Instances are immutable by convention: ``dense``
     and ``table`` must never be mutated — boolean operations share them.
     """
@@ -54,7 +49,6 @@ class DFA:
         "n_letters",
         "start",
         "accepting",
-        "_rows",
     )
 
     def __init__(
@@ -107,7 +101,6 @@ class DFA:
         self.n_letters = len(table.letters)
         self.start = start
         self.accepting = accepting
-        self._rows = None
 
     @classmethod
     def from_dense(
@@ -194,37 +187,6 @@ class DFA:
 
     def accepts(self, word: Iterable[Hashable]) -> bool:
         return self.run(word) in self.accepting
-
-    @property
-    def transitions(self) -> tuple[dict, ...]:
-        """Event-keyed row dicts (the legacy shim, materialised lazily).
-
-        .. deprecated:: 1.1
-           Step through :meth:`step` / :meth:`step_id` / :meth:`run_ids`
-           (dense, allocation-free) instead; the dict rows exist only for
-           pre-dense callers and cost ``n_states * n_letters`` dict
-           entries to materialise.
-        """
-        global _WARNED_TRANSITIONS
-        if not _WARNED_TRANSITIONS:
-            _WARNED_TRANSITIONS = True
-            warnings.warn(
-                "DFA.transitions is deprecated; use the dense accessors "
-                "(step/step_id/run_ids) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        rows = self._rows
-        if rows is None:
-            letters = self.letters
-            k = self.n_letters
-            dense = self.dense
-            rows = tuple(
-                dict(zip(letters, dense[q * k : (q + 1) * k]))
-                for q in range(self.n_states)
-            )
-            self._rows = rows
-        return rows
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -17,9 +17,6 @@ totals are also flushed into the process-wide
 :class:`~repro.obs.registry.MetricsRegistry` (``repro_exploration_*``
 counters), so exploration work shows up in the same Prometheus scrape as
 everything else.
-
-Historically ``repro.automata.stats``; that module remains as a
-deprecated re-exporting shim.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """One metrics registry: counters, gauges, histograms, Prometheus text.
 
-Every layer of the system used to keep its own incompatible counter bag
-(``service/metrics.py``, ``automata/stats.py``, per-pass pipeline
-counters).  This module is the single sink they now all write through: a
+Every layer of the system writes its counters through this one sink
+(the service, the checker, the pass pipeline, DFA exploration): a
 :class:`MetricsRegistry` of named metric *families*, each family holding
 one metric per label set, renderable as a stable ``snapshot()`` dict and
 as Prometheus text exposition format (the service's ``METRICS`` verb and
@@ -133,8 +132,7 @@ class Histogram:
         }
 
 
-#: Legacy name: the service metrics module exported the same class as
-#: ``LatencyHistogram`` (importing it from there now warns).
+#: The name :mod:`repro.service` exports the same class under.
 LatencyHistogram = Histogram
 
 

@@ -12,6 +12,8 @@ Modules:
 
 * :mod:`~repro.service.protocol` — the newline-delimited wire protocol;
 * :mod:`~repro.service.registry` — compile specs once, share machines;
+* :mod:`~repro.service.session`  — one session's input semantics, shared
+  by the live handlers and crash replay;
 * :mod:`~repro.service.shards`   — per-callee FIFO worker pool;
 * :mod:`~repro.service.durability` — per-shard event log + snapshots;
 * :mod:`~repro.service.topology` — multi-process serving (scale-out);

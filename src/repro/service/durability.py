@@ -6,9 +6,9 @@ against a server started with a data directory — has every event input
 appended to an on-disk log **before** it is fed to the shard pool, and
 its monitor state snapshotted periodically.  A restarted worker rebuilds
 the session by loading the freshest snapshot and replaying the log
-suffix after it through the *same* stepping code the live path uses, so
-the recovered dense-monitor state (and therefore every future verdict)
-is identical to an uninterrupted run.
+suffix after it through the same :class:`~repro.service.session.Session`
+calls the live handlers make, so the recovered dense-monitor state (and
+therefore every future verdict) is identical to an uninterrupted run.
 
 Log records reuse the :mod:`repro.service.wire` framing — an opcode byte
 and a little-endian u32 payload length — with their own opcode
@@ -38,15 +38,15 @@ resends its unacknowledged tail after a reconnect cannot double-apply
 anything, because replay (and the live resume path) skip inputs below
 the watermark — at-least-once delivery becomes exactly-once.
 
-Event bodies are logged *verbatim*, before validation: replay re-runs
-the same validation, so error counters recover exactly too.
+Event bodies are logged *verbatim*, malformed ones included: replay
+calls the same validation, so error counters recover exactly too.
 
 Snapshots are small JSON files (atomic rename) recording the session's
-counters, watermark, and the monitor's dense state id.  A deoptimised
-monitor (alive but off the dense array) is deliberately *not*
-snapshotted — its machine state has no stable serialisation — so
-recovery just replays more log; correctness never depends on a snapshot
-existing.  A snapshot's file name is a hash of its key, so recovery
+counters, watermark, and the monitor's dense state id, in the format
+:mod:`repro.service.session` writes and reads.  A deoptimised monitor
+(alive but off the dense array) is deliberately *not* snapshotted — its
+machine state has no stable serialisation — so recovery just replays
+more log; correctness never depends on a snapshot existing.  A snapshot's file name is a hash of its key, so recovery
 opens ``worker-*/snapshots/<name>`` directly rather than parsing every
 snapshot.
 
@@ -72,9 +72,8 @@ from typing import Iterator
 from repro.core.errors import ReproError
 from repro.obs.registry import get_registry
 from repro.obs.trace import span
-from repro.runtime import tracefile
-from repro.runtime.monitor import SpecMonitor
 from repro.service import wire
+from repro.service.session import Session, snapshot_ok
 
 __all__ = [
     "REC_BIND",
@@ -86,7 +85,6 @@ __all__ = [
     "DurabilityError",
     "LogIndex",
     "Record",
-    "RecoveredSession",
     "WorkerStore",
     "encode_record",
     "decode_records",
@@ -433,46 +431,13 @@ def scan_records(data_dir: str | Path, key: str) -> list[Record]:
     return LogIndex(data_dir).records(key)
 
 
-#: Snapshot fields that must be counts when present (absent means 0).
-_SNAPSHOT_COUNTS = ("lsn", "received", "events", "skipped", "errors")
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
-
-
 def _read_snapshot(path: Path, key: str) -> dict | None:
-    """``key``'s snapshot at ``path``, or None when absent or unusable.
-
-    Anything but a JSON object of the right key and field types counts
-    as torn: recovery then replays more log, which is always correct.
-    """
+    """``key``'s snapshot at ``path``, or None when absent or unusable."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None  # absent, or torn: the rename never happened
-    if not isinstance(payload, dict) or payload.get("key") != key:
-        return None
-    if not all(_is_count(payload.get(name, 0)) for name in _SNAPSHOT_COUNTS):
-        return None
-    spec = payload.get("spec")
-    violation = payload.get("violation")
-    monitor = payload.get("monitor")
-    if spec is not None and not isinstance(spec, str):
-        return None
-    if violation is not None and not (
-        isinstance(violation, dict)
-        and _is_count(violation.get("index"))
-        and isinstance(violation.get("event", ""), (str, type(None)))
-    ):
-        return None
-    if monitor is not None and not (
-        isinstance(monitor, dict)
-        and isinstance(monitor.get("alive", True), bool)
-        and (monitor.get("dstate") is None or _is_count(monitor["dstate"]))
-    ):
-        return None
-    return payload
+    return payload if snapshot_ok(payload, key) else None
 
 
 def load_best_snapshot(data_dir: str | Path, key: str) -> dict | None:
@@ -492,215 +457,81 @@ def load_best_snapshot(data_dir: str | Path, key: str) -> dict | None:
     return best
 
 
-@dataclass(slots=True)
-class RecoveredSession:
-    """A durable session rebuilt from snapshot + log-suffix replay.
-
-    ``next_lsn`` / ``received`` seed the live session's counters so new
-    records continue the total order and the idempotency watermark;
-    ``violation_line`` carries a restored violation's formatted event
-    when the in-memory :class:`~repro.runtime.monitor.Violation` (with
-    its bounded trace window) did not survive the restart.
-    """
-
-    spec: str | None = None
-    compiled: object | None = None
-    monitor: SpecMonitor | None = None
-    events: int = 0
-    skipped: int = 0
-    errors: int = 0
-    received: int = 0
-    next_lsn: int = 0
-    violation_index: int | None = None
-    violation_line: str | None = None
-    replayed: int = 0
-
-
-def _restore_from_snapshot(state: RecoveredSession, snap: dict, registry) -> None:
-    """Seed the recovery state from a snapshot (in place).
-
-    ``snap`` passed :func:`_read_snapshot`'s shape checks; a dense state
-    the spec's image does not have raises :class:`DurabilityError`.
-    """
-    state.events = snap.get("events", 0)
-    state.skipped = snap.get("skipped", 0)
-    state.errors = snap.get("errors", 0)
-    state.received = snap.get("received", 0)
-    state.next_lsn = snap.get("lsn", 0)
-    violation = snap.get("violation")
-    if violation is not None:
-        state.violation_index = violation["index"]
-        state.violation_line = violation.get("event")
-    name = snap.get("spec")
-    if name is None:
-        return
-    try:
-        state.compiled = registry.get(name)
-    except ReproError:
-        # The document changed across the restart and no longer declares
-        # this spec; the session comes back unbound with its counters
-        # intact (docs/operations.md, "recovery semantics").
-        return
-    state.spec = name
-    snap_monitor = snap.get("monitor")
-    if snap_monitor is None:
-        return  # no monitor existed yet; recreated lazily on next event
-    monitor = registry.new_monitor_for(state.compiled)
-    # Private-field surgery is deliberate: the snapshot *is* the
-    # monitor's dense state, and rebuilding it through observe() would
-    # need the full event history the bounded window no longer holds.
-    monitor._seen = state.events
-    if not snap_monitor.get("alive", True):
-        monitor.alive = False
-        monitor._dstate = None
-    else:
-        dstate = snap_monitor.get("dstate")
-        monitor._dstate = dstate
-        if dstate is not None and monitor.dense is not None:
-            if dstate >= len(monitor.dense.states):
-                raise DurabilityError(f"snapshot dense state {dstate} out of range")
-            monitor.state = monitor.dense.states[dstate]
-    state.monitor = monitor
-
-
-def _note_violation(state: RecoveredSession, monitor: SpecMonitor) -> None:
-    if not monitor.violations:
-        return
-    violation = monitor.violations[-1]
-    if state.violation_index is None or violation.index < state.violation_index:
-        state.violation_index = violation.index
-        state.violation_line = tracefile.format_event(violation.event)
-
-
-def _replay_line(state: RecoveredSession, line: str, registry) -> None:
-    """Re-run one EVENT line with the live path's exact accounting."""
-    try:
-        event = tracefile.parse_line(line)
-    except ReproError:
-        state.errors += 1
-        return
-    if event is None:
-        return  # comment / blank payload: consumed an input, nothing else
-    if state.compiled is None:
-        state.errors += 1
-        return
-    if state.monitor is None:
-        state.monitor = registry.new_monitor_for(state.compiled)
-    index = state.events
-    state.events += 1
-    if not state.monitor.spec.alphabet.contains(event):
-        state.skipped += 1
-    state.monitor.observe(event, index=index)
-    _note_violation(state, state.monitor)
-
-
-def _replay_ids(state: RecoveredSession, body: bytes, skip: int, registry) -> None:
-    """Re-run one EVENTS batch, skipping ``skip`` already-applied inputs."""
-    ids = wire.unpack_event_ids(body)
-    if skip:
-        ids = ids[skip:]
-    n = len(ids)
-    if n == 0:
-        return
-    compiled = state.compiled
-    if compiled is None or getattr(compiled, "dense", None) is None:
-        state.errors += n
-        return
-    k = compiled.dense.dfa.n_letters
-    if min(ids) < 0 or max(ids) >= k:
-        valid = type(ids)("i", (lid for lid in ids if 0 <= lid < k))
-        state.errors += n - len(valid)
-        ids = valid
-        n = len(ids)
-        if n == 0:
-            return
-    if state.monitor is None:
-        state.monitor = registry.new_monitor_for(compiled)
-    base = state.events
-    state.events += n
-    state.monitor.observe_ids(ids, base_index=base)
-    _note_violation(state, state.monitor)
-
-
-def _reset_state(state: RecoveredSession) -> None:
-    if state.monitor is not None:
-        state.monitor.reset()
-    state.events = 0
-    state.skipped = 0
-    state.errors = 0
-    state.violation_index = None
-    state.violation_line = None
-
-
 def recover(
-    data_dir: str | Path, key: str, registry, *, index: LogIndex | None = None
-) -> RecoveredSession:
-    """Rebuild a session: freshest snapshot + lsn-ordered log replay.
+    data_dir: str | Path,
+    key: str,
+    registry,
+    *,
+    index: LogIndex | None = None,
+    router=None,
+) -> Session:
+    """Rebuild a durable session: freshest snapshot + lsn-ordered log replay.
 
-    The replay re-runs every surviving record through the same
-    validation and stepping the live handlers use — malformed lines
-    count as errors again, out-of-table ids are dropped again, dense
-    batches step through ``observe_ids`` again — so counters, the dense
+    Replay feeds every surviving record through the same
+    :class:`~repro.service.session.Session` calls the live handlers make,
+    stepping inline instead of on a shard — so counters, the dense
     state, and the first-violation index land exactly where the
-    uninterrupted run would have put them.  The ``received`` watermark
-    makes the replay idempotent: inputs the snapshot already covers are
-    skipped, including partially-covered ``EVENTS`` batches.
+    uninterrupted run put them.  The ``received`` watermark makes the
+    replay idempotent: inputs the snapshot already covers are skipped,
+    including partially-covered ``EVENTS`` batches.
 
     ``index`` is the caller's long-lived :class:`LogIndex` over
-    ``data_dir``; without one a fresh index reads every log.
+    ``data_dir``; without one a fresh index reads every log.  ``router``
+    maps the session's lanes to the caller's shards.
     """
-    state = RecoveredSession()
+    session = Session(registry, router, key=key)
     snap = load_best_snapshot(data_dir, key)
-    if snap is not None:
-        try:
-            _restore_from_snapshot(state, snap, registry)
-        except DurabilityError:
-            # A state the spec's dense image does not have: as if torn.
-            state, snap = RecoveredSession(), None
+    if snap is not None and not session.restore(snap):
+        # A state the spec's dense image does not have: as if torn.
+        session, snap = Session(registry, router, key=key), None
     records = (index or LogIndex(data_dir)).records(key)
+    covered = session.next_lsn
     with span(
         "durability.replay", key=key, snapshot=snap is not None
     ) as sp:
-        replayed = get_registry().counter(
+        counter = get_registry().counter(
             "repro_durability_replayed_records_total",
             help="log records replayed during session recovery",
         )
+        replayed = 0
         for record in records:
-            if record.lsn >= state.next_lsn:
-                state.next_lsn = record.lsn + 1
-            if snap is not None and record.lsn < snap.get("lsn", 0):
+            if record.lsn < covered:
                 continue  # the snapshot already covers this record
-            state.replayed += 1
-            replayed.inc()
+            session.next_lsn = max(session.next_lsn, record.lsn + 1)
+            replayed += 1
+            counter.inc()
             if record.opcode == REC_BIND:
-                name = record.body.decode("utf-8", errors="replace")
-                _reset_state(state)
-                state.monitor = None
                 try:
-                    state.compiled = registry.get(name)
-                    state.spec = name
+                    compiled = registry.get(
+                        record.body.decode("utf-8", errors="replace")
+                    )
                 except ReproError:
-                    state.compiled = None
-                    state.spec = None
+                    compiled = None
+                session.bind(compiled)
                 continue
             if record.opcode == REC_RESET:
-                _reset_state(state)
+                session.reset()
                 continue
             inputs = record.inputs
-            if record.received + inputs <= state.received:
+            if record.received + inputs <= session.received:
                 continue  # fully below the watermark: already applied
-            skip = max(0, state.received - record.received)
+            skip = max(0, session.received - record.received)
+            # Accepting advances the watermark by the uncovered inputs;
+            # start it where this record's first one sits.
+            session.received = record.received + skip
             if record.opcode == REC_LINE:
-                _replay_line(
-                    state, record.body.decode("utf-8", errors="replace"),
-                    registry,
+                pending = session.accept_line(
+                    record.body.decode("utf-8", errors="replace")
                 )
+                if pending is not None:
+                    session.step_event(*pending[1:])
             elif record.opcode == REC_IDS:
-                _replay_ids(state, record.body, skip, registry)
+                pending = session.accept_ids(record.body, skip)
+                if pending is not None:
+                    session.step_ids(*pending[1:])
             else:
                 raise DurabilityError(
                     f"unknown record opcode 0x{record.opcode:02x}"
                 )
-            state.received = record.received + inputs
-        sp.set(records=state.replayed, received=state.received)
-    return state
+        sp.set(records=replayed, received=session.received)
+    return session

@@ -2,14 +2,18 @@
 
 Each connection is one session — an event stream checked online against
 one registered specification (the paper's soundness condition
-``h/α(Γ) ∈ T(Γ)`` per connection).  Events of a single-callee spec are
-routed to the shard pool by callee, so one session's independent objects
-check in parallel while per-object order is preserved; a *coupled* spec
-(alphabet addressing several callees — see
-:func:`~repro.service.registry._coupled_callees`) pins each session to
-one shard, preserving cross-callee order while different sessions still
-spread over the pool.  The first violation (smallest session-global
-index among the shard monitors) is what ``STATUS`` reports.
+``h/α(Γ) ∈ T(Γ)`` per connection).  The session's input semantics live
+in :class:`~repro.service.session.Session`, the ingest core that crash
+replay drives too; this module adds the sockets, the write-ahead log,
+the shard-pool hop and the metrics around it.  Events of a
+single-callee spec are routed to the shard pool by callee, so one
+session's independent objects check in parallel while per-object order
+is preserved; a *coupled* spec (alphabet addressing several callees —
+see :func:`~repro.service.registry._coupled_callees`) pins each session
+to one shard, preserving cross-callee order while different sessions
+still spread over the pool.  The first violation (smallest
+session-global index among the shard monitors) is what ``STATUS``
+reports.
 
 The server is single-loop: shard workers are tasks, not threads, so
 monitor state and metrics need no locks.
@@ -18,128 +22,37 @@ monitor state and metrics need no locks.
 from __future__ import annotations
 
 import asyncio
-from array import array
 from pathlib import Path
 
 from repro.core.errors import ReproError
 from repro.obs.metrics import ServiceMetrics, declare_cache_counters
 from repro.obs.registry import get_registry
 from repro.obs.trace import span
-from repro.runtime import tracefile
-from repro.runtime.monitor import SpecMonitor, Violation
 from repro.service import durability, wire
 from repro.service.protocol import (
-    Command,
     ProtocolError,
-    SessionStatus,
     format_status,
     parse_command,
     parse_hello,
 )
 from repro.service.registry import CompiledSpec, SpecRegistry
+from repro.service.session import Session
 from repro.service.shards import DEFAULT_QUEUE_SIZE, BatchTask, ShardPool
 
 __all__ = ["MonitorServer"]
 
-#: Router key pinning a coupled spec's session to one shard.  The NUL
-#: byte cannot occur in an object name parsed off the wire, so the key
-#: never collides with a real callee.
-_COUPLED_KEY = "\x00session"
+#: Binary request opcodes of the reply-bearing verbs.
+_FRAME_VERBS = {
+    wire.OP_SPEC: "SPEC",
+    wire.OP_STATUS: "STATUS",
+    wire.OP_METRICS: "METRICS",
+    wire.OP_RESET: "RESET",
+    wire.OP_BYE: "BYE",
+    wire.OP_UPDATE: "UPDATE",
+}
 
-
-class _Session:
-    """Per-connection state: bound spec, per-shard monitors, counters."""
-
-    __slots__ = (
-        "seq",
-        "router",
-        "proto",
-        "compiled",
-        "monitors",
-        "touched",
-        "events",
-        "skipped",
-        "errors",
-        "violation",
-        "key",
-        "received",
-        "lsn",
-        "since_snapshot",
-        "restored_violation",
-    )
-
-    def __init__(self, seq: int, router) -> None:
-        self.seq = seq
-        self.router = router
-        self.proto = 1
-        self.compiled: CompiledSpec | None = None
-        self.monitors: dict[int, SpecMonitor] = {}
-        self.touched: set[int] = set()
-        self.events = 0
-        self.skipped = 0
-        self.errors = 0
-        self.violation: Violation | None = None
-        #: Durable-session state.  ``key`` is the client's idempotency
-        #: key (None on plain sessions); ``received`` the monotonic input
-        #: watermark (every EVENT line and every EVENTS id counts one,
-        #: never reset — it is what ``applied=`` reports); ``lsn`` the
-        #: next log sequence number.  ``restored_violation`` carries a
-        #: violation recovered from the log as ``(index, line)`` — the
-        #: Violation object itself cannot be rebuilt because the bounded
-        #: history that produced it is gone.
-        self.key: str | None = None
-        self.received = 0
-        self.lsn = 0
-        self.since_snapshot = 0
-        self.restored_violation: tuple[int, str] | None = None
-
-    def shard_for(self, callee_name: str) -> int:
-        """The shard an event routes to, honouring the session's proto.
-
-        A binary (proto>=2) session is pinned whole to one shard — batch
-        stepping interleaves with out-of-table fallback events, and the
-        relative order of the two streams is only preserved when both
-        land on the same FIFO (DESIGN.md §13).  Coupled specs pin in
-        every proto, as before, and so do durable sessions: replay
-        applies the log in lsn order, which is only the order the
-        monitor saw when the whole session drained through one FIFO.
-        """
-        if (
-            self.proto >= 2
-            or self.key is not None
-            or (self.compiled is not None and self.compiled.coupled)
-        ):
-            return self.router.shard_of(_COUPLED_KEY)
-        return self.router.shard_of(callee_name)
-
-    def reset(self) -> None:
-        for monitor in self.monitors.values():
-            monitor.reset()
-        self.touched.clear()
-        self.events = 0
-        self.skipped = 0
-        self.errors = 0
-        self.violation = None
-        # ``received``/``lsn`` survive on purpose: the idempotency
-        # watermark counts inputs consumed, not monitor state, and must
-        # stay monotonic across RESET for resend dedup to stay sound.
-        self.restored_violation = None
-
-    def status(self) -> SessionStatus:
-        violation = self.violation
-        index = violation.index if violation else None
-        line = tracefile.format_event(violation.event) if violation else None
-        if violation is None and self.restored_violation is not None:
-            index, line = self.restored_violation
-        return SessionStatus(
-            spec=self.compiled.name if self.compiled else None,
-            events=self.events,
-            skipped=self.skipped,
-            errors=self.errors,
-            violation_index=index,
-            violation_event=line,
-            applied=self.received if self.key is not None else None,
-        )
+#: Reply keyword (the text framing's first word) → reply opcode.
+_REPLY_OPS = {"OK": wire.OP_OK, "ERR": wire.OP_ERR, "VIOLATION": wire.OP_VIOLATION}
 
 
 class MonitorServer:
@@ -337,8 +250,8 @@ class MonitorServer:
         # order *within* a session must be preserved — the seq-number
         # prefix spreads sessions over the workers even when every
         # session's spec talks to the same objects.
-        session = _Session(
-            self._session_seq, self.pool.router(prefix=f"{self._session_seq}:")
+        session = Session(
+            self.registry, self.pool.router(prefix=f"{self._session_seq}:")
         )
         try:
             while True:
@@ -350,37 +263,31 @@ class MonitorServer:
                     continue
                 try:
                     command = parse_command(line)
+                    verb, arg = command.verb, command.arg
+                    if verb == "UPDATE":
+                        # The lines=<n> form reads its document body off
+                        # the same reader.
+                        arg = await self._read_update(arg, reader)
                 except ProtocolError as exc:
                     await self._reply(writer, f"ERR {exc}")
                     continue
-                if command.verb == "EVENT":
-                    await self._handle_event(session, command.arg)
-                    continue
-                if command.verb == "UPDATE":
-                    # Handled here, not in _handle_sync: the lines=<n>
-                    # form reads its document body off the same reader.
-                    ok = await self._handle_update_text(
-                        command.arg, reader, writer
-                    )
-                    if not ok:
-                        break  # EOF inside the announced body
-                    continue
-                done = await self._handle_sync(session, command, writer)
-                if done:
-                    break
-                if session.proto >= 2:
-                    # HELLO agreed on the binary framing: the negotiation
-                    # reply above was the last text line on this wire.
-                    await self._binary_loop(session, reader, writer)
+                if verb == "EVENT":
+                    await self._handle_event(session, arg)
+                elif verb == "HELLO":
+                    session = await self._hello(session, arg, writer)
+                    if session.proto >= 2:
+                        await self._binary_loop(session, reader, writer)
+                        break
+                elif verb == "UPDATE" and arg is None:
+                    break  # EOF inside the announced body
+                elif await self._handle_sync(session, verb, arg, writer):
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             self.metrics.session_closed()
             self._conn_writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            if self._durable(session):
+            if session.key is not None:
                 try:
                     await self._snapshot_session(session)
                 except Exception:
@@ -390,6 +297,10 @@ class MonitorServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            # Last: stop() waits on this task for the farewell snapshot
+            # and the close above, not just for the read loop.
+            if task is not None:
+                self._conn_tasks.discard(task)
 
     async def _reply(self, writer: asyncio.StreamWriter, line: str) -> None:
         writer.write(line.encode("utf-8") + b"\n")
@@ -440,60 +351,50 @@ class MonitorServer:
 
     # -- durable sessions ----------------------------------------------------
 
-    def _durable(self, session: _Session) -> bool:
-        return session.key is not None and self._store is not None
+    async def _hello(
+        self, session: Session, arg: str, writer: asyncio.StreamWriter
+    ) -> Session:
+        """Negotiate; a durable key swaps in the session its log recovers."""
+        proto, key = parse_hello(arg)
+        agreed = min(proto, self.max_proto)
+        durable = ""
+        if key is not None and self._store is not None:
+            # Recover before the reply: ``durable=1`` promises the log is
+            # attached, so the watermark must already be loaded when the
+            # client's SPEC asks for ``applied=``.
+            session = durability.recover(
+                self.data_dir,
+                key,
+                self.registry,
+                index=self._log_index,
+                router=session.router,
+            )
+            durable = " durable=1"
+        names = ",".join(self.registry.names())
+        await self._reply(
+            writer, f"OK repro-service {agreed}{durable} specs={names}"
+        )
+        # The switch happens *after* this reply: negotiation is always
+        # text, everything past it is framed when agreed >= 2.
+        session.proto = agreed
+        return session
 
     def _append_record(
-        self, session: _Session, opcode: int, body: bytes, inputs: int
+        self, session: Session, opcode: int, body: bytes, received: int
     ) -> None:
-        """Write-ahead log one record and advance the session watermark."""
-        record = durability.encode_record(
-            opcode, session.key, session.lsn, session.received, body
-        )
-        shard = session.router.shard_of(_COUPLED_KEY)
-        self._store.append(shard, record)
-        session.lsn += 1
-        session.received += inputs
-        session.since_snapshot += inputs
+        """Write-ahead log one record; ``received`` is the watermark before it.
 
-    def _snapshot_payload(self, session: _Session) -> dict | None:
-        """The session's snapshot, or None when it cannot be snapshotted.
-
-        A deoptimised monitor (alive but fallen off the dense table) has
-        no stable integer state to persist — recovery replays more log
-        instead, which is always correct, just slower.
+        The session has already accepted the record's inputs, so its
+        watermark is past them; the log keeps where they start.
         """
-        monitor_state = None
-        shard = session.router.shard_of(_COUPLED_KEY)
-        monitor = session.monitors.get(shard)
-        if monitor is not None:
-            if monitor.alive and monitor._dstate is None:
-                return None
-            monitor_state = {"alive": monitor.alive, "dstate": monitor._dstate}
-        violation = None
-        if session.violation is not None:
-            violation = {
-                "index": session.violation.index,
-                "event": tracefile.format_event(session.violation.event),
-            }
-        elif session.restored_violation is not None:
-            violation = {
-                "index": session.restored_violation[0],
-                "event": session.restored_violation[1],
-            }
-        return {
-            "key": session.key,
-            "spec": session.compiled.name if session.compiled else None,
-            "lsn": session.lsn,
-            "received": session.received,
-            "events": session.events,
-            "skipped": session.skipped,
-            "errors": session.errors,
-            "violation": violation,
-            "monitor": monitor_state,
-        }
+        record = durability.encode_record(
+            opcode, session.key, session.next_lsn, received, body
+        )
+        self._store.append(session.lane(), record)
+        session.next_lsn += 1
+        session.since_snapshot += session.received - received
 
-    async def _snapshot_session(self, session: _Session) -> None:
+    async def _snapshot_session(self, session: Session) -> None:
         """Checkpoint a durable session so recovery can skip log prefix.
 
         Order matters: flush the shard (the monitor must have applied
@@ -501,38 +402,14 @@ class MonitorServer:
         never cover records that could still be lost), then write.
         """
         session.since_snapshot = 0
-        await self.pool.flush(session.touched)
+        await self.pool.flush(session.monitors)
         self._store.sync()
-        payload = self._snapshot_payload(session)
+        payload = session.snapshot()
         if payload is not None:
             self._store.write_snapshot(payload)
 
-    def _install_recovery(
-        self, session: _Session, recovered: durability.RecoveredSession
-    ) -> None:
-        """Adopt a recovered session's counters, monitor and watermark."""
-        session.received = recovered.received
-        session.lsn = recovered.next_lsn
-        session.since_snapshot = 0
-        session.events = recovered.events
-        session.skipped = recovered.skipped
-        session.errors = recovered.errors
-        session.compiled = recovered.compiled
-        session.monitors = {}
-        session.violation = None
-        session.restored_violation = None
-        if recovered.monitor is not None:
-            shard = session.router.shard_of(_COUPLED_KEY)
-            session.monitors[shard] = recovered.monitor
-            session.touched.add(shard)
-        if recovered.violation_index is not None:
-            session.restored_violation = (
-                recovered.violation_index,
-                recovered.violation_line or "",
-            )
-
     async def _bind_session(
-        self, session: _Session, compiled: CompiledSpec
+        self, session: Session, compiled: CompiledSpec
     ) -> int | None:
         """Bind (or durable re-attach) a spec; the ``applied=`` watermark.
 
@@ -543,23 +420,21 @@ class MonitorServer:
         a bind to a *different* spec starts over (logged as REC_BIND, the
         input watermark still monotonic).
         """
-        await self.pool.flush(session.touched)
-        durable = self._durable(session)
+        await self.pool.flush(session.monitors)
+        durable = session.key is not None
         if (
             durable
             and session.compiled is not None
             and session.compiled.name == compiled.name
         ):
             return session.received
-        session.reset()
-        session.compiled = compiled
-        session.monitors = {}
+        session.bind(compiled)
         if durable:
             self._append_record(
                 session,
                 durability.REC_BIND,
                 compiled.name.encode("utf-8"),
-                0,
+                session.received,
             )
             return session.received
         return None
@@ -598,77 +473,65 @@ class MonitorServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _handle_sync(
-        self, session: _Session, command: Command, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Handle a reply-bearing verb; returns True when the session ends."""
-        if command.verb == "HELLO":
-            proto, key = parse_hello(command.arg)
-            agreed = min(proto, self.max_proto)
-            durable = ""
-            if key is not None and self._store is not None:
-                # Recover before the reply: ``durable=1`` promises the
-                # log is attached, so the watermark must already be
-                # loaded when the client's SPEC asks for ``applied=``.
-                session.key = key
-                self._install_recovery(
-                    session,
-                    durability.recover(
-                        self.data_dir, key, self.registry, index=self._log_index
-                    ),
-                )
-                durable = " durable=1"
-            names = ",".join(self.registry.names())
-            await self._reply(
-                writer,
-                f"OK repro-service {agreed}{durable} specs={names}",
-            )
-            # The switch happens *after* this reply: negotiation is
-            # always text, everything past it is framed when agreed >= 2.
-            session.proto = agreed
-            return False
-        if command.verb == "SPEC":
+    async def _verb(
+        self, session: Session, verb: str, arg
+    ) -> tuple[str, str]:
+        """Run one reply-bearing verb; its reply keyword and detail.
+
+        Both framings serve SPEC, STATUS, METRICS, RESET, BYE and UPDATE
+        through here and differ only in decoding the request and encoding
+        this reply.  ``arg`` is the spec name for SPEC and the decoded
+        ``(scenario, text, force)`` request for UPDATE.
+        """
+        if verb == "UPDATE":
+            scenario, text, force = arg
             try:
-                compiled = self.registry.get(command.arg)
+                return "OK", self._apply_update(
+                    scenario=scenario, text=text, force=force
+                )
             except ReproError as exc:
-                await self._reply(writer, f"ERR {exc}")
-                return False
+                return "ERR", str(exc)
+        if verb == "SPEC":
+            try:
+                compiled = self.registry.get(arg)
+            except ReproError as exc:
+                return "ERR", str(exc)
             applied = await self._bind_session(session, compiled)
             suffix = "" if applied is None else f" applied={applied}"
-            await self._reply(
-                writer,
-                f"OK spec {compiled.name} shards={self.pool.shards}{suffix}",
-            )
-            return False
-        if command.verb == "STATUS":
-            await self.pool.flush(session.touched)
-            await self._reply(writer, format_status(session.status()))
-            return False
-        if command.verb == "METRICS":
-            # Flush first so counters include every event already fed on
-            # this session, then frame the multi-line Prometheus dump with
-            # an up-front line count.
-            await self.pool.flush(session.touched)
-            text = get_registry().format_prometheus()
-            lines = text.splitlines()
-            await self._reply(writer, f"OK metrics lines={len(lines)}")
-            for line in lines:
-                await self._reply(writer, line)
-            return False
-        if command.verb == "RESET":
-            await self.pool.flush(session.touched)
-            if self._durable(session):
-                self._append_record(session, durability.REC_RESET, b"", 0)
+            return "OK", f"spec {compiled.name} shards={self.pool.shards}{suffix}"
+        # Every other verb synchronises first: the reply covers every
+        # input this session sent before it.
+        await self.pool.flush(session.monitors)
+        if verb == "STATUS":
+            keyword, _, detail = format_status(session.status()).partition(" ")
+            return keyword, detail
+        if verb == "METRICS":
+            return "OK", get_registry().format_prometheus()
+        if verb == "RESET":
+            if session.key is not None:
+                self._append_record(
+                    session, durability.REC_RESET, b"", session.received
+                )
             session.reset()
-            await self._reply(writer, "OK reset")
-            return False
-        if command.verb == "BYE":
-            await self.pool.flush(session.touched)
-            if self._durable(session):
+            return "OK", "reset"
+        if verb == "BYE":
+            if session.key is not None:
                 await self._snapshot_session(session)
-            await self._reply(writer, f"OK bye events={session.events}")
-            return True
-        raise AssertionError(f"unhandled verb {command.verb}")  # pragma: no cover
+            return "OK", f"bye events={session.events}"
+        raise AssertionError(f"unhandled verb {verb}")  # pragma: no cover
+
+    async def _handle_sync(
+        self, session: Session, verb: str, arg, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Answer a reply-bearing verb as text; True when the session ends."""
+        keyword, detail = await self._verb(session, verb, arg)
+        if verb == "METRICS":
+            # The one multi-line reply: an up-front line count frames the
+            # Prometheus dump inside the one-line protocol.
+            lines = detail.splitlines()
+            detail = "\n".join([f"metrics lines={len(lines)}", *lines])
+        await self._reply(writer, f"{keyword} {detail}")
+        return verb == "BYE"
 
     # -- hot updates ---------------------------------------------------------
 
@@ -706,18 +569,17 @@ class MonitorServer:
             f"specs={names}"
         )
 
-    async def _handle_update_text(
-        self,
-        arg: str,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Handle a text ``UPDATE``; False when EOF truncated the body.
+    @staticmethod
+    async def _read_update(
+        arg: str, reader: asyncio.StreamReader
+    ) -> tuple[str | None, str | None, bool] | None:
+        """Decode a text ``UPDATE``; None when EOF truncated the body.
 
         ``UPDATE scenario=<name> [force=1]`` is self-contained;
         ``UPDATE lines=<n> [force=1]`` reads exactly n raw document
         lines (blank lines included — they are body, not commands)
         before replying, mirroring the ``METRICS`` reply framing.
+        Raises :class:`ProtocolError` for malformed fields.
         """
         scenario: str | None = None
         count: int | None = None
@@ -730,41 +592,24 @@ class MonitorServer:
                 try:
                     count = int(value)
                 except ValueError:
-                    await self._reply(writer, f"ERR malformed lines={value!r}")
-                    return True
+                    count = -1
                 if count < 0:
-                    await self._reply(writer, f"ERR malformed lines={value!r}")
-                    return True
+                    raise ProtocolError(f"malformed lines={value!r}")
             elif key == "force" and eq:
                 force = value == "1"
             else:
-                await self._reply(writer, f"ERR malformed UPDATE field {token!r}")
-                return True
+                raise ProtocolError(f"malformed UPDATE field {token!r}")
         if (scenario is None) == (count is None):
-            await self._reply(
-                writer, "ERR UPDATE needs exactly one of scenario=/lines="
-            )
-            return True
-        text: str | None = None
-        if count is not None:
-            body: list[str] = []
-            for _ in range(count):
-                raw = await reader.readline()
-                if not raw:
-                    return False  # client vanished mid-body
-                body.append(
-                    raw.decode("utf-8", errors="replace").rstrip("\r\n")
-                )
-            text = "\n".join(body)
-        try:
-            detail = self._apply_update(
-                scenario=scenario, text=text, force=force
-            )
-        except ReproError as exc:
-            await self._reply(writer, f"ERR {exc}")
-            return True
-        await self._reply(writer, f"OK {detail}")
-        return True
+            raise ProtocolError("UPDATE needs exactly one of scenario=/lines=")
+        if count is None:
+            return scenario, None, force
+        body: list[str] = []
+        for _ in range(count):
+            raw = await reader.readline()
+            if not raw:
+                return None  # client vanished mid-body
+            body.append(raw.decode("utf-8", errors="replace").rstrip("\r\n"))
+        return None, "\n".join(body), force
 
     # -- binary framing (proto >= 2) -----------------------------------------
 
@@ -793,7 +638,7 @@ class MonitorServer:
 
     async def _binary_loop(
         self,
-        session: _Session,
+        session: Session,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
@@ -823,7 +668,7 @@ class MonitorServer:
 
     async def _handle_frame(
         self,
-        session: _Session,
+        session: Session,
         opcode: int,
         payload: bytes,
         writer: asyncio.StreamWriter,
@@ -832,234 +677,123 @@ class MonitorServer:
         if opcode == wire.OP_EVENTS:
             await self._handle_events(session, payload)
             return False
+        text = payload.decode("utf-8", errors="replace")
         if opcode == wire.OP_EVENT:
-            await self._handle_event(
-                session, payload.decode("utf-8", errors="replace")
-            )
+            await self._handle_event(session, text)
             return False
-        if opcode == wire.OP_SPEC:
-            name = payload.decode("utf-8", errors="replace").strip()
-            try:
-                compiled = self.registry.get(name)
-            except ReproError as exc:
-                await self._send_frame(writer, wire.OP_ERR, str(exc).encode())
-                return False
-            applied = await self._bind_session(session, compiled)
-            # A durable re-attach keeps the recovered pinned build; sync
-            # the letter table of *that* build, not a post-swap one.
-            compiled = session.compiled
-            suffix = "" if applied is None else f" applied={applied}"
-            count = len(self.registry.letter_lines(compiled.name))
-            detail = (
-                f"spec {compiled.name} shards={self.pool.shards}"
-                f"{suffix} letters={count}"
-            )
+        verb = _FRAME_VERBS.get(opcode)
+        if verb is None:
+            # The frame boundary is intact, so the loop reports this and
+            # continues — the binary analogue of the text unknown verb.
+            raise wire.FrameError(f"unknown opcode 0x{opcode:02x}")
+        arg = _decode_update(text) if verb == "UPDATE" else text.strip()
+        keyword, detail = await self._verb(session, verb, arg)
+        if verb == "METRICS":
+            detail = "metrics\n" + detail
+        if verb == "SPEC" and keyword == "OK":
             # The OK reply and the letter table travel back to back: the
             # client knows from ``letters=<k>`` (k > 0) that exactly one
-            # OP_LETTERS frame follows before any other reply.
+            # OP_LETTERS frame follows before any other reply.  A durable
+            # re-attach keeps the recovered pinned build, so the table is
+            # *that* build's, not a post-swap one.
+            compiled = session.compiled
+            count = len(self.registry.letter_lines(compiled.name))
+            detail += f" letters={count}"
             writer.write(wire.encode_frame(wire.OP_OK, detail.encode()))
             if count:
                 writer.write(self._letters_frame(compiled))
             await writer.drain()
             return False
-        if opcode == wire.OP_UPDATE:
-            # utf-8 payload: a header line then the optional body.
-            # ``scenario=<name> [force=1]`` or ``doc [force=1]\n<text>``.
-            text = payload.decode("utf-8", errors="replace")
-            header, _, body = text.partition("\n")
-            tokens = header.split()
-            force = "force=1" in tokens[1:]
-            detail = None
-            try:
-                if tokens and tokens[0].startswith("scenario="):
-                    detail = self._apply_update(
-                        scenario=tokens[0][len("scenario="):], force=force
-                    )
-                elif tokens and tokens[0] == "doc":
-                    detail = self._apply_update(text=body, force=force)
-            except ReproError as exc:
-                await self._send_frame(writer, wire.OP_ERR, str(exc).encode())
-                return False
-            if detail is None:
-                await self._send_frame(
-                    writer, wire.OP_ERR, b"malformed UPDATE header"
-                )
-                return False
-            await self._send_frame(writer, wire.OP_OK, detail.encode())
-            return False
-        if opcode == wire.OP_STATUS:
-            await self.pool.flush(session.touched)
-            await self._send_status_frame(writer, session)
-            return False
-        if opcode == wire.OP_METRICS:
-            await self.pool.flush(session.touched)
-            text = get_registry().format_prometheus()
-            await self._send_frame(
-                writer, wire.OP_OK, b"metrics\n" + text.encode("utf-8")
-            )
-            return False
-        if opcode == wire.OP_RESET:
-            await self.pool.flush(session.touched)
-            if self._durable(session):
-                self._append_record(session, durability.REC_RESET, b"", 0)
-            session.reset()
-            await self._send_frame(writer, wire.OP_OK, b"reset")
-            return False
-        if opcode == wire.OP_BYE:
-            await self.pool.flush(session.touched)
-            if self._durable(session):
-                await self._snapshot_session(session)
-            await self._send_frame(
-                writer, wire.OP_OK, f"bye events={session.events}".encode()
-            )
-            return True
-        # Unknown opcode: the frame boundary is intact, so report and
-        # continue — the binary analogue of the text ``ERR`` for an
-        # unknown verb.
-        await self._send_frame(
-            writer, wire.OP_ERR, f"unknown opcode 0x{opcode:02x}".encode()
-        )
-        return False
+        await self._send_frame(writer, _REPLY_OPS[keyword], detail.encode())
+        return verb == "BYE"
 
-    async def _send_status_frame(
-        self, writer: asyncio.StreamWriter, session: _Session
-    ) -> None:
-        """The status reply as a frame: text keyword → opcode, rest → payload."""
-        reply = format_status(session.status())
-        keyword, _, detail = reply.partition(" ")
-        op = wire.OP_OK if keyword == "OK" else wire.OP_VIOLATION
-        await self._send_frame(writer, op, detail.encode("utf-8"))
+    # -- event ingest --------------------------------------------------------
 
-    async def _handle_events(self, session: _Session, payload: bytes) -> None:
-        """Feed one ``EVENTS`` batch: silent on success, like text ``EVENT``.
-
-        A structurally malformed payload raises
-        :class:`~repro.service.wire.FrameError` (the loop answers with an
-        ``ERR`` frame); ids outside the letter table are dropped and
-        counted as errors per id, so valid events keep consecutive
-        session-global indices exactly as if the bad ids had been
-        malformed text lines.  The whole batch becomes *one* shard-queue
-        unit and one monitor call — the amortisation the binary protocol
-        exists for.
-        """
-        ids = wire.unpack_event_ids(payload)
-        n = len(ids)
-        if n == 0:
-            return
-        if self._durable(session):
-            # Log the payload verbatim *before* validation: replay then
-            # re-runs the identical validation, so dropped/invalid ids
-            # are re-counted as errors exactly as they were live.
-            if session.since_snapshot >= self.snapshot_every:
-                await self._snapshot_session(session)
-            self._append_record(session, durability.REC_IDS, payload, n)
-        compiled = session.compiled
-        if compiled is None or compiled.dense is None:
-            # No spec bound, or a spec the registry could not tabulate —
-            # either way no letter table was ever sent, so the ids cannot
-            # mean anything.
-            session.errors += n
-            self.metrics.record_malformed(n)
-            return
-        k = compiled.dense.dfa.n_letters
-        if min(ids) < 0 or max(ids) >= k:
-            valid = array("i", (lid for lid in ids if 0 <= lid < k))
-            bad = n - len(valid)
-            session.errors += bad
-            self.metrics.record_malformed(bad)
-            ids = valid
-            n = len(ids)
-            if n == 0:
-                return
-        base = session.events
-        session.events += n
-        # EVENTS exists only on binary sessions, which are always pinned
-        # (see _Session.shard_for) — route on the pinned key directly.
-        shard = session.router.shard_of(_COUPLED_KEY)
-        monitor = session.monitors.get(shard)
-        if monitor is None:
-            # Pin to the session's CompiledSpec, not a name lookup: a
-            # concurrent hot swap must not mix machines mid-session.
-            monitor = self.registry.new_monitor_for(compiled)
-            session.monitors[shard] = monitor
-        session.touched.add(shard)
-        spec_name = compiled.name
-        metrics = self.metrics
-
-        def check() -> None:
-            with span("service.batch", spec=spec_name, events=n):
-                start = metrics.clock()
-                was_ok = not monitor.violations
-                monitor.observe_ids(ids, base_index=base)
-                metrics.record_batch(spec_name, n, metrics.clock() - start)
-                if was_ok and monitor.violations:
-                    metrics.record_violation()
-                    violation = monitor.violations[-1]
-                    if (
-                        session.violation is None
-                        or violation.index < session.violation.index
-                    ):
-                        session.violation = violation
-
-        await self.pool.submit_to(shard, BatchTask(check, n))
-
-    async def _handle_event(self, session: _Session, arg: str) -> None:
+    async def _handle_event(self, session: Session, arg: str) -> None:
         """Feed one event: silent on success, counted on failure.
 
         Problems never elicit a reply (events pipeline without per-event
         round-trips); they are surfaced by the next synchronising verb.
         """
-        if self._durable(session):
-            # Write-ahead: the raw line (malformed or not) is one input.
-            # The snapshot check runs first so the checkpoint covers
-            # exactly the records before this one, all already applied.
-            if session.since_snapshot >= self.snapshot_every:
-                await self._snapshot_session(session)
+        durable = session.key is not None
+        if durable and session.since_snapshot >= self.snapshot_every:
+            # Before accepting: the checkpoint covers exactly the records
+            # before this input, all already applied.
+            await self._snapshot_session(session)
+        received, errors = session.received, session.errors
+        pending = session.accept_line(arg)
+        if durable:
+            # Write-ahead, before the monitor steps: the raw line
+            # (malformed or not) is one input.
             self._append_record(
-                session, durability.REC_LINE, arg.encode("utf-8"), 1
+                session, durability.REC_LINE, arg.encode("utf-8"), received
             )
-        try:
-            event = tracefile.parse_line(arg)
-        except ReproError:
-            session.errors += 1
-            self.metrics.record_malformed()
+        if pending is None:
+            if session.errors > errors:
+                self.metrics.record_malformed()
             return
-        if event is None:  # comment / blank payload
-            return
-        if session.compiled is None:
-            session.errors += 1
-            self.metrics.record_malformed()
-            return
-        index = session.events
-        session.events += 1
-        # The session router resolves (session, callee) → shard with the
-        # key formatting and CRC paid once per distinct callee.  Coupled
-        # specs constrain the order *across* callees, and binary sessions
-        # interleave batches with fallback events, so both route on one
-        # constant key instead of splitting per callee.
-        shard = session.shard_for(event.callee.name)
-        monitor = session.monitors.get(shard)
-        if monitor is None:
-            # Pinned like the batch path: sessions drain on the machine
-            # they bound even while an UPDATE swaps the registry entry.
-            monitor = self.registry.new_monitor_for(session.compiled)
-            session.monitors[shard] = monitor
-        session.touched.add(shard)
+        shard, monitor, event, index = pending
         spec_name = session.compiled.name
         metrics = self.metrics
 
         def check() -> None:
             start = metrics.clock()
-            skipped = not monitor.spec.alphabet.contains(event)
-            was_ok = not monitor.violations
-            monitor.observe(event, index=index)
+            skipped, violated = session.step_event(monitor, event, index)
             metrics.record_event(spec_name, metrics.clock() - start, skipped=skipped)
-            if skipped:
-                session.skipped += 1
-            if was_ok and monitor.violations:
+            if violated:
                 metrics.record_violation()
-                violation = monitor.violations[-1]
-                if session.violation is None or violation.index < session.violation.index:
-                    session.violation = violation
 
         await self.pool.submit_to(shard, check)
+
+    async def _handle_events(self, session: Session, payload: bytes) -> None:
+        """Feed one ``EVENTS`` batch: silent on success, like text ``EVENT``.
+
+        A structurally malformed payload raises
+        :class:`~repro.service.wire.FrameError` (the loop answers with an
+        ``ERR`` frame).  The whole batch becomes *one* shard-queue unit
+        and one monitor call — the amortisation the binary protocol
+        exists for.
+        """
+        durable = session.key is not None
+        if durable and session.since_snapshot >= self.snapshot_every:
+            await self._snapshot_session(session)
+        received, errors = session.received, session.errors
+        pending = session.accept_ids(payload)
+        if durable and session.received > received:
+            # Logged verbatim, invalid ids included: replay accepts it
+            # through the same core, so they count as errors again.
+            self._append_record(session, durability.REC_IDS, payload, received)
+        if session.errors > errors:
+            self.metrics.record_malformed(session.errors - errors)
+        if pending is None:
+            return
+        shard, monitor, ids, base = pending
+        n = len(ids)
+        spec_name = session.compiled.name
+        metrics = self.metrics
+
+        def check() -> None:
+            with span("service.batch", spec=spec_name, events=n):
+                start = metrics.clock()
+                violated = session.step_ids(monitor, ids, base)
+                metrics.record_batch(spec_name, n, metrics.clock() - start)
+                if violated:
+                    metrics.record_violation()
+
+        await self.pool.submit_to(shard, BatchTask(check, n))
+
+
+def _decode_update(text: str) -> tuple[str | None, str | None, bool]:
+    """Decode a binary ``UPDATE`` payload into ``(scenario, text, force)``.
+
+    A utf-8 header line then the optional body:
+    ``scenario=<name> [force=1]`` or ``doc [force=1]\n<text>``.
+    """
+    header, _, body = text.partition("\n")
+    tokens = header.split()
+    force = "force=1" in tokens[1:]
+    if tokens and tokens[0].startswith("scenario="):
+        return tokens[0][len("scenario="):], None, force
+    if tokens and tokens[0] == "doc":
+        return None, body, force
+    raise wire.FrameError("malformed UPDATE header")

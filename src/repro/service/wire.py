@@ -197,7 +197,10 @@ def unpack_letters(payload: bytes) -> list[str]:
         if len(raw) != length:
             raise FrameError("LETTERS payload truncated mid-line")
         offset += length
-        lines.append(raw.decode("utf-8"))
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FrameError("LETTERS line is not utf-8") from exc
     if offset != len(payload):
         raise FrameError("LETTERS payload carries trailing bytes")
     return lines

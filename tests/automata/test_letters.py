@@ -8,7 +8,7 @@ import pytest
 
 from repro.automata.dfa import DFA
 from repro.automata.letters import LetterTable, interned_table_count
-from repro.automata.stats import collect_exploration
+from repro.obs import collect_exploration
 from repro.core.errors import AutomatonError
 from repro.core.events import Event
 from repro.core.values import ObjectId

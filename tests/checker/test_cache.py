@@ -35,7 +35,7 @@ def universe(cast):
 def dfas_equal(a, b) -> bool:
     return (
         a.letters == b.letters
-        and a.transitions == b.transitions
+        and a.dense == b.dense
         and a.start == b.start
         and a.accepting == b.accepting
     )

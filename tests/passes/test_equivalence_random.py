@@ -193,9 +193,16 @@ def test_random_machine_trees_normalize_trace_equal(case):
 # ----------------------------------------------------------------------
 
 
+def _dict_rows(dfa: DFA) -> tuple[dict, ...]:
+    """The DFA's transitions as event-keyed row dicts."""
+    return tuple(
+        {e: dfa.step(q, e) for e in dfa.letters} for q in range(dfa.n_states)
+    )
+
+
 def _dict_roundtrip(dfa: DFA) -> DFA:
-    """Rebuild a DFA from its legacy dict-of-dicts ``transitions`` shim."""
-    return DFA(dfa.letters, dfa.transitions, dfa.start, dfa.accepting)
+    """Rebuild a DFA through the dict-of-dicts row constructor."""
+    return DFA(dfa.letters, _dict_rows(dfa), dfa.start, dfa.accepting)
 
 
 def _dict_walk_accepts(rows, start, accepting, word) -> bool:
@@ -217,7 +224,7 @@ def _assert_representations_agree(a: DFA, b: DFA, context: str) -> None:
     assert inclusion_counterexample(a, b) == inclusion_counterexample(ra, rb), context
     assert inclusion_counterexample(b, a) == inclusion_counterexample(rb, ra), context
     # Dense acceptance agrees with a brute-force dict walk on short words.
-    rows = a.transitions
+    rows = _dict_rows(a)
     for n in range(3):
         for word in itertools.product(a.letters, repeat=n):
             assert a.accepts(word) == _dict_walk_accepts(

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.registry import get_registry
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 from repro.service import durability
 from repro.service.durability import (
@@ -215,28 +216,36 @@ def _log_lines(store, key, lines, *, lsn=0, received=0, shard=0, bind="Write"):
     return lsn, received
 
 
+def _recover(root, key, registry):
+    """``recover()`` plus how many log records it replayed."""
+    counter = get_registry().counter("repro_durability_replayed_records_total")
+    before = counter.value
+    state = recover(root, key, registry)
+    return state, counter.value - before
+
+
 class TestRecover:
     def test_full_log_replay(self, tmp_path, registry):
         store = WorkerStore(tmp_path)
         next_lsn, received = _log_lines(store, "k", WRITE_LINES)
         store.close()
-        state = recover(tmp_path, "k", registry)
-        assert state.spec == "Write"
+        state, _ = _recover(tmp_path, "k", registry)
+        assert state.compiled.name == "Write"
         assert state.events == len(WRITE_LINES)
         assert state.skipped == 1
         assert state.errors == 0
         assert state.received == received
         assert state.next_lsn == next_lsn
-        assert state.violation_index is None
-        assert state.monitor is not None
+        assert state.status().violation_index is None
+        assert state.monitors
 
     def test_replay_restores_a_violation(self, tmp_path, registry):
         store = WorkerStore(tmp_path)
         _log_lines(store, "k", VIOLATING_LINES)
         store.close()
-        state = recover(tmp_path, "k", registry)
-        assert state.violation_index == VIOLATION_INDEX
-        assert state.violation_line == VIOLATING_LINES[VIOLATION_INDEX]
+        status = recover(tmp_path, "k", registry).status()
+        assert status.violation_index == VIOLATION_INDEX
+        assert status.violation_event == VIOLATING_LINES[VIOLATION_INDEX]
 
     def test_duplicate_suffix_is_deduplicated(self, tmp_path, registry):
         # An at-least-once resend re-logs lines the log already holds
@@ -256,6 +265,29 @@ class TestRecover:
         assert state.events == len(WRITE_LINES)
         assert state.received == received
 
+    def test_partially_covered_batch_replays_only_its_suffix(self, tmp_path):
+        scenario, registry, lines = _scenario_lines("pubsub_fanout", 0, n=12)
+        table = registry.letter_lines(scenario.monitored)
+        ids = [table.index(line) for line in lines if line in table]
+        assert len(ids) > 8
+        bind = scenario.monitored.encode()
+
+        def recovered(key, *batches):
+            store = WorkerStore(tmp_path)
+            store.append(0, encode_record(REC_BIND, key, 0, 0, bind))
+            for lsn, (received, batch) in enumerate(batches, start=1):
+                body = wire.pack_event_ids(batch)
+                store.append(0, encode_record(REC_IDS, key, lsn, received, body))
+            store.close()
+            return recover(tmp_path, key, registry)
+
+        once = recovered("once", (0, ids))
+        # a resend whose first 3 ids the watermark already covers
+        resent = recovered("resent", (0, ids[:8]), (5, ids[5:]))
+        assert resent.received == once.received == len(ids)
+        assert resent.status() == once.status()
+        assert resent.events == len(ids)
+
     def test_reset_record_clears_counters_not_watermark(self, tmp_path, registry):
         store = WorkerStore(tmp_path)
         next_lsn, received = _log_lines(store, "k", VIOLATING_LINES)
@@ -271,7 +303,7 @@ class TestRecover:
         store.close()
         state = recover(tmp_path, "k", registry)
         assert state.events == 2
-        assert state.violation_index is None
+        assert state.status().violation_index is None
         # the watermark keeps counting across RESET: dedup stays sound
         assert state.received == received + 2
 
@@ -279,11 +311,11 @@ class TestRecover:
         store = WorkerStore(tmp_path)
         next_lsn, received = _log_lines(store, "k", WRITE_LINES)
         store.close()
-        full = recover(tmp_path, "k", registry)
-        assert full.replayed == len(WRITE_LINES) + 1  # + the BIND record
+        full, replayed = _recover(tmp_path, "k", registry)
+        assert replayed == len(WRITE_LINES) + 1  # + the BIND record
 
         # now snapshot the final state: recovery replays nothing
-        monitor = full.monitor
+        (monitor,) = full.monitors.values()
         payload = {
             "key": "k",
             "spec": "Write",
@@ -298,8 +330,8 @@ class TestRecover:
         store2 = WorkerStore(tmp_path)
         store2.write_snapshot(payload)
         store2.close()
-        snapped = recover(tmp_path, "k", registry)
-        assert snapped.replayed == 0
+        snapped, replayed = _recover(tmp_path, "k", registry)
+        assert replayed == 0
         assert snapped.events == full.events
         assert snapped.skipped == full.skipped
         assert snapped.received == full.received
@@ -307,7 +339,7 @@ class TestRecover:
 
     def test_unknown_key_recovers_to_a_blank_session(self, tmp_path, registry):
         state = recover(tmp_path, "ghost", registry)
-        assert state.spec is None and state.events == 0 and state.received == 0
+        assert state.compiled is None and state.events == 0 and state.received == 0
 
 
 # -- snapshot loader -----------------------------------------------------------
@@ -359,8 +391,8 @@ class TestSnapshotLoader:
         _write_raw_snapshot(tmp_path, "k", json.dumps(payload))
         assert load_best_snapshot(tmp_path, "k") is None
         # recovery replays the whole log instead
-        state = recover(tmp_path, "k", registry)
-        assert state.replayed == len(WRITE_LINES) + 1
+        state, replayed = _recover(tmp_path, "k", registry)
+        assert replayed == len(WRITE_LINES) + 1
         assert state.events == len(WRITE_LINES)
         assert (state.received, state.next_lsn) == (received, next_lsn)
 
@@ -382,8 +414,8 @@ class TestSnapshotLoader:
         store.close()
         payload = {**_GOOD_SNAPSHOT, "monitor": {"alive": True, "dstate": 10**6}}
         _write_raw_snapshot(tmp_path, "k", json.dumps(payload))
-        state = recover(tmp_path, "k", registry)
-        assert state.replayed == len(WRITE_LINES) + 1
+        state, replayed = _recover(tmp_path, "k", registry)
+        assert replayed == len(WRITE_LINES) + 1
         assert state.events == len(WRITE_LINES)
 
     @settings(
@@ -506,13 +538,22 @@ class TestLogIndex:
 # -- end-to-end replay law ---------------------------------------------------
 
 
-async def _drive(port, spec, lines, key, *, status_every=None):
-    """One durable session sending ``lines``; returns its final status."""
-    client = MonitorClient("127.0.0.1", port, spec=spec, session=key)
+async def _drive(port, spec, lines, key, *, proto=1, status_every=None):
+    """One durable session sending ``lines``; returns its final status.
+
+    A ``None`` line sends RESET.  Binary sessions batch 5 ids per
+    ``EVENTS`` frame, so batches straddle snapshots and the cut.
+    """
+    client = MonitorClient(
+        "127.0.0.1", port, spec=spec, session=key, proto=proto, batch=5
+    )
     await client.connect()
     try:
         for i, line in enumerate(lines, start=1):
-            await client.send_event(line)
+            if line is None:
+                await client.reset()
+            else:
+                await client.send_event(line)
             if status_every and i % status_every == 0:
                 await client.status()
         return await client.status()
@@ -541,17 +582,32 @@ def _scenario_lines(name, seed, n=60):
     return scenario, registry, stream.next_batch_lines(n)
 
 
+def _noisy(lines, rng):
+    """``lines`` with malformed lines, a comment and a mid-stream RESET."""
+    noisy = list(lines)
+    for junk in ("not an event", "# a comment", "a -> : M()", "x -> o : W(("):
+        noisy.insert(rng.randrange(len(noisy) + 1), junk)
+    noisy.insert(len(noisy) // 2, None)
+    return noisy
+
+
 class TestReplayLaw:
+    @pytest.mark.parametrize("stream", ["clean", "noisy"])
+    @pytest.mark.parametrize("proto", [1, 2])
     @pytest.mark.parametrize(
         "scenario_name", [s.name for s in all_scenarios()]
     )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("wipe_snapshots", [False, True])
     def test_interrupted_equals_uninterrupted(
-        self, tmp_path, scenario_name, seed, wipe_snapshots
+        self, tmp_path, scenario_name, seed, wipe_snapshots, proto, stream
     ):
         scenario, registry, lines = _scenario_lines(scenario_name, seed)
-        cut = random.Random(f"{scenario_name}:{seed}").randrange(1, len(lines))
+        rng = random.Random(f"{scenario_name}:{seed}")
+        cut = rng.randrange(1, len(lines))
+        if stream == "noisy":
+            lines = _noisy(lines, rng)
+            cut = rng.randrange(1, len(lines))
         key = f"{scenario_name}:{seed}"
         spec = scenario.monitored
 
@@ -560,7 +616,7 @@ class TestReplayLaw:
             async with MonitorServer(
                 registry, shards=2, data_dir=tmp_path / "a"
             ) as server:
-                baseline = await _drive(server.port, spec, lines, key)
+                baseline = await _drive(server.port, spec, lines, key, proto=proto)
 
             # interrupted at `cut`, then restarted over the same data dir
             durable = dict(
@@ -569,7 +625,9 @@ class TestReplayLaw:
             async with MonitorServer(
                 scenario.registry(), shards=2, **durable
             ) as server:
-                await _drive(server.port, spec, lines[:cut], key, status_every=7)
+                await _drive(
+                    server.port, spec, lines[:cut], key, proto=proto, status_every=7
+                )
             if wipe_snapshots:
                 # force a pure log replay: deleting every checkpoint must
                 # not change the recovered state
@@ -578,7 +636,9 @@ class TestReplayLaw:
             async with MonitorServer(
                 scenario.registry(), shards=2, **durable
             ) as server:
-                resumed = await _drive(server.port, spec, lines[cut:], key)
+                resumed = await _drive(
+                    server.port, spec, lines[cut:], key, proto=proto
+                )
             return baseline, resumed
 
         baseline, resumed = asyncio.run(run())
@@ -668,3 +728,63 @@ def _with_retries(run, attempts=3):
         except OSError:
             if attempt == attempts - 1:
                 raise
+
+
+class TestDurableServing:
+    @pytest.mark.parametrize("proto", [1, 2])
+    def test_applied_inputs_are_logged_before_the_reply(self, tmp_path, cast, proto):
+        # ``applied=`` promises the log holds the inputs (a process crash
+        # loses none of them), not that they were fsynced: with the
+        # default fsync_every nothing here has reached the disk yet.
+        lines = WRITE_LINES + VIOLATING_LINES
+
+        async def run():
+            async with MonitorServer(
+                SpecRegistry([cast.write()]), shards=2, data_dir=tmp_path
+            ) as server:
+                async with MonitorClient(
+                    "127.0.0.1", server.port, spec="Write", session="k", proto=proto
+                ) as client:
+                    for line in lines:
+                        await client.send_event(line)
+                    status = await client.status()
+                    return status, scan_records(tmp_path, "k")
+
+        status, records = asyncio.run(run())
+        assert status.applied == len(lines)
+        assert sum(record.inputs for record in records) == status.applied
+
+    @pytest.mark.parametrize("yields", range(11))
+    def test_stop_waits_for_a_closing_connection(self, tmp_path, cast, yields):
+        # stop() racing a client that just closed must still wait for the
+        # connection's farewell snapshot and close, leaving no task behind.
+        errors = []
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, context: errors.append(context))
+            server = MonitorServer(
+                SpecRegistry([cast.write()]), shards=2, data_dir=tmp_path
+            )
+            await server.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            for request in (b"HELLO session=k1\n", b"SPEC Write\n"):
+                writer.write(request)
+                await reader.readline()
+            writer.write(b"EVENT w1 -> o : OW\n" * 50)
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(yields):
+                await asyncio.sleep(0)
+            await server.stop()
+            return [
+                task
+                for task in asyncio.all_tasks()
+                if task is not asyncio.current_task() and not task.done()
+            ]
+
+        assert asyncio.run(run()) == []
+        assert errors == []
+        snapshot = durability._snapshot_name("k1")
+        assert (tmp_path / "worker-0" / "snapshots" / snapshot).exists()

@@ -6,9 +6,12 @@ normative ones of docs/wire-protocol.md.
 """
 
 import asyncio
+import struct
 from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.service import wire
 
@@ -124,3 +127,67 @@ class TestLetters:
     def test_short_payload_rejected(self):
         with pytest.raises(wire.FrameError):
             wire.unpack_letters(b"\x00")
+
+    def test_non_utf8_line_rejected(self):
+        with pytest.raises(wire.FrameError):
+            wire.unpack_letters(struct.pack("<IH", 1, 2) + b"\xff\xfe")
+
+
+# -- properties: every decoder returns a value or a typed error --------------
+
+_I32S = st.lists(st.integers(-(2**31), 2**31 - 1), max_size=64)
+_LINES = st.lists(st.text(max_size=16), max_size=16)
+
+
+def _letter_entries(entries, tail):
+    """A LETTERS layout (count, u16-prefixed entries) around arbitrary bytes."""
+    body = b"".join(struct.pack("<H", len(raw)) + raw for raw in entries)
+    return struct.pack("<I", len(entries)) + body + tail
+
+
+#: Arbitrary bytes, half of them shaped like a letter table so the
+#: per-line decoding is reached, not just the framing checks.
+_LETTER_BYTES = st.binary(max_size=64) | st.builds(
+    _letter_entries,
+    st.lists(st.binary(max_size=8), max_size=4),
+    st.binary(max_size=2),
+)
+
+
+class TestDecoderProperties:
+    @given(st.binary(max_size=64))
+    def test_event_ids_decode_or_frame_error(self, data):
+        try:
+            ids = wire.unpack_event_ids(data)
+        except wire.FrameError:
+            return
+        assert wire.pack_event_ids(ids) == data
+
+    @given(_LETTER_BYTES)
+    def test_letters_decode_or_frame_error(self, data):
+        try:
+            lines = wire.unpack_letters(data)
+        except wire.FrameError:
+            return
+        assert wire.pack_letters(lines) == data
+
+    @given(st.binary(max_size=64))
+    def test_read_frame_decodes_or_raises_a_framing_error(self, data):
+        try:
+            opcode, payload = _read(data)
+        except (wire.FrameError, asyncio.IncompleteReadError):
+            return
+        assert wire.encode_frame(opcode, payload) == data[: 5 + len(payload)]
+
+    @given(_I32S)
+    def test_event_ids_round_trip(self, ids):
+        assert wire.unpack_event_ids(wire.pack_event_ids(ids)) == array("i", ids)
+
+    @given(_LINES)
+    def test_letters_round_trip(self, lines):
+        assert wire.unpack_letters(wire.pack_letters(lines)) == lines
+
+    @given(st.integers(0, 255), st.binary(max_size=64))
+    def test_frame_round_trip(self, opcode, payload):
+        assert _read(wire.encode_frame(opcode, payload)) == (opcode, payload)
+
