@@ -110,6 +110,8 @@ class SpecMonitor:
         self.violations: list[Violation] = []
         self.dense_steps = 0
         self.fallback_steps = 0
+        #: Events observed outside the alphabet (projected away).
+        self.skipped = 0
         self._seen = 0
         self._history: deque[Event] = deque(maxlen=history_limit)
         self._dstate = self._dense_entry()
@@ -120,35 +122,46 @@ class SpecMonitor:
             return None
         return self.dense.index.get(self.state)
 
-    def observe(self, event: Event, *, index: int | None = None) -> bool:
+    def observe(
+        self, event: Event, *, index: int | None = None, lid: int | None = None
+    ) -> bool:
         """Feed one global event; returns whether the spec still holds.
 
         Events outside the specification's alphabet are skipped (the
-        projection ``h/α(Γ)``); once violated, the monitor stays violated
-        (safety is irremediable).  ``index`` overrides the violation's
-        recorded global position — the sharded service uses this to stamp
-        the session-global event index when a session's stream is split
-        across per-callee shard monitors.
+        projection ``h/α(Γ)``) and counted in :attr:`skipped`, also after
+        a violation; once violated, the monitor stays violated (safety is
+        irremediable).  ``index`` overrides the violation's recorded
+        global position — the sharded service uses this to stamp the
+        session-global event index when a session's stream is split
+        across per-callee shard monitors.  ``lid`` is the event's letter
+        id in the dense image's table when the caller already knows it
+        (``event`` is then that letter), which saves the table lookup.
+
+        The dense table is consulted before the alphabet: every table
+        letter is an instantiated alphabet event (a law over every
+        registry image), so a hit decides membership and only a miss
+        pays the symbolic alphabet test.
         """
         self._history.append(event)
         if index is None:
             index = self._seen
         self._seen += 1
+        image = self.dense
+        if lid is None and image is not None:
+            lid = image.dfa.table.get(event)
+        if lid is None and not self.spec.alphabet.contains(event):
+            self.skipped += 1
+            return self.alive
         if not self.alive:
             return False
-        if not self.spec.alphabet.contains(event):
-            return True
-        image = self.dense
-        if image is not None and self._dstate is not None:
-            lid = image.dfa.table.get(event)
-            if lid is not None:
-                self.dense_steps += 1
-                nxt = image.dfa.dense[self._dstate * image.dfa.n_letters + lid]
-                if nxt < len(image.states):
-                    self._dstate = nxt
-                    self.state = image.states[nxt]
-                    return True
-                return self._violate(event, index)
+        if lid is not None and self._dstate is not None:
+            self.dense_steps += 1
+            nxt = image.dfa.dense[self._dstate * image.dfa.n_letters + lid]
+            if nxt < len(image.states):
+                self._dstate = nxt
+                self.state = image.states[nxt]
+                return True
+            return self._violate(event, index)
         # In the alphabet but outside the instantiated table (a live
         # value the finite universe never saw), or already off the dense
         # array from an earlier such event: step the machine and re-enter
@@ -197,7 +210,7 @@ class SpecMonitor:
             offset = None
             for j in range(n):
                 was_alive = self.alive
-                self.observe(letters[ids[j]], index=base_index + j)
+                self.observe(letters[ids[j]], index=base_index + j, lid=ids[j])
                 if was_alive and not self.alive:
                     offset = j
             return offset
@@ -261,6 +274,7 @@ class SpecMonitor:
         self.violations.clear()
         self.dense_steps = 0
         self.fallback_steps = 0
+        self.skipped = 0
         self._seen = 0
         self._history.clear()
         self._dstate = self._dense_entry()

@@ -20,7 +20,16 @@ from repro.core.events import Event
 from repro.core.traces import Trace
 from repro.core.values import DataVal, ObjectId, Value
 
-__all__ = ["dumps", "loads", "save", "load", "parse_line", "format_event"]
+__all__ = [
+    "dumps",
+    "loads",
+    "save",
+    "load",
+    "parse_line",
+    "format_event",
+    "canonical_event",
+    "wire_safe_lines",
+]
 
 _LINE_RE = re.compile(
     r"^\s*(?P<caller>\S+)\s*->\s*(?P<callee>\S+)\s*:\s*"
@@ -88,6 +97,38 @@ def parse_line(line: str, lineno: int = 1) -> Event | None:
         )
     except ValueError as exc:
         raise ReproError(f"trace line {lineno}: {exc}") from exc
+
+
+def canonical_event(line: str) -> Event | None:
+    """The event ``line`` is the canonical line of, or None.
+
+    A line is canonical when it is exactly :func:`format_event` of what
+    it parses to.  Comments, blank and malformed lines are not, and
+    neither are whitespace variants of a canonical line.
+    """
+    try:
+        event = parse_line(line)
+    except ReproError:
+        return None
+    if event is None or format_event(event) != line:
+        return None
+    return event
+
+
+def wire_safe_lines(events) -> dict[str, int]:
+    """Canonical line → position, for each event whose line reads back to it.
+
+    An event is *wire-safe* when ``parse_line(format_event(e)) == e``.
+    A letter whose caller is a fresh object is not: its line
+    (``#Obj0 -> o : CR``) reads as a comment.  Distinct wire-safe events
+    have distinct lines, because a line parses to one event.
+    """
+    safe = {}
+    for position, event in enumerate(events):
+        line = format_event(event)
+        if canonical_event(line) == event:
+            safe[line] = position
+    return safe
 
 
 def dumps(trace: Trace) -> str:

@@ -19,7 +19,9 @@ synced letter table and :meth:`send_event` then accumulates letter ids
 into an ``array('i')`` batch, flushed as one ``EVENTS`` frame every
 ``batch`` events (and before any synchronising verb, so ordering and
 verdicts are indistinguishable from the text path).  Events outside the
-table fall back to per-event ``EVENT`` frames in stream order.  When the
+table, and table lines that do not read back canonically (a fresh
+caller's ``#Obj0 -> o : CR`` is a comment on the text door), fall back
+to per-event ``EVENT`` frames in stream order.  When the
 server is older than the binary protocol the client degrades to text
 automatically — ``proto=2`` is a request, not a requirement.
 
@@ -306,8 +308,13 @@ class MonitorClient:
                         f"got opcode 0x{opcode:02x}"
                     )
                 self.letters = tuple(wire.unpack_letters(payload))
+                # Only lines that read back canonically get an id: a
+                # fresh caller's ``#Obj0 -> o : CR`` is a comment on the
+                # text door, so it travels as an ``EVENT`` frame here too.
                 self._line_ids = {
-                    line: i for i, line in enumerate(self.letters)
+                    line: i
+                    for i, line in enumerate(self.letters)
+                    if tracefile.canonical_event(line) is not None
                 }
         if self.durable and applied is not None:
             if name == self._bound_spec:

@@ -484,6 +484,8 @@ def recover(
     if snap is not None and not session.restore(snap):
         # A state the spec's dense image does not have: as if torn.
         session, snap = Session(registry, router, key=key), None
+    if snap is not None:
+        session.snapshot_lsn = session.next_lsn  # on disk already
     records = (index or LogIndex(data_dir)).records(key)
     covered = session.next_lsn
     with span(

@@ -35,7 +35,7 @@ sizes.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -48,6 +48,7 @@ from repro.core.tracesets import FullTraceSet, MachineTraceSet
 from repro.machines.base import TraceMachine
 from repro.obs.registry import get_registry
 from repro.runtime.monitor import DEFAULT_HISTORY_LIMIT, SpecMonitor
+from repro.runtime.tracefile import format_event, wire_safe_lines
 
 __all__ = [
     "CompiledSpec",
@@ -280,6 +281,13 @@ class CompiledSpec:
     counts hot swaps of the name: a live update that actually changes
     the compiled machine installs a new ``CompiledSpec`` with the next
     version, while sessions bound to the old one keep draining on it.
+
+    ``letter_lines`` is the image's letter table as canonical trace
+    lines, indexed by letter id (empty without an image): the table the
+    binary protocol syncs after ``SPEC``.  ``line_ids`` maps the line of
+    every *wire-safe* letter — one whose line parses back to that very
+    letter (:func:`~repro.runtime.tracefile.wire_safe_lines`) — to its
+    id, so a text ``EVENT`` carrying such a line steps without parsing.
     """
 
     name: str
@@ -288,6 +296,8 @@ class CompiledSpec:
     dense: MachineImage | None = None
     coupled: bool = False
     version: int = 0
+    letter_lines: tuple[str, ...] = ()
+    line_ids: Mapping[str, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,7 +340,6 @@ class SpecRegistry:
         self._dense_state_limit = dense_state_limit
         self._compiled: dict[str, CompiledSpec] = {}
         self._unmonitorable: dict[str, str] = {}
-        self._letter_lines: dict[str, tuple[str, ...]] = {}
         #: name → interned keys currently pinned by that name's entry.
         self._pins: dict[str, tuple[str | None, str | None]] = {}
         self.update(specs, keys=keys)
@@ -421,9 +430,9 @@ class SpecRegistry:
         definitionally identical content) — its existing entry, version,
         and letter table stay untouched, so bound sessions see nothing.
         A *changed* spec atomically gets a new :class:`CompiledSpec`
-        with a bumped ``version``; the replaced entry's interned pins
-        are released (evicting them when this was the last pin) and its
-        cached letter lines dropped.  Sessions already bound to the old
+        with a bumped ``version`` and its own letter tables; the replaced
+        entry's interned pins are released (evicting them when this was
+        the last pin).  Sessions already bound to the old
         ``CompiledSpec`` drain on it undisturbed.
         """
         keys = keys or {}
@@ -441,7 +450,6 @@ class SpecRegistry:
                 if old is not None:
                     # the name stopped being monitorable: retire it
                     del self._compiled[name]
-                    self._letter_lines.pop(name, None)
                     pins = self._pins.pop(name, None)
                     if pins is not None:
                         _release(*pins)
@@ -456,6 +464,7 @@ class SpecRegistry:
                 unchanged.append(name)
                 continue
             version = 0 if old is None else old.version + 1
+            letters = parts.image.dfa.table.letters if parts.image else ()
             self._compiled[name] = CompiledSpec(
                 name,
                 spec,
@@ -463,9 +472,10 @@ class SpecRegistry:
                 parts.image,
                 _coupled_callees(spec),
                 version,
+                tuple(format_event(letter) for letter in letters),
+                wire_safe_lines(letters),
             )
             self._unmonitorable.pop(name, None)
-            self._letter_lines.pop(name, None)
             old_pins = self._pins.get(name)
             self._pins[name] = (parts.machine_key, parts.image_key)
             _acquire(parts.machine_key, parts.image_key)
@@ -509,34 +519,6 @@ class SpecRegistry:
             )
         known = ", ".join(self.names()) or "none"
         raise ReproError(f"no specification named {name!r} (have: {known})")
-
-    def letter_lines(self, name: str) -> tuple[str, ...]:
-        """The spec's interned alphabet as wire lines, indexed by letter id.
-
-        This is the per-connection letter table the binary protocol syncs
-        after ``SPEC``: entry ``i`` is the canonical trace-file line of
-        the dense image's letter ``i``, so a client can encode events to
-        ``array('i')`` ids and the server can step them without any text
-        parsing.  Empty when the spec has no dense image (state space
-        above the registry budget) — such sessions fall back to per-event
-        text frames.  Cached per spec and invalidated by :meth:`update`
-        when a swap changes the compiled machine, so a rebind after a
-        hot reload always syncs the *current* table.
-        """
-        lines = self._letter_lines.get(name)
-        if lines is None:
-            from repro.runtime.tracefile import format_event
-
-            compiled = self.get(name)
-            if compiled.dense is None:
-                lines = ()
-            else:
-                lines = tuple(
-                    format_event(letter)
-                    for letter in compiled.dense.dfa.table.letters
-                )
-            self._letter_lines[name] = lines
-        return lines
 
     def new_monitor_for(self, compiled: CompiledSpec) -> SpecMonitor:
         """A fresh monitor pinned to one *specific* compiled spec.

@@ -400,13 +400,18 @@ class MonitorServer:
         Order matters: flush the shard (the monitor must have applied
         everything the snapshot claims), fsync the log (a snapshot must
         never cover records that could still be lost), then write.
+        Nothing is written when this session already wrote one at the
+        current lsn — the farewell after a ``BYE`` would repeat it.
         """
+        if session.snapshot_lsn == session.next_lsn:
+            return
         session.since_snapshot = 0
         await self.pool.flush(session.monitors)
         self._store.sync()
         payload = session.snapshot()
         if payload is not None:
             self._store.write_snapshot(payload)
+            session.snapshot_lsn = session.next_lsn
 
     async def _bind_session(
         self, session: Session, compiled: CompiledSpec
@@ -631,8 +636,9 @@ class MonitorServer:
         key = (compiled.name, compiled.version)
         frame = self._letters_frames.get(key)
         if frame is None:
-            lines = self.registry.letter_lines(compiled.name)
-            frame = wire.encode_frame(wire.OP_LETTERS, wire.pack_letters(lines))
+            frame = wire.encode_frame(
+                wire.OP_LETTERS, wire.pack_letters(compiled.letter_lines)
+            )
             self._letters_frames[key] = frame
         return frame
 
@@ -697,7 +703,7 @@ class MonitorServer:
             # re-attach keeps the recovered pinned build, so the table is
             # *that* build's, not a post-swap one.
             compiled = session.compiled
-            count = len(self.registry.letter_lines(compiled.name))
+            count = len(compiled.letter_lines)
             detail += f" letters={count}"
             writer.write(wire.encode_frame(wire.OP_OK, detail.encode()))
             if count:
@@ -732,13 +738,13 @@ class MonitorServer:
             if session.errors > errors:
                 self.metrics.record_malformed()
             return
-        shard, monitor, event, index = pending
+        shard, monitor, event, index, lid = pending
         spec_name = session.compiled.name
         metrics = self.metrics
 
         def check() -> None:
             start = metrics.clock()
-            skipped, violated = session.step_event(monitor, event, index)
+            skipped, violated = session.step_event(monitor, event, index, lid)
             metrics.record_event(spec_name, metrics.clock() - start, skipped=skipped)
             if violated:
                 metrics.record_violation()

@@ -9,12 +9,15 @@ hop and metrics around the calls; :func:`repro.service.durability.recover`
 makes the same calls while replaying a key's log.
 
 Ingest runs in two steps.  *Accepting* an input (:meth:`Session.accept_line`,
-:meth:`Session.accept_ids`) parses and validates it, counts it, and
+:meth:`Session.accept_ids`) decodes and validates it, counts it, and
 assigns session-global event indices — in arrival order, which is why
-the server accepts on its event loop before any queue hop.  *Stepping*
-(:meth:`Session.step_event`, :meth:`Session.step_ids`) feeds an
-accepted input to its lane's monitor and keeps the session's first
-violation; the server runs it on the lane's shard FIFO, replay inline.
+the server accepts on its event loop before any queue hop.  A text line
+that is a wire-safe letter's canonical line resolves through the bound
+spec's ``line_ids`` table, like a binary letter id; only other lines
+are parsed.  *Stepping* (:meth:`Session.step_event`,
+:meth:`Session.step_ids`) feeds an accepted input to its lane's monitor
+and keeps the session's first violation; the server runs it on the
+lane's shard FIFO, replay inline.
 
 The snapshot format lives here too, writer and reader side by side:
 :meth:`Session.snapshot`, :func:`snapshot_ok` and :meth:`Session.restore`.
@@ -65,6 +68,7 @@ class Session:
         "received",
         "next_lsn",
         "since_snapshot",
+        "snapshot_lsn",
     )
 
     def __init__(self, registry, router=None, *, key: str | None = None) -> None:
@@ -91,6 +95,10 @@ class Session:
         self.next_lsn = 0
         #: Inputs logged since the last snapshot (the live path's trigger).
         self.since_snapshot = 0
+        #: ``next_lsn`` when this session last wrote a snapshot (None
+        #: before the first): every input and bind or reset logs a
+        #: record, so an unchanged lsn means an unchanged state.
+        self.snapshot_lsn: int | None = None
 
     def lane(self, callee: str = PINNED) -> int:
         """The monitor lane an event to ``callee`` steps on.
@@ -134,28 +142,36 @@ class Session:
     # -- ingest --------------------------------------------------------------
 
     def accept_line(self, line: str):
-        """Accept one ``EVENT`` line; ``(lane, monitor, event, index)`` or None.
+        """Accept one ``EVENT`` line: ``(lane, monitor, event, index, lid)``.
 
         Every line is one input.  A malformed line, or an event before
         any SPEC, counts an error; a comment counts nothing more.  None
-        means there is nothing to step.
+        instead of the tuple means there is nothing to step.  A line in
+        the bound spec's ``line_ids`` table is not parsed: ``event`` is
+        then the table's own letter and ``lid`` its id; any other line
+        is parsed and has ``lid`` None.
         """
         self.received += 1
-        try:
-            event = tracefile.parse_line(line)
-        except ReproError:
-            self.errors += 1
-            return None
-        if event is None:
-            return None
-        if self.compiled is None:
-            self.errors += 1
-            return None
+        compiled = self.compiled
+        lid = compiled.line_ids.get(line) if compiled is not None else None
+        if lid is not None:
+            event = compiled.dense.dfa.table.letters[lid]
+        else:
+            try:
+                event = tracefile.parse_line(line)
+            except ReproError:
+                self.errors += 1
+                return None
+            if event is None:
+                return None
+            if compiled is None:
+                self.errors += 1
+                return None
         index = self.events
         self.events += 1
         lane = self.lane(event.callee.name)
         monitor = self.monitors.get(lane) or self._new_monitor(lane)
-        return lane, monitor, event, index
+        return lane, monitor, event, index, lid
 
     def accept_ids(self, payload: bytes, skip: int = 0):
         """Accept one ``EVENTS`` payload; ``(lane, monitor, ids, base)`` or None.
@@ -199,12 +215,13 @@ class Session:
         return monitor
 
     def step_event(
-        self, monitor: SpecMonitor, event, index: int
+        self, monitor: SpecMonitor, event, index: int, lid: int | None = None
     ) -> tuple[bool, bool]:
         """Step one accepted event: (outside the alphabet, first violation)."""
-        skipped = not monitor.spec.alphabet.contains(event)
         was_ok = not monitor.violations
-        monitor.observe(event, index=index)
+        skipped_before = monitor.skipped
+        monitor.observe(event, index=index, lid=lid)
+        skipped = monitor.skipped > skipped_before
         if skipped:
             self.skipped += 1
         if was_ok and monitor.violations:

@@ -101,15 +101,7 @@ class FaultSpec:
 
 def wire_safe_letters(image) -> list[int]:
     """Letter ids whose events survive a trace-line round-trip."""
-    safe = []
-    for lid, event in enumerate(image.dfa.table.letters):
-        try:
-            back = tracefile.parse_line(tracefile.format_event(event))
-        except ReproError:
-            continue
-        if back == event:
-            safe.append(lid)
-    return safe
+    return list(tracefile.wire_safe_lines(image.dfa.table.letters).values())
 
 
 class _HappyWalker:

@@ -45,6 +45,18 @@ class TestSpecMonitor:
         assert m.observe(Event(x1, cast.o, "UNRELATED"))
         assert m.ok
 
+    def test_skipped_counts_out_of_alphabet_events_also_after_a_violation(
+        self, cast, x1, x2
+    ):
+        m = SpecMonitor(cast.write())
+        m.observe(Event(x1, cast.o, "UNRELATED"))
+        m.observe(Event(x2, cast.o, "W", (d,)))  # violates
+        m.observe(Event(x1, cast.o, "UNRELATED"))
+        m.observe(Event(x1, cast.o, "OW"))
+        assert m.skipped == 2 and m.events_seen == 4
+        m.reset()
+        assert m.skipped == 0
+
     def test_raise_mode(self, cast, x1):
         m = SpecMonitor(cast.write(), raise_on_violation=True)
         with pytest.raises(MonitorViolation):
@@ -223,6 +235,24 @@ class TestDenseMonitor:
         assert m.fallback_steps == 1
         assert m.observe(img.dfa.letters[0])  # a universe letter
         assert m.dense_steps == 1 and m.ok
+
+    def test_a_known_letter_id_steps_like_the_lookup(self, image):
+        spec, img = image
+        w = self._letter(image, "OW").caller
+        stream = [self._letter(image, m, w) for m in ("OW", "W", "CW")]
+        stream.append(self._letter(image, "W"))
+        looked_up, given = SpecMonitor(spec, dense=img), SpecMonitor(spec, dense=img)
+        for event in stream:
+            lid = img.dfa.table.get(event)
+            assert looked_up.observe(event) == given.observe(event, lid=lid)
+            assert (looked_up.state, looked_up._dstate, looked_up.dense_steps) == (
+                given.state,
+                given._dstate,
+                given.dense_steps,
+            )
+        assert [v.index for v in looked_up.violations] == [
+            v.index for v in given.violations
+        ]
 
     def test_reset_restores_dense_entry(self, image):
         spec, img = image

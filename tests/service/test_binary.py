@@ -63,7 +63,7 @@ class TestNegotiation:
 
         proto, letters = _run(go())
         assert proto == 2
-        assert letters == registry.letter_lines(SPEC)
+        assert letters == registry.get(SPEC).letter_lines
 
     def test_proto3_request_degrades_to_2(self, registry):
         async def go():
@@ -286,8 +286,8 @@ class TestRawFrames:
         async def go():
             async with MonitorServer(registry) as server:
                 reader, writer = await self._handshake(server.port)
-                k = len(registry.letter_lines(SPEC))
-                good = registry.letter_lines(SPEC).index(HAPPY[0])
+                k = len(registry.get(SPEC).letter_lines)
+                good = registry.get(SPEC).letter_lines.index(HAPPY[0])
                 writer.write(
                     wire.encode_frame(
                         wire.OP_EVENTS, wire.pack_event_ids([good, k + 7, -1])

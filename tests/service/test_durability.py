@@ -267,7 +267,7 @@ class TestRecover:
 
     def test_partially_covered_batch_replays_only_its_suffix(self, tmp_path):
         scenario, registry, lines = _scenario_lines("pubsub_fanout", 0, n=12)
-        table = registry.letter_lines(scenario.monitored)
+        table = registry.get(scenario.monitored).letter_lines
         ids = [table.index(line) for line in lines if line in table]
         assert len(ids) > 8
         bind = scenario.monitored.encode()
@@ -583,10 +583,17 @@ def _scenario_lines(name, seed, n=60):
 
 
 def _noisy(lines, rng):
-    """``lines`` with malformed lines, a comment and a mid-stream RESET."""
+    """``lines`` with malformed lines, a comment and a mid-stream RESET.
+
+    Two lines become whitespace variants of themselves: the same events,
+    but lines the letter table misses, so replay covers both table hits
+    and parsed lines.
+    """
     noisy = list(lines)
     for junk in ("not an event", "# a comment", "a -> : M()", "x -> o : W(("):
         noisy.insert(rng.randrange(len(noisy) + 1), junk)
+    for i in rng.sample(range(len(lines)), 2):
+        noisy[noisy.index(lines[i])] = lines[i].replace(" -> ", "  ->  ", 1)
     noisy.insert(len(noisy) // 2, None)
     return noisy
 
@@ -753,6 +760,44 @@ class TestDurableServing:
         status, records = asyncio.run(run())
         assert status.applied == len(lines)
         assert sum(record.inputs for record in records) == status.applied
+
+    def test_bye_then_close_writes_one_farewell_snapshot(self, tmp_path, cast):
+        # BYE snapshots the session; the connection's close must not write
+        # the same unchanged state again, and neither must a later
+        # connection that recovers it and sends nothing.
+        lsns = []
+
+        async def run():
+            server = MonitorServer(
+                SpecRegistry([cast.write()]), shards=2, data_dir=tmp_path
+            )
+            await server.start()
+            write_snapshot = server._store.write_snapshot
+
+            def counted(payload):
+                lsns.append(payload["lsn"])
+                write_snapshot(payload)
+
+            server._store.write_snapshot = counted
+            # The second connection re-attaches and leaves without input:
+            # the state it recovered is already on disk.
+            for events in (5, 0):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                for request in (b"HELLO session=k1\n", b"SPEC Write\n"):
+                    writer.write(request)
+                    await reader.readline()
+                writer.write(b"EVENT w1 -> o : OW\n" * events + b"BYE\n")
+                await writer.drain()
+                assert (await reader.readline()).startswith(b"OK bye events=5")
+                writer.close()
+                await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(run())
+        # one REC_BIND and five REC_LINE records: lsn 6 covers them all
+        assert lsns == [6]
 
     @pytest.mark.parametrize("yields", range(11))
     def test_stop_waits_for_a_closing_connection(self, tmp_path, cast, yields):
