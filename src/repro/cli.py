@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes (N > 1 runs the scale-out topology: "
-        "SO_REUSEPORT where available, a socket-handoff router otherwise)",
+        help="worker processes (N > 1 runs the scale-out topology behind "
+        "one SO_REUSEPORT port; platforms without it refuse N > 1)",
     )
     p_serve.add_argument(
         "--data-dir",
@@ -826,8 +826,8 @@ def _cmd_serve(args, out) -> int:
                 notes += f"; metrics on :{fronts[-1].port}"
             print(
                 f"repro service on {server.host}:{server.port} "
-                f"({args.procs} procs x {args.shards} shards, "
-                f"{server.mode} listener; specs: {names}{notes})",
+                f"({args.procs} procs x {args.shards} shards; "
+                f"specs: {names}{notes})",
                 file=out,
                 flush=True,
             )

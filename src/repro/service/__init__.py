@@ -4,9 +4,10 @@ The paper's practical payoff is that prefix-closed (safety) trace sets
 are monitorable online.  This package turns the in-process
 :class:`~repro.runtime.monitor.SpecMonitor` into a server: many
 concurrent TCP sessions, each an event stream checked against a
-registered specification, with events sharded by callee so independent
-objects verify in parallel (per-object order preserved, as composition
-``Γ‖Δ`` interleaves per-object streams).
+registered specification, with events sharded by callee over asyncio
+tasks on one event loop (per-object order preserved, as composition
+``Γ‖Δ`` interleaves per-object streams); real parallelism comes from
+the multi-process topology.
 
 Modules:
 

@@ -7,7 +7,7 @@ in :class:`~repro.service.session.Session`, the ingest core that crash
 replay drives too; this module adds the sockets, the write-ahead log,
 the shard-pool hop and the metrics around it.  Events of a
 single-callee spec are routed to the shard pool by callee, so one
-session's independent objects check in parallel while per-object order
+session's independent objects queue separately while per-object order
 is preserved; a *coupled* spec (alphabet addressing several callees —
 see :func:`~repro.service.registry._coupled_callees`) pins each session
 to one shard, preserving cross-callee order while different sessions
@@ -79,7 +79,6 @@ class MonitorServer:
         watch: str | Path | None = None,
         watch_interval: float = 0.5,
         sock=None,
-        listen: bool = True,
     ) -> None:
         self.registry = registry
         self.pool = ShardPool(shards, queue_size=queue_size)
@@ -108,10 +107,7 @@ class MonitorServer:
         self._watch_task: asyncio.Task | None = None
         #: ``sock``: serve an externally prepared listening socket (the
         #: SO_REUSEPORT workers of :mod:`~repro.service.topology`).
-        #: ``listen=False``: no acceptor at all — handoff workers feed
-        #: :meth:`_handle_connection` with sockets received over a pipe.
         self._sock = sock
-        self._listen = listen
         #: Highest protocol version this server negotiates up to.
         #: ``max_proto=1`` emulates a pre-binary server (interop tests).
         self.max_proto = max_proto
@@ -133,10 +129,10 @@ class MonitorServer:
         self.metrics_port = metrics_port
         self._metrics_server: asyncio.AbstractServer | None = None
         #: Optional second listener on the *same* connection handler.
-        #: Scale-out workers share one advertised port (SO_REUSEPORT or
-        #: descriptor handoff), which makes an individual worker
-        #: unaddressable; ``direct_port=0`` gives each one a private
-        #: ephemeral port so the gateway can fan in per-worker METRICS.
+        #: Scale-out workers share one advertised SO_REUSEPORT port,
+        #: which makes an individual worker unaddressable;
+        #: ``direct_port=0`` gives each one a private ephemeral port so
+        #: the gateway can fan in per-worker METRICS.
         self.direct_port = direct_port
         self._direct_server: asyncio.AbstractServer | None = None
         # Pre-declare the engine's cache counter families so a scrape of a
@@ -152,9 +148,7 @@ class MonitorServer:
         the actual one afterwards (tests and benchmarks rely on this).
         """
         await self.pool.start()
-        if not self._listen:
-            pass  # handoff worker: connections arrive by file descriptor
-        elif self._sock is not None:
+        if self._sock is not None:
             self._server = await asyncio.start_server(
                 self._handle_connection, sock=self._sock
             )
@@ -172,7 +166,9 @@ class MonitorServer:
                 self._direct_server.sockets[0].getsockname()[1]
             )
         if self._watch is not None:
-            self._watch_task = asyncio.create_task(self._watch_loop())
+            # Stamped now, so an edit right after start() is not missed.
+            stamp = self._watch_stamp(self._watch)
+            self._watch_task = asyncio.create_task(self._watch_loop(stamp))
         if self.metrics_port is not None:
             self._metrics_server = await asyncio.start_server(
                 self._handle_scrape, self.host, self.metrics_port
@@ -316,7 +312,7 @@ class MonitorServer:
             return None
         return (st.st_mtime_ns, st.st_size)
 
-    async def _watch_loop(self) -> None:
+    async def _watch_loop(self, last: tuple[int, int] | None) -> None:
         """Poll the watched document and hot-swap on change.
 
         Polling (mtime + size) keeps this dependency-free; a failed
@@ -334,7 +330,6 @@ class MonitorServer:
             "repro_watch_errors_total",
             help="--watch reloads rejected (unreadable or invalid document).",
         )
-        last = self._watch_stamp(self._watch)
         while True:
             await asyncio.sleep(self._watch_interval)
             stamp = self._watch_stamp(self._watch)

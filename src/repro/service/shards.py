@@ -1,4 +1,4 @@
-"""Sharded monitor workers: parallel checking with per-callee order.
+"""Sharded monitor workers: per-callee FIFO queues on one event loop.
 
 Events are routed to one of ``n`` workers by a *stable* hash of the
 callee :class:`~repro.core.values.ObjectId` (CRC-32 of the name — Python's
@@ -7,7 +7,7 @@ worker drains its own FIFO queue, so:
 
 * all events with the same callee are checked in arrival order (the
   paper's per-object projection ``h/o`` is order-preserving), while
-* events on distinct callees check in parallel, exactly as ``Γ‖Δ``
+* events on distinct callees interleave freely, exactly as ``Γ‖Δ``
   composes trace sets over interleaved streams.
 
 The pool is workload-agnostic: it executes submitted thunks. Sessions

@@ -1,37 +1,26 @@
-"""Multi-process serving topology: listener/router + monitor workers.
+"""Multi-process serving topology: N monitor workers behind one port.
 
 One :class:`~repro.service.server.MonitorServer` is a single asyncio
-process — shard workers are tasks, so one core bounds it.  This module
-scales that design out to N worker *processes*, each running its own
-``MonitorServer`` over its own slice of a shared data directory
-(``data-dir/worker-<i>/`` — see :mod:`~repro.service.durability`), behind
-one advertised ``host:port``.
+process — its shards are tasks on one event loop, so one core bounds
+it.  This module scales that design out to N worker *processes*, each
+running its own ``MonitorServer`` over its own slice of a shared data
+directory (``data-dir/worker-<i>/`` — see
+:mod:`~repro.service.durability`), behind one advertised ``host:port``.
 
-Two listener modes, picked per platform:
+Every worker binds its own listening socket with ``SO_REUSEPORT`` and
+the kernel load-balances accepted connections across them; without
+``SO_REUSEPORT`` :class:`ScaleOutServer` refuses to run.  The parent
+binds (but never listens on) one extra reservation socket so an
+ephemeral ``port=0`` resolves to a concrete port before workers start.
 
-``reuseport``
-    Every worker binds its own listening socket with ``SO_REUSEPORT``
-    and the kernel load-balances accepted connections across them.  The
-    parent binds (but never listens on) one extra reservation socket so
-    an ephemeral ``port=0`` resolves to a concrete port before the
-    workers start.
-
-``handoff``
-    The parent owns the one listening socket, accepts connections
-    itself, picks a worker on a consistent-hash ring over the
-    connection sequence, and ships the accepted descriptor through the
-    worker's pipe (``multiprocessing.reduction.send_handle``).  Slower
-    per accept, but works without ``SO_REUSEPORT``.
-
-Either way the routing *invariant* of PR 6 is *per worker*: inside a
-process the shard pool still routes (session, callee) keys and pins
-coupled callees whole-session.  Across processes a session lives
-wholly on one worker (a TCP connection lands exactly once), so the
-invariant scales out unchanged.  Durable session keys do not need
-sticky routing: recovery indexes every worker's logs incrementally and
-opens the key's snapshot by name in every worker directory, so a
-resumed session replays its history no matter which worker the
-reconnect lands on.
+Any spread of connections over workers is correct: one connection is
+one session, checked alone against its spec, and lands on exactly one
+worker, where the shard pool still routes (session, callee) keys and
+pins coupled callees whole-session.  Durable session keys do not need
+sticky routing either: recovery indexes every worker's logs
+incrementally and opens the key's snapshot by name in every worker
+directory, so a resumed session replays its history no matter which
+worker the reconnect lands on.
 
 A supervisor task respawns dead workers with their original index —
 same ``worker-<i>/`` directory — which is what makes SIGKILL an event
@@ -41,49 +30,21 @@ the durability log absorbs rather than an outage.
 from __future__ import annotations
 
 import asyncio
-import bisect
+import contextlib
 import os
 import signal
 import socket
 import multiprocessing
 from dataclasses import dataclass, replace
-from multiprocessing import reduction
 from pathlib import Path
-from zlib import crc32
 
 from repro.core.errors import ReproError
 
-__all__ = ["HashRing", "ScaleOutServer", "WorkerConfig", "reuseport_available"]
-
-#: Virtual nodes per ring member: enough that removing one node moves
-#: ~1/N of the keyspace instead of a contiguous half.
-DEFAULT_VNODES = 64
+__all__ = ["ScaleOutServer", "WorkerConfig", "reuseport_available"]
 
 
 def reuseport_available() -> bool:
     return hasattr(socket, "SO_REUSEPORT")
-
-
-class HashRing:
-    """Consistent hashing over a fixed node set (CRC-32 points)."""
-
-    def __init__(self, nodes, *, vnodes: int = DEFAULT_VNODES) -> None:
-        nodes = list(nodes)
-        if not nodes:
-            raise ReproError("HashRing needs at least one node")
-        ring = sorted(
-            (crc32(f"{node}#{v}".encode("utf-8")), node)
-            for node in nodes
-            for v in range(vnodes)
-        )
-        self._points = [point for point, _ in ring]
-        self._nodes = [node for _, node in ring]
-
-    def node_for(self, key) -> object:
-        """The node owning ``key`` (first ring point at or after its hash)."""
-        h = crc32(str(key).encode("utf-8"))
-        index = bisect.bisect_left(self._points, h) % len(self._points)
-        return self._nodes[index]
 
 
 @dataclass(frozen=True)
@@ -96,9 +57,8 @@ class WorkerConfig:
     """
 
     worker_index: int
-    mode: str  # "reuseport" | "handoff"
     host: str
-    port: int  # concrete port (reuseport workers bind it themselves)
+    port: int  # concrete port (every worker binds it itself)
     scenario: str | None = None
     document: str | None = None
     shards: int = 4
@@ -141,29 +101,13 @@ def _reuseport_socket(host: str, port: int) -> socket.socket:
     return sock
 
 
-async def _serve_handoff(server, conn) -> None:
-    """Accept descriptors off the parent's pipe until it closes."""
-    loop = asyncio.get_running_loop()
-    while True:
-        try:
-            fd = await loop.run_in_executor(None, reduction.recv_handle, conn)
-        except (EOFError, OSError):
-            return
-        sock = socket.socket(fileno=fd)
-        sock.setblocking(False)
-        reader, writer = await asyncio.open_connection(sock=sock)
-        asyncio.ensure_future(server._handle_connection(reader, writer))
-
-
 async def _worker_main(config: WorkerConfig, conn) -> None:
     from repro.service.server import MonitorServer
 
     registry = _build_registry(config)
-    sock = None
-    if config.mode == "reuseport":
-        sock = _reuseport_socket(config.host, config.port)
-        sock.listen(128)
-        sock.setblocking(False)
+    sock = _reuseport_socket(config.host, config.port)
+    sock.listen(128)
+    sock.setblocking(False)
     server = MonitorServer(
         registry,
         shards=config.shards,
@@ -176,15 +120,10 @@ async def _worker_main(config: WorkerConfig, conn) -> None:
         max_proto=config.max_proto,
         direct_port=config.direct_port,
         sock=sock,
-        listen=config.mode == "reuseport",
     )
     await server.start()
     conn.send(("ready", config.worker_index, os.getpid(), server.direct_port))
-    if config.mode == "handoff":
-        await _serve_handoff(server, conn)
-        await server.stop()
-    else:
-        await asyncio.Event().wait()  # parent terminates the process
+    await asyncio.Event().wait()  # parent terminates the process
 
 
 def _worker_entry(config: WorkerConfig, conn) -> None:  # pragma: no cover
@@ -198,13 +137,19 @@ def _worker_entry(config: WorkerConfig, conn) -> None:  # pragma: no cover
         pass
 
 
-class ScaleOutServer:
-    """N monitor-worker processes behind one advertised address.
+async def _reap(procs) -> None:
+    """Terminate ``procs`` and join them (SIGKILL any that will not go)."""
+    for proc in procs:
+        proc.terminate()
+    loop = asyncio.get_running_loop()
+    for proc in procs:
+        await loop.run_in_executor(None, proc.join, 10.0)
+        if proc.is_alive():  # pragma: no cover - stuck worker
+            proc.kill()
 
-    ``listener="auto"`` picks ``reuseport`` where the platform has it
-    and falls back to the descriptor-handoff router otherwise; tests
-    pass an explicit mode to pin the code path.
-    """
+
+class ScaleOutServer:
+    """N monitor-worker processes behind one ``SO_REUSEPORT`` address."""
 
     def __init__(
         self,
@@ -216,7 +161,6 @@ class ScaleOutServer:
         host: str = "127.0.0.1",
         port: int = 0,
         data_dir: str | Path | None = None,
-        listener: str = "auto",
         history_limit: int | None = 4096,
         max_proto: int = 2,
         fsync_every: int = 64,
@@ -229,20 +173,14 @@ class ScaleOutServer:
             )
         if procs < 1:
             raise ReproError("procs must be >= 1")
-        if listener == "auto":
-            listener = "reuseport" if reuseport_available() else "handoff"
-        if listener not in ("reuseport", "handoff"):
-            raise ReproError(f"unknown listener mode {listener!r}")
-        if listener == "reuseport" and not reuseport_available():
+        if not reuseport_available():
             raise ReproError("SO_REUSEPORT is not available on this platform")
-        self.mode = listener
         self.procs = procs
         self.host = host
         self.port = port
         self.restarts = 0
         self._template = WorkerConfig(
             worker_index=0,
-            mode=listener,
             host=host,
             port=port,
             scenario=scenario,
@@ -258,11 +196,7 @@ class ScaleOutServer:
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: list[tuple] = []  # (process, parent_conn) per index
         self._reserve_sock: socket.socket | None = None
-        self._listen_sock: socket.socket | None = None
-        self._accept_task: asyncio.Task | None = None
         self._supervisor_task: asyncio.Task | None = None
-        self._ring: HashRing | None = None
-        self._conn_seq = 0
         self._worker_ports: dict[int, int | None] = {}
 
     @property
@@ -282,27 +216,18 @@ class ScaleOutServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        if self.mode == "reuseport":
-            # Bound but never listening: it reserves the port (resolving
-            # port=0 to a real number the workers can share) without
-            # ever winning an accept.
-            self._reserve_sock = _reuseport_socket(self.host, self.port)
-            self.port = self._reserve_sock.getsockname()[1]
-        else:
-            self._listen_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._listen_sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-            )
-            self._listen_sock.bind((self.host, self.port))
-            self._listen_sock.listen(128)
-            self._listen_sock.setblocking(False)
-            self.port = self._listen_sock.getsockname()[1]
+        # Bound but never listening: it reserves the port (resolving
+        # port=0 to a real number the workers can share) without ever
+        # winning an accept.
+        self._reserve_sock = _reuseport_socket(self.host, self.port)
+        self.port = self._reserve_sock.getsockname()[1]
         self._template = replace(self._template, port=self.port)
-        for index in range(self.procs):
-            self._workers.append(await self._spawn(index))
-        self._ring = HashRing(range(self.procs))
-        if self.mode == "handoff":
-            self._accept_task = asyncio.create_task(self._accept_loop())
+        try:
+            for index in range(self.procs):
+                self._workers.append(await self._spawn(index))
+        except BaseException:
+            await self.stop()  # no half-started topology survives
+            raise
         self._supervisor_task = asyncio.create_task(self._supervise())
 
     async def _spawn(self, index: int):
@@ -321,39 +246,35 @@ class ScaleOutServer:
             ready = await asyncio.wait_for(
                 loop.run_in_executor(None, parent_conn.recv), timeout=60.0
             )
-        except (asyncio.TimeoutError, EOFError) as exc:
-            proc.terminate()
-            raise ReproError(
-                f"worker {index} failed to start: {exc!r}"
-            ) from exc
+        except BaseException as exc:  # timeout, death on boot, or cancel
+            await _reap([proc])
+            parent_conn.close()
+            if isinstance(exc, (asyncio.TimeoutError, EOFError)):
+                raise ReproError(
+                    f"worker {index} failed to start: {exc!r}"
+                ) from exc
+            raise
         if ready[0] != "ready":  # pragma: no cover - defensive
             raise ReproError(f"worker {index} sent unexpected {ready!r}")
         self._worker_ports[index] = ready[3] if len(ready) > 3 else None
         return proc, parent_conn
 
     async def stop(self) -> None:
-        for task in (self._supervisor_task, self._accept_task):
+        task, self._supervisor_task = self._supervisor_task, None
+        try:
             if task is not None:
                 task.cancel()
-                try:
+                with contextlib.suppress(asyncio.CancelledError):
                     await task
-                except asyncio.CancelledError:
-                    pass
-        self._supervisor_task = self._accept_task = None
-        loop = asyncio.get_running_loop()
-        for proc, conn in self._workers:
-            conn.close()  # handoff workers exit their recv loop on EOF
-            proc.terminate()
-        for proc, _ in self._workers:
-            await loop.run_in_executor(None, proc.join, 10.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.kill()
-        self._workers = []
-        self._worker_ports = {}
-        for sock in (self._reserve_sock, self._listen_sock):
-            if sock is not None:
-                sock.close()
-        self._reserve_sock = self._listen_sock = None
+        finally:  # a failed supervisor must not keep workers alive
+            workers, self._workers = self._workers, []
+            for _, conn in workers:
+                conn.close()
+            await _reap([proc for proc, _ in workers])
+            self._worker_ports = {}
+            if self._reserve_sock is not None:
+                self._reserve_sock.close()
+                self._reserve_sock = None
 
     async def __aenter__(self) -> "ScaleOutServer":
         await self.start()
@@ -379,28 +300,8 @@ class ScaleOutServer:
                 if proc.is_alive():
                     continue
                 conn.close()
-                self._workers[index] = await self._spawn(index)
-                self.restarts += 1
-
-    # -- handoff routing -----------------------------------------------------
-
-    async def _accept_loop(self) -> None:
-        assert self._listen_sock is not None and self._ring is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            client, _addr = await loop.sock_accept(self._listen_sock)
-            self._conn_seq += 1
-            index = self._ring.node_for(f"conn:{self._conn_seq}")
-            proc, conn = self._workers[index]
-            try:
-                await loop.run_in_executor(
-                    None,
-                    reduction.send_handle,
-                    conn,
-                    client.fileno(),
-                    proc.pid,
-                )
-            except (OSError, EOFError, BrokenPipeError):
-                pass  # worker died mid-handoff; client sees a reset and retries
-            finally:
-                client.close()
+                try:
+                    self._workers[index] = await self._spawn(index)
+                    self.restarts += 1
+                except ReproError:
+                    pass  # the dead worker keeps its slot: next poll retries

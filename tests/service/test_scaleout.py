@@ -1,4 +1,4 @@
-"""Multi-process serving topology: hash ring, both listener modes, chaos.
+"""Multi-process serving topology: construction, lifecycle failures, chaos.
 
 The spawned-worker tests are real multi-process integration tests: each
 worker re-imports the package and compiles its own registry, so they
@@ -8,16 +8,15 @@ baseline rather than hand-computed.
 """
 
 import asyncio
+import multiprocessing
+from dataclasses import replace
 
 import pytest
 
+from repro.core.errors import ReproError
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
-from repro.service.topology import (
-    HashRing,
-    ScaleOutServer,
-    WorkerConfig,
-    reuseport_available,
-)
+from repro.service import topology
+from repro.service.topology import ScaleOutServer, WorkerConfig
 
 DOC = """
 object o
@@ -32,55 +31,102 @@ specification Cap {
 
 EVENT = "c -> o : M(Data:d)"
 
-MODES = ["handoff"] + (["reuseport"] if reuseport_available() else [])
-
-
-class TestHashRing:
-    def test_deterministic_and_total(self):
-        ring = HashRing(range(4))
-        keys = [f"conn:{i}" for i in range(200)]
-        first = [ring.node_for(k) for k in keys]
-        assert first == [ring.node_for(k) for k in keys]
-        assert set(first) <= set(range(4))
-
-    def test_same_ring_same_answers_across_instances(self):
-        a, b = HashRing(range(4)), HashRing(range(4))
-        assert [a.node_for(i) for i in range(64)] == [
-            b.node_for(i) for i in range(64)
-        ]
-
-    def test_spread_uses_every_node(self):
-        ring = HashRing(range(4), vnodes=64)
-        hits = {ring.node_for(f"conn:{i}") for i in range(500)}
-        assert hits == set(range(4))
-
-    def test_single_node_takes_everything(self):
-        ring = HashRing([0])
-        assert {ring.node_for(i) for i in range(50)} == {0}
-
 
 class TestConstruction:
     def test_needs_exactly_one_source(self):
-        from repro.core.errors import ReproError
-
         with pytest.raises(ReproError, match="exactly one"):
             ScaleOutServer(procs=2)
         with pytest.raises(ReproError, match="exactly one"):
             ScaleOutServer(scenario="pubsub_fanout", document=DOC)
 
-    def test_rejects_unknown_listener(self):
-        from repro.core.errors import ReproError
-
-        with pytest.raises(ReproError, match="listener"):
-            ScaleOutServer(document=DOC, listener="carrier-pigeon")
+    def test_requires_so_reuseport(self, monkeypatch):
+        monkeypatch.setattr(topology, "reuseport_available", lambda: False)
+        with pytest.raises(ReproError, match="SO_REUSEPORT"):
+            ScaleOutServer(document=DOC, procs=2)
 
     def test_worker_config_is_frozen(self):
         config = WorkerConfig(
-            worker_index=0, mode="handoff", host="127.0.0.1", port=1,
+            worker_index=0, host="127.0.0.1", port=1,
             scenario=None, document=DOC,
         )
         with pytest.raises(AttributeError):
             config.port = 2
+
+
+def _live_workers():
+    return [
+        proc
+        for proc in multiprocessing.active_children()
+        if proc.name.startswith("repro-worker-")
+    ]
+
+
+class TestLifecycleFailures:
+    def test_failed_respawn_is_retried_and_stop_tears_down(self):
+        """A respawn that fails must not end supervision or break stop()."""
+
+        async def run():
+            server = ScaleOutServer(document=DOC, procs=1)
+            await server.start()
+            spawn, calls = server._spawn, []
+
+            async def flaky_spawn(index):
+                calls.append(index)
+                if len(calls) == 1:
+                    raise ReproError(f"worker {index} failed to start")
+                return await spawn(index)
+
+            server._spawn = flaky_spawn
+            try:
+                server.kill_worker(0)
+                for _ in range(600):  # wait for the retried respawn
+                    if server.restarts >= 1:
+                        break
+                    await asyncio.sleep(0.1)
+                restarts, respawns = server.restarts, len(calls)
+            finally:
+                await server.stop()
+            return restarts, respawns, server
+
+        restarts, respawns, server = asyncio.run(run())
+        assert restarts == 1
+        assert respawns >= 2
+        assert server.worker_pids == ()
+        assert server._reserve_sock is None
+        assert _live_workers() == []
+
+    def test_partial_start_stops_the_started_workers(self):
+        """Worker 1 dies on boot: worker 0 is stopped, the port freed."""
+
+        async def run():
+            server = ScaleOutServer(document=DOC, procs=2)
+            spawn, started = server._spawn, []
+
+            async def spawn_breaking_worker_1(index):
+                if index == 1:  # a document the worker cannot compile
+                    server._template = replace(
+                        server._template, document="specification {"
+                    )
+                proc, conn = await spawn(index)
+                started.append(proc)
+                return proc, conn
+
+            server._spawn = spawn_breaking_worker_1
+            try:
+                with pytest.raises(ReproError, match="worker 1 failed"):
+                    await server.start()
+            finally:
+                for proc in started:  # never leak a worker, even on failure
+                    if proc.is_alive():
+                        proc.kill()
+            return server, started
+
+        server, started = asyncio.run(run())
+        assert len(started) == 1
+        assert started[0].exitcode is not None  # terminated and joined
+        assert server.worker_pids == ()
+        assert server._reserve_sock is None
+        assert _live_workers() == []
 
 
 async def _baseline(lines_per_session):
@@ -111,10 +157,9 @@ class TestScaleOut:
     # Cap admits exactly two M events (plus prefixes): three violate.
     SESSIONS = [[EVENT] * 2, [EVENT] * 3, [EVENT] * 1, [EVENT] * 4]
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_verdicts_match_single_process(self, mode):
+    def test_verdicts_match_single_process(self):
         async def run():
-            server = ScaleOutServer(document=DOC, procs=2, listener=mode)
+            server = ScaleOutServer(document=DOC, procs=2)
             await server.start()
             try:
                 statuses = []

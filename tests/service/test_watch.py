@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.obs.registry import use_registry
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 from repro.service.registry import _reset_shared_state
 
@@ -56,7 +57,7 @@ async def _wait_for(predicate, *, tries=400, pause=0.01):
         if predicate():
             return
         await asyncio.sleep(pause)
-    pytest.fail("watcher never applied the edit")
+    pytest.fail("watcher never saw the edit")
 
 
 class TestWatch:
@@ -101,7 +102,8 @@ class TestWatch:
                 # a broken edit must not take the service down: new
                 # sessions keep binding the last good build while the
                 # watcher keeps polling
-                await asyncio.sleep(0.1)
+                errors = metrics.counter("repro_watch_errors_total")
+                await _wait_for(lambda: errors.value == 1)
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="B"
                 ) as client:
@@ -111,7 +113,8 @@ class TestWatch:
                 await _wait_for(lambda: registry.get("B").version == 1)
             return broken_era, registry
 
-        broken_era, registry = asyncio.run(run())
+        with use_registry() as metrics:
+            broken_era, registry = asyncio.run(run())
         assert broken_era.ok and broken_era.events == 1
         assert registry.get("B").version == 1
         assert registry.get("A").version == 0

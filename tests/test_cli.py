@@ -173,6 +173,15 @@ class TestService:
         code, text = run("serve", str(empty))
         assert code == 2 and "no monitorable specifications" in text
 
+    def test_serve_procs_needs_so_reuseport(self, tmp_path, monkeypatch):
+        from repro.service import topology
+
+        monkeypatch.setattr(topology, "reuseport_available", lambda: False)
+        doc = tmp_path / "d.oun"
+        doc.write_text(DOC)
+        code, text = run("serve", str(doc), "--port", "0", "--procs", "2")
+        assert code == 2 and "SO_REUSEPORT" in text
+
     def test_send_against_unreachable_server(self, tmp_path):
         trace_path = tmp_path / "t.trace"
         trace_path.write_text("x -> o : OR\n")
