@@ -214,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7471, help="TCP port (0 picks one)"
     )
     p_serve.add_argument(
-        "--shards", type=int, default=4, help="monitor worker shards"
+        "--shards",
+        type=int,
+        default=4,
+        help="session queues on one event loop; parallelism comes from --procs",
     )
     p_serve.add_argument(
         "--history-limit",
@@ -502,7 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="external service port (default: a hermetic in-process server)",
     )
     w_run.add_argument(
-        "--shards", type=int, default=4, help="in-process server shards"
+        "--shards",
+        type=int,
+        default=4,
+        help="session queues on one event loop; parallelism comes from --procs",
     )
     w_run.add_argument(
         "--history-limit",

@@ -153,11 +153,22 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self._read_body()
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+            if b"\\u" in raw:  # a lone surrogate escape has no UTF-8 form
+                json.dumps(body, ensure_ascii=False).encode("utf-8")
+        except ValueError as exc:  # Unicode errors are ValueErrors too
             raise BadRequestError(f"body is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise BadRequestError("JSON body is nested too deeply") from None
         if not isinstance(body, dict):
             raise BadRequestError("JSON body must be an object")
         return body
+
+    @staticmethod
+    def _bool_field(body: dict, name: str, default: bool) -> bool:
+        value = body.get(name, default)
+        if not isinstance(value, bool):
+            raise BadRequestError(f'"{name}" must be a boolean')
+        return value
 
     def _send_json(self, status: int, payload: dict) -> None:
         body = (
@@ -196,7 +207,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise BadRequestError(
                     'JSON document bodies need a string "text" field'
                 )
-            force = bool(body.get("force", force))
+            force = self._bool_field(body, "force", force)
         else:
             raw = self._read_body()
             try:
@@ -232,7 +243,7 @@ class _Handler(BaseHTTPRequestHandler):
         spec = body.get("spec")
         if spec is not None and not isinstance(spec, str):
             raise BadRequestError('"spec" must be a string')
-        durable = bool(body.get("durable", False))
+        durable = self._bool_field(body, "durable", False)
         self._send_json(
             200,
             self.gateway.send_events(key, events, spec=spec, durable=durable),

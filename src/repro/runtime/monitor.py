@@ -131,9 +131,9 @@ class SpecMonitor:
         projection ``h/α(Γ)``) and counted in :attr:`skipped`, also after
         a violation; once violated, the monitor stays violated (safety is
         irremediable).  ``index`` overrides the violation's recorded
-        global position — the sharded service uses this to stamp the
-        session-global event index when a session's stream is split
-        across per-callee shard monitors.  ``lid`` is the event's letter
+        global position: the service stamps the session's own event
+        index, the position its client counted, which a durable session
+        carries across a snapshot restore.  ``lid`` is the event's letter
         id in the dense image's table when the caller already knows it
         (``event`` is then that letter), which saves the table lookup.
 

@@ -4,10 +4,10 @@ The paper's practical payoff is that prefix-closed (safety) trace sets
 are monitorable online.  This package turns the in-process
 :class:`~repro.runtime.monitor.SpecMonitor` into a server: many
 concurrent TCP sessions, each an event stream checked against a
-registered specification, with events sharded by callee over asyncio
-tasks on one event loop (per-object order preserved, as composition
-``Γ‖Δ`` interleaves per-object streams); real parallelism comes from
-the multi-process topology.
+registered specification by one monitor that sees the whole stream in
+arrival order (the paper's ``h/α(Γ) ∈ T(Γ)``).  Sessions spread over
+FIFO queues on one event loop; real parallelism comes from the
+multi-process topology.
 
 Modules:
 
@@ -15,7 +15,7 @@ Modules:
 * :mod:`~repro.service.registry` — compile specs once, share machines;
 * :mod:`~repro.service.session`  — one session's input semantics, shared
   by the live handlers and crash replay;
-* :mod:`~repro.service.shards`   — per-callee FIFO worker pool;
+* :mod:`~repro.service.shards`   — per-session FIFO worker pool;
 * :mod:`~repro.service.durability` — per-shard event log + snapshots;
 * :mod:`~repro.service.topology` — multi-process serving (scale-out);
 * :mod:`~repro.service.server`   — the asyncio TCP server;
@@ -36,7 +36,7 @@ from repro.service.protocol import (
 )
 from repro.service.registry import CompiledSpec, SpecRegistry, UpdateReport
 from repro.service.server import MonitorServer
-from repro.service.shards import ShardPool, shard_index
+from repro.service.shards import ShardPool
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -57,5 +57,4 @@ __all__ = [
     "format_status",
     "parse_command",
     "parse_reply",
-    "shard_index",
 ]

@@ -463,7 +463,7 @@ def recover(
     registry,
     *,
     index: LogIndex | None = None,
-    router=None,
+    shard: int = 0,
 ) -> Session:
     """Rebuild a durable session: freshest snapshot + lsn-ordered log replay.
 
@@ -476,14 +476,14 @@ def recover(
     including partially-covered ``EVENTS`` batches.
 
     ``index`` is the caller's long-lived :class:`LogIndex` over
-    ``data_dir``; without one a fresh index reads every log.  ``router``
-    maps the session's lanes to the caller's shards.
+    ``data_dir``; without one a fresh index reads every log.  ``shard``
+    is the caller's queue for the recovered session.
     """
-    session = Session(registry, router, key=key)
+    session = Session(registry, shard, key=key)
     snap = load_best_snapshot(data_dir, key)
     if snap is not None and not session.restore(snap):
         # A state the spec's dense image does not have: as if torn.
-        session, snap = Session(registry, router, key=key), None
+        session, snap = Session(registry, shard, key=key), None
     if snap is not None:
         session.snapshot_lsn = session.next_lsn  # on disk already
     records = (index or LogIndex(data_dir)).records(key)
@@ -526,11 +526,11 @@ def recover(
                     record.body.decode("utf-8", errors="replace")
                 )
                 if pending is not None:
-                    session.step_event(*pending[1:])
+                    session.step_event(*pending)
             elif record.opcode == REC_IDS:
                 pending = session.accept_ids(record.body, skip)
                 if pending is not None:
-                    session.step_ids(*pending[1:])
+                    session.step_ids(*pending)
             else:
                 raise DurabilityError(
                     f"unknown record opcode 0x{record.opcode:02x}"

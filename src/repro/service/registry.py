@@ -42,7 +42,6 @@ from typing import Iterable, Mapping
 from repro.automata.build import MachineImage, machine_to_dense
 from repro.checker.fingerprint import fingerprint
 from repro.core.errors import FingerprintError, ReproError, RuntimeModelError
-from repro.core.sorts import Sort
 from repro.core.specification import Specification
 from repro.core.tracesets import FullTraceSet, MachineTraceSet
 from repro.machines.base import TraceMachine
@@ -248,24 +247,6 @@ def _build_image_part(
     return image, key
 
 
-def _coupled_callees(spec: Specification) -> bool:
-    """Whether the spec constrains the *order across* distinct callees.
-
-    The server shards a session's events by callee, which is sound only
-    when the spec's alphabet addresses a single callee (every event then
-    lands on one monitor that sees the whole projected stream).  A spec
-    whose patterns range over several callees — a coordinator driving
-    participants, a broker fanning out to subscribers — couples their
-    relative order, so its sessions must be routed as a unit.  This is a
-    conservative syntactic test: a multi-callee spec that happened to be
-    order-insensitive would merely lose parallelism, never soundness.
-    """
-    callees = Sort.empty()
-    for p in spec.alphabet.patterns:
-        callees = callees.union(p.callee)
-    return not callees.is_singleton()
-
-
 @dataclass(frozen=True, slots=True)
 class CompiledSpec:
     """One monitorable specification with its shared compiled machine.
@@ -274,13 +255,10 @@ class CompiledSpec:
     :class:`~repro.automata.build.MachineImage` when the registry could
     tabulate it within its state budget (``None`` otherwise); monitors
     step through it by letter id and fall back to ``machine`` for events
-    outside the instantiated universe.  ``coupled`` records whether the
-    spec's alphabet addresses more than one callee, in which case the
-    server routes each session's whole stream to one shard (cross-callee
-    order matters) instead of spreading it per callee.  ``version``
-    counts hot swaps of the name: a live update that actually changes
-    the compiled machine installs a new ``CompiledSpec`` with the next
-    version, while sessions bound to the old one keep draining on it.
+    outside the instantiated universe.  ``version`` counts hot swaps of
+    the name: a live update that actually changes the compiled machine
+    installs a new ``CompiledSpec`` with the next version, while sessions
+    bound to the old one keep draining on it.
 
     ``letter_lines`` is the image's letter table as canonical trace
     lines, indexed by letter id (empty without an image): the table the
@@ -294,7 +272,6 @@ class CompiledSpec:
     spec: Specification
     machine: TraceMachine
     dense: MachineImage | None = None
-    coupled: bool = False
     version: int = 0
     letter_lines: tuple[str, ...] = ()
     line_ids: Mapping[str, int] = field(default_factory=dict)
@@ -470,7 +447,6 @@ class SpecRegistry:
                 spec,
                 parts.machine,
                 parts.image,
-                _coupled_callees(spec),
                 version,
                 tuple(format_event(letter) for letter in letters),
                 wire_safe_lines(letters),

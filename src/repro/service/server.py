@@ -5,23 +5,21 @@ one registered specification (the paper's soundness condition
 ``h/α(Γ) ∈ T(Γ)`` per connection).  The session's input semantics live
 in :class:`~repro.service.session.Session`, the ingest core that crash
 replay drives too; this module adds the sockets, the write-ahead log,
-the shard-pool hop and the metrics around it.  Events of a
-single-callee spec are routed to the shard pool by callee, so one
-session's independent objects queue separately while per-object order
-is preserved; a *coupled* spec (alphabet addressing several callees —
-see :func:`~repro.service.registry._coupled_callees`) pins each session
-to one shard, preserving cross-callee order while different sessions
-still spread over the pool.  The first violation (smallest
-session-global index among the shard monitors) is what ``STATUS``
-reports.
+the shard-pool hop and the metrics around it.  Each session has one
+monitor and one shard, assigned round-robin as connections arrive: the
+whole stream steps in arrival order on that shard's FIFO, while
+sessions spread over the pool.  The monitor's first violation is what
+``STATUS`` reports.
 
 The server is single-loop: shard workers are tasks, not threads, so
-monitor state and metrics need no locks.
+monitor state and metrics need no locks; parallelism comes from
+``--procs`` (:mod:`repro.service.topology`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 from pathlib import Path
 
 from repro.core.errors import ReproError
@@ -37,7 +35,7 @@ from repro.service.protocol import (
 )
 from repro.service.registry import CompiledSpec, SpecRegistry
 from repro.service.session import Session
-from repro.service.shards import DEFAULT_QUEUE_SIZE, BatchTask, ShardPool
+from repro.service.shards import DEFAULT_QUEUE_SIZE, ShardPool
 
 __all__ = ["MonitorServer"]
 
@@ -53,6 +51,27 @@ _FRAME_VERBS = {
 
 #: Reply keyword (the text framing's first word) → reply opcode.
 _REPLY_OPS = {"OK": wire.OP_OK, "ERR": wire.OP_ERR, "VIOLATION": wire.OP_VIOLATION}
+
+
+#: Seconds an over-long line's sender gets to read the refusal.
+_LINGER_S = 1.0
+
+
+class _LineTooLong(Exception):
+    """A text line past the reader's limit: its tail would read as commands."""
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One raw text line (empty at EOF); raises :class:`_LineTooLong`."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # asyncio's limit overrun
+        raise _LineTooLong() from exc
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    while await reader.read(1 << 16):
+        pass
 
 
 class MonitorServer:
@@ -242,16 +261,10 @@ class MonitorServer:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
         self._session_seq += 1
-        # Sessions are independent trace universes, so only per-callee
-        # order *within* a session must be preserved — the seq-number
-        # prefix spreads sessions over the workers even when every
-        # session's spec talks to the same objects.
-        session = Session(
-            self.registry, self.pool.router(prefix=f"{self._session_seq}:")
-        )
+        session = Session(self.registry, self._session_seq % self.pool.shards)
         try:
             while True:
-                raw = await reader.readline()
+                raw = await _read_line(reader)
                 if not raw:
                     break
                 line = raw.decode("utf-8", errors="replace").strip()
@@ -278,6 +291,14 @@ class MonitorServer:
                     break  # EOF inside the announced body
                 elif await self._handle_sync(session, verb, arg, writer):
                     break
+        except _LineTooLong:
+            # The stream cannot resync, so refuse and close, lingering:
+            # closing on the line's unread tail would reset the
+            # connection, which can discard the reply before it is read.
+            with contextlib.suppress(ConnectionError, asyncio.TimeoutError):
+                await self._reply(writer, "ERR line too long")
+                writer.write_eof()
+                await asyncio.wait_for(_discard(reader), _LINGER_S)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -362,7 +383,7 @@ class MonitorServer:
                 key,
                 self.registry,
                 index=self._log_index,
-                router=session.router,
+                shard=session.shard,
             )
             durable = " durable=1"
         names = ",".join(self.registry.names())
@@ -385,7 +406,7 @@ class MonitorServer:
         record = durability.encode_record(
             opcode, session.key, session.next_lsn, received, body
         )
-        self._store.append(session.lane(), record)
+        self._store.append(session.shard, record)
         session.next_lsn += 1
         session.since_snapshot += session.received - received
 
@@ -401,7 +422,7 @@ class MonitorServer:
         if session.snapshot_lsn == session.next_lsn:
             return
         session.since_snapshot = 0
-        await self.pool.flush(session.monitors)
+        await self.pool.flush((session.shard,))
         self._store.sync()
         payload = session.snapshot()
         if payload is not None:
@@ -420,7 +441,7 @@ class MonitorServer:
         a bind to a *different* spec starts over (logged as REC_BIND, the
         input watermark still monotonic).
         """
-        await self.pool.flush(session.monitors)
+        await self.pool.flush((session.shard,))
         durable = session.key is not None
         if (
             durable
@@ -501,7 +522,7 @@ class MonitorServer:
             return "OK", f"spec {compiled.name} shards={self.pool.shards}{suffix}"
         # Every other verb synchronises first: the reply covers every
         # input this session sent before it.
-        await self.pool.flush(session.monitors)
+        await self.pool.flush((session.shard,))
         if verb == "STATUS":
             keyword, _, detail = format_status(session.status()).partition(" ")
             return keyword, detail
@@ -605,7 +626,7 @@ class MonitorServer:
             return scenario, None, force
         body: list[str] = []
         for _ in range(count):
-            raw = await reader.readline()
+            raw = await _read_line(reader)
             if not raw:
                 return None  # client vanished mid-body
             body.append(raw.decode("utf-8", errors="replace").rstrip("\r\n"))
@@ -733,7 +754,7 @@ class MonitorServer:
             if session.errors > errors:
                 self.metrics.record_malformed()
             return
-        shard, monitor, event, index, lid = pending
+        monitor, event, index, lid = pending
         spec_name = session.compiled.name
         metrics = self.metrics
 
@@ -744,14 +765,14 @@ class MonitorServer:
             if violated:
                 metrics.record_violation()
 
-        await self.pool.submit_to(shard, check)
+        await self.pool.submit_to(session.shard, check)
 
     async def _handle_events(self, session: Session, payload: bytes) -> None:
         """Feed one ``EVENTS`` batch: silent on success, like text ``EVENT``.
 
         A structurally malformed payload raises
         :class:`~repro.service.wire.FrameError` (the loop answers with an
-        ``ERR`` frame).  The whole batch becomes *one* shard-queue unit
+        ``ERR`` frame).  The whole batch becomes *one* shard-queue thunk
         and one monitor call — the amortisation the binary protocol
         exists for.
         """
@@ -768,7 +789,7 @@ class MonitorServer:
             self.metrics.record_malformed(session.errors - errors)
         if pending is None:
             return
-        shard, monitor, ids, base = pending
+        monitor, ids, base = pending
         n = len(ids)
         spec_name = session.compiled.name
         metrics = self.metrics
@@ -781,7 +802,7 @@ class MonitorServer:
                 if violated:
                     metrics.record_violation()
 
-        await self.pool.submit_to(shard, BatchTask(check, n))
+        await self.pool.submit_to(session.shard, check)
 
 
 def _decode_update(text: str) -> tuple[str | None, str | None, bool]:

@@ -15,9 +15,9 @@ the server accepts on its event loop before any queue hop.  A text line
 that is a wire-safe letter's canonical line resolves through the bound
 spec's ``line_ids`` table, like a binary letter id; only other lines
 are parsed.  *Stepping* (:meth:`Session.step_event`,
-:meth:`Session.step_ids`) feeds an accepted input to its lane's monitor
-and keeps the session's first violation; the server runs it on the
-lane's shard FIFO, replay inline.
+:meth:`Session.step_ids`) feeds an accepted input to the session's one
+monitor and keeps its first violation; the server runs it on the
+session's shard FIFO, replay inline.
 
 The snapshot format lives here too, writer and reader side by side:
 :meth:`Session.snapshot`, :func:`snapshot_ok` and :meth:`Session.restore`.
@@ -34,32 +34,25 @@ from repro.service import wire
 from repro.service.protocol import SessionStatus
 from repro.service.registry import CompiledSpec
 
-__all__ = ["PINNED", "Session", "snapshot_ok"]
-
-#: Routing key of a session pinned whole to one lane.  The NUL byte
-#: cannot occur in an object name parsed off the wire, so the key never
-#: collides with a real callee.
-PINNED = "\x00session"
+__all__ = ["Session", "snapshot_ok"]
 
 
 class Session:
-    """One event stream checked against one bound specification.
+    """One event stream checked by one monitor against one bound spec.
 
-    ``router`` maps a routing key to a monitor lane (the server passes
-    its per-connection shard router, so a lane *is* a shard); without
-    one every event shares lane 0.  A single-callee spec's plain text
-    session gets one monitor per lane its callees hash to; binary
-    (proto>=2), durable and coupled sessions pin their whole stream to
-    one lane — see :meth:`lane`.
+    ``shard`` is the server's queue this session's monitor steps on (the
+    write-ahead log appends to the same shard's log); the session itself
+    only carries it.  The monitor sees the whole stream in arrival
+    order, as the soundness check ``h/α(Γ) ∈ T(Γ)`` needs.
     """
 
     __slots__ = (
         "registry",
-        "router",
+        "shard",
         "proto",
         "key",
         "compiled",
-        "monitors",
+        "monitor",
         "events",
         "skipped",
         "errors",
@@ -71,14 +64,15 @@ class Session:
         "snapshot_lsn",
     )
 
-    def __init__(self, registry, router=None, *, key: str | None = None) -> None:
+    def __init__(self, registry, shard: int = 0, *, key: str | None = None) -> None:
         self.registry = registry
-        self.router = router
+        self.shard = shard
         self.proto = 1
         #: The durable-session key (None on plain sessions).
         self.key = key
         self.compiled: CompiledSpec | None = None
-        self.monitors: dict[int, SpecMonitor] = {}
+        #: Created on the first event after a bind.
+        self.monitor: SpecMonitor | None = None
         self.events = 0
         self.skipped = 0
         self.errors = 0
@@ -100,39 +94,18 @@ class Session:
         #: record, so an unchanged lsn means an unchanged state.
         self.snapshot_lsn: int | None = None
 
-    def lane(self, callee: str = PINNED) -> int:
-        """The monitor lane an event to ``callee`` steps on.
-
-        Binary (proto>=2) sessions pin: batches interleave with
-        out-of-table fallback events, and their relative order holds only
-        on one FIFO (DESIGN.md §13).  Coupled specs pin because they
-        constrain the order across callees, and durable sessions pin
-        because replay applies the log in lsn order, which is the order
-        the monitor saw only when the whole session drained through one
-        FIFO.
-        """
-        if self.router is None:
-            return 0
-        if (
-            self.proto >= 2
-            or self.key is not None
-            or (self.compiled is not None and self.compiled.coupled)
-        ):
-            callee = PINNED
-        return self.router.shard_of(callee)
-
     # -- binding -------------------------------------------------------------
 
     def bind(self, compiled: CompiledSpec | None) -> None:
         """Start a fresh stream on ``compiled`` (None leaves it unbound)."""
         self.reset()
         self.compiled = compiled
-        self.monitors = {}
+        self.monitor = None
 
     def reset(self) -> None:
         """Forget the stream's history; the watermark keeps counting."""
-        for monitor in self.monitors.values():
-            monitor.reset()
+        if self.monitor is not None:
+            self.monitor.reset()
         self.events = 0
         self.skipped = 0
         self.errors = 0
@@ -142,7 +115,7 @@ class Session:
     # -- ingest --------------------------------------------------------------
 
     def accept_line(self, line: str):
-        """Accept one ``EVENT`` line: ``(lane, monitor, event, index, lid)``.
+        """Accept one ``EVENT`` line: ``(monitor, event, index, lid)``.
 
         Every line is one input.  A malformed line, or an event before
         any SPEC, counts an error; a comment counts nothing more.  None
@@ -169,12 +142,10 @@ class Session:
                 return None
         index = self.events
         self.events += 1
-        lane = self.lane(event.callee.name)
-        monitor = self.monitors.get(lane) or self._new_monitor(lane)
-        return lane, monitor, event, index, lid
+        return self._monitor(), event, index, lid
 
     def accept_ids(self, payload: bytes, skip: int = 0):
-        """Accept one ``EVENTS`` payload; ``(lane, monitor, ids, base)`` or None.
+        """Accept one ``EVENTS`` payload; ``(monitor, ids, base)`` or None.
 
         A malformed payload raises :class:`~repro.service.wire.FrameError`
         before anything is counted.  Every id is one input, except the
@@ -204,15 +175,14 @@ class Session:
                 return None
         base = self.events
         self.events += len(ids)
-        lane = self.lane()
-        monitor = self.monitors.get(lane) or self._new_monitor(lane)
-        return lane, monitor, ids, base
+        return self._monitor(), ids, base
 
-    def _new_monitor(self, lane: int) -> SpecMonitor:
-        # Pinned to the bound CompiledSpec, not a name lookup: a hot swap
-        # must not mix machines mid-session.
-        monitor = self.monitors[lane] = self.registry.new_monitor_for(self.compiled)
-        return monitor
+    def _monitor(self) -> SpecMonitor:
+        if self.monitor is None:
+            # Pinned to the bound CompiledSpec, not a name lookup: a hot
+            # swap must not mix machines mid-session.
+            self.monitor = self.registry.new_monitor_for(self.compiled)
+        return self.monitor
 
     def step_event(
         self, monitor: SpecMonitor, event, index: int, lid: int | None = None
@@ -225,7 +195,7 @@ class Session:
         if skipped:
             self.skipped += 1
         if was_ok and monitor.violations:
-            self._keep_first(monitor.violations[-1])
+            self.violation = monitor.violations[-1]
             return skipped, True
         return skipped, False
 
@@ -234,14 +204,9 @@ class Session:
         was_ok = not monitor.violations
         monitor.observe_ids(ids, base_index=base)
         if was_ok and monitor.violations:
-            self._keep_first(monitor.violations[-1])
+            self.violation = monitor.violations[-1]
             return True
         return False
-
-    def _keep_first(self, violation: Violation) -> None:
-        """Keep the session's violation with the smallest index."""
-        if self.violation is None or violation.index < self.violation.index:
-            self.violation = violation
 
     # -- verdict -------------------------------------------------------------
 
@@ -275,7 +240,7 @@ class Session:
         instead, which is always correct, just slower.
         """
         monitor_state = None
-        monitor = self.monitors.get(self.lane())
+        monitor = self.monitor
         if monitor is not None:
             if monitor.alive and monitor._dstate is None:
                 return None
@@ -340,7 +305,7 @@ class Session:
                 if dstate >= len(monitor.dense.states):
                     return False
                 monitor.state = monitor.dense.states[dstate]
-        self.monitors[self.lane()] = monitor
+        self.monitor = monitor
         return True
 
 

@@ -14,9 +14,8 @@ binds (but never listens on) one extra reservation socket so an
 ephemeral ``port=0`` resolves to a concrete port before workers start.
 
 Any spread of connections over workers is correct: one connection is
-one session, checked alone against its spec, and lands on exactly one
-worker, where the shard pool still routes (session, callee) keys and
-pins coupled callees whole-session.  Durable session keys do not need
+one session, checked alone against its spec by one monitor, and lands
+on exactly one worker.  Durable session keys do not need
 sticky routing either: recovery indexes every worker's logs
 incrementally and opens the key's snapshot by name in every worker
 directory, so a resumed session replays its history no matter which

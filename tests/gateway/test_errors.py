@@ -80,6 +80,30 @@ CASES = [
         "BadRequestError",
     ),
     (
+        "JSON body nested too deeply to parse",
+        "POST",
+        "/v1/sessions/x/events",
+        b"[" * 100_000 + b"]" * 100_000,
+        400,
+        "BadRequestError",
+    ),
+    (
+        "non-boolean durable",
+        "POST",
+        "/v1/sessions/x/events",
+        {"spec": "A", "event": EVENT, "durable": "no"},
+        400,
+        "BadRequestError",
+    ),
+    (
+        "non-boolean force in a JSON document body",
+        "PUT",
+        "/v1/documents/A",
+        {"text": DOC, "force": "no"},
+        400,
+        "BadRequestError",
+    ),
+    (
         "both event and events given",
         "POST",
         "/v1/sessions/x/events",

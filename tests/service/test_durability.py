@@ -237,7 +237,7 @@ class TestRecover:
         assert state.received == received
         assert state.next_lsn == next_lsn
         assert state.status().violation_index is None
-        assert state.monitors
+        assert state.monitor is not None
 
     def test_replay_restores_a_violation(self, tmp_path, registry):
         store = WorkerStore(tmp_path)
@@ -315,7 +315,7 @@ class TestRecover:
         assert replayed == len(WRITE_LINES) + 1  # + the BIND record
 
         # now snapshot the final state: recovery replays nothing
-        (monitor,) = full.monitors.values()
+        monitor = full.monitor
         payload = {
             "key": "k",
             "spec": "Write",

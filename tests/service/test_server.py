@@ -45,14 +45,30 @@ VIOLATING_SCRIPT = [
 ]
 VIOLATION_INDEX = 2
 
+# the same violation among events to callees outside Write's alphabet
+# (only ``o`` is in it): skipped, yet counted in the global index
+MULTI_CALLEE_SCRIPT = [
+    "w9 -> o : OW",
+    "w9 -> p1 : OW",
+    "w9 -> o : W(Data:d1)",
+    "w9 -> p2 : W(Data:d1)",
+    "intruder -> o : W(Data:d1)",
+    "w9 -> p3 : CW",
+    "w9 -> o : CW",
+    "w9 -> p4 : OW",
+]
+MULTI_CALLEE_VIOLATION_INDEX = 4
+
 
 @pytest.fixture(scope="module")
 def registry(cast) -> SpecRegistry:
     return SpecRegistry([cast.write(), cast.read2()])
 
 
-async def _session(port: int, spec: str, lines: list[str]) -> SessionStatus:
-    async with MonitorClient("127.0.0.1", port, spec=spec) as client:
+async def _session(
+    port: int, spec: str, lines: list[str], proto: int = 1
+) -> SessionStatus:
+    async with MonitorClient("127.0.0.1", port, spec=spec, proto=proto) as client:
         for line in lines:
             await client.send_event(line)
         return await client.status()
@@ -117,10 +133,79 @@ class TestEndToEnd:
     def test_verdicts_independent_of_shard_count(self, registry, shards):
         async def run():
             async with MonitorServer(registry, shards=shards) as server:
-                return await _session(server.port, "Write", VIOLATING_SCRIPT)
+                return [
+                    await _session(server.port, "Write", script, proto)
+                    for script in (VIOLATING_SCRIPT, MULTI_CALLEE_SCRIPT)
+                    for proto in (1, 2)
+                ]
 
-        status = asyncio.run(run())
-        assert status.violation_index == VIOLATION_INDEX
+        plain, plain_binary, multi, multi_binary = asyncio.run(run())
+        assert plain.violation_index == VIOLATION_INDEX
+        assert multi.violation_index == MULTI_CALLEE_VIOLATION_INDEX
+        assert multi.skipped == 4 and multi.events == len(MULTI_CALLEE_SCRIPT)
+        # text and the binary framing agree on the same stream
+        assert plain_binary == plain
+        assert multi_binary == multi
+
+    def test_one_monitor_per_session(self, cast):
+        """One bind, one monitor; a sync flushes the session's one shard."""
+        registry = SpecRegistry([cast.write()])
+        created = []
+        new_monitor_for = registry.new_monitor_for
+
+        def counting(compiled):
+            created.append(compiled.name)
+            return new_monitor_for(compiled)
+
+        registry.new_monitor_for = counting
+        flushed: list[list[int]] = []
+
+        async def run():
+            async with MonitorServer(registry, shards=8) as server:
+                flush = server.pool.flush
+
+                async def recording(shard_ids=None):
+                    flushed.append(sorted(set(shard_ids)))
+                    await flush(shard_ids)
+
+                server.pool.flush = recording
+                async with MonitorClient("127.0.0.1", server.port) as client:
+                    statuses = []
+                    for _ in range(2):  # SPEC on a plain session rebinds
+                        await client.use_spec("Write")
+                        for line in MULTI_CALLEE_SCRIPT:
+                            await client.send_event(line)
+                        statuses.append(await client.status())
+                    return statuses
+
+        statuses = asyncio.run(run())
+        assert len({line.split()[2] for line in MULTI_CALLEE_SCRIPT}) >= 4
+        assert created == ["Write", "Write"]
+        assert flushed and all(len(ids) == 1 for ids in flushed)
+        for status in statuses:
+            assert status.violation_index == MULTI_CALLEE_VIOLATION_INDEX
+            assert status.skipped == 4
+
+    @pytest.mark.parametrize(
+        "head", [b"EVENT ", b"UPDATE lines=1\n"], ids=["event", "update-body"]
+    )
+    def test_over_long_line_is_refused_and_closes(self, registry, head):
+        async def run():
+            async with MonitorServer(registry, shards=1) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(head + b"x" * 100_000 + b"\nSTATUS\n")
+                await writer.drain()
+                reply = await reader.readline()
+                rest = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return reply, rest
+
+        reply, rest = asyncio.run(run())
+        assert reply == b"ERR line too long\n"
+        assert rest == b""  # closed: the line's tail never ran as commands
 
 
 class TestProtocolBehaviour:

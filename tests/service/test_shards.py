@@ -1,45 +1,30 @@
-"""Tests for the shard pool: stable routing, per-key FIFO, barriers."""
+"""Tests for the shard pool: per-shard FIFO, barriers, surviving workers."""
 
 import asyncio
-import zlib
 
 import pytest
 
-from repro.service.shards import ShardPool, shard_index
-
-
-class TestShardIndex:
-    def test_stable_across_calls(self):
-        assert shard_index("o", 4) == shard_index("o", 4)
-        assert shard_index("o", 4) == zlib.crc32(b"o") % 4
-
-    def test_single_shard_takes_everything(self):
-        assert shard_index("anything", 1) == 0
-
-    def test_distributes_over_keys(self):
-        shards = {shard_index(f"obj{i}", 8) for i in range(64)}
-        assert len(shards) > 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            shard_index("o", 0)
-        with pytest.raises(ValueError):
-            ShardPool(0)
+from repro.obs.registry import use_registry
+from repro.service.shards import ShardPool
 
 
 class TestPool:
+    def test_rejects_nonpositive_shard_count(self):
+        with pytest.raises(ValueError):
+            ShardPool(0)
+
     def test_per_key_order_preserved(self):
         async def run():
             pool = ShardPool(4)
             await pool.start()
-            seen: dict[str, list[int]] = {}
+            seen: dict[int, list[int]] = {}
             for i in range(200):
-                key = f"obj{i % 7}"
+                shard = i % pool.shards
 
-                def record(key=key, i=i):
-                    seen.setdefault(key, []).append(i)
+                def record(shard=shard, i=i):
+                    seen.setdefault(shard, []).append(i)
 
-                await pool.submit(key, record)
+                await pool.submit_to(shard, record)
             await pool.flush()
             await pool.stop()
             return seen
@@ -55,7 +40,7 @@ class TestPool:
             await pool.start()
             done = []
             for i in range(50):
-                await pool.submit(f"k{i}", lambda i=i: done.append(i))
+                await pool.submit_to(i % 2, lambda i=i: done.append(i))
             await pool.flush()
             count_at_barrier = len(done)
             await pool.stop()
@@ -72,22 +57,25 @@ class TestPool:
                 raise RuntimeError("thunk failed")
 
             ok = []
-            await pool.submit("k", boom)
-            await pool.submit("k", lambda: ok.append(1))
+            await pool.submit_to(0, boom)
+            await pool.submit_to(0, lambda: ok.append(1))
             await pool.flush()
             await pool.stop()
-            return pool.task_errors, ok
+            return ok
 
-        errors, ok = asyncio.run(run())
-        assert errors == 1 and ok == [1]
+        with use_registry() as registry:
+            ok = asyncio.run(run())
+        assert ok == [1]
+        assert registry.counter("repro_shard_task_errors_total").value == 1
+        assert registry.counter("repro_shard_tasks_total").value == 2
 
     def test_flush_subset_of_shards(self):
         async def run():
             pool = ShardPool(4)
             await pool.start()
             hit = []
-            shard = await pool.submit("only-key", lambda: hit.append(1))
-            await pool.flush({shard})
+            await pool.submit_to(2, lambda: hit.append(1))
+            await pool.flush({2})
             assert hit == [1]
             await pool.stop()
 

@@ -1,4 +1,4 @@
-"""Scenario-corpus packaging: registries, claims, and coupled routing."""
+"""Scenario-corpus packaging: registries and claims."""
 
 import pytest
 
@@ -31,14 +31,6 @@ class TestCorpusShape:
             assert scenario.monitored in registry.names()
             assert len(registry.names()) >= 3  # monitored spec plus views
             assert compiled.dense is not None  # generator prerequisite
-
-    def test_monitored_specs_are_coupled_multiparty(self, compiled_by_scenario):
-        # Every corpus protocol involves several callees in one spec, so
-        # the per-callee shard routing must treat its sessions as coupled
-        # (the whole session pinned to one shard).
-        for name in SCENARIO_NAMES:
-            _, compiled = compiled_by_scenario[name]
-            assert compiled.coupled, name
 
 
 class TestClaims:
