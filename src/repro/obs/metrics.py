@@ -357,20 +357,30 @@ class ServiceMetrics:
         hist.observe(seconds)
         self._h_check.observe(seconds)
 
-    def record_event(self, spec: str, seconds: float, *, skipped: bool) -> None:
-        """One event checked (or projected away) for ``spec``."""
-        self.events_observed += 1
-        self._c_events.inc()
+    def record_event(
+        self, spec: str, seconds: float, *, events: int = 1, skipped: int = 0
+    ) -> None:
+        """``events`` events checked for ``spec`` in ``seconds`` in all.
+
+        ``skipped`` of them were outside the alphabet.  A text run is one
+        call: counters move by the run's counts, and the histograms take
+        ``events`` observations of the mean per-event latency, so their
+        count stays one per event.
+        """
+        self.events_observed += events
+        self._c_events.inc(events)
         if skipped:
-            self.events_skipped += 1
-            self._c_skipped.inc()
-        else:
-            self._c_steps.inc()
+            self.events_skipped += skipped
+            self._c_skipped.inc(skipped)
+        if events > skipped:
+            self._c_steps.inc(events - skipped)
         hist = self.latency.get(spec)
         if hist is None:
             hist = self.latency[spec] = LatencyHistogram()
-        hist.observe(seconds)
-        self._h_check.observe(seconds)
+        if events > 1:
+            seconds /= events
+        hist.observe(seconds, events)
+        self._h_check.observe(seconds, events)
 
     def record_malformed(self, n: int = 1) -> None:
         self.events_malformed += n

@@ -110,10 +110,11 @@ class Histogram:
         self.count = 0
         self.total = 0.0
 
-    def observe(self, seconds: float) -> None:
-        self.counts[bisect.bisect_left(self.bounds, seconds)] += 1
-        self.count += 1
-        self.total += seconds
+    def observe(self, seconds: float, n: int = 1) -> None:
+        """Record ``n`` observations of ``seconds`` each."""
+        self.counts[bisect.bisect_left(self.bounds, seconds)] += n
+        self.count += n
+        self.total += seconds * n
 
     @property
     def mean(self) -> float:

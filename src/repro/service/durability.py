@@ -469,7 +469,8 @@ def recover(
 
     Replay feeds every surviving record through the same
     :class:`~repro.service.session.Session` calls the live handlers make,
-    stepping inline instead of on a shard — so counters, the dense
+    stepping inline instead of on a shard (each ``REC_LINE`` as a run of
+    one, which steps like any longer run) — so counters, the dense
     state, and the first-violation index land exactly where the
     uninterrupted run put them.  The ``received`` watermark makes the
     replay idempotent: inputs the snapshot already covers are skipped,
@@ -526,7 +527,7 @@ def recover(
                     record.body.decode("utf-8", errors="replace")
                 )
                 if pending is not None:
-                    session.step_event(*pending)
+                    session.step_run([pending])
             elif record.opcode == REC_IDS:
                 pending = session.accept_ids(record.body, skip)
                 if pending is not None:

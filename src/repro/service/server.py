@@ -140,6 +140,9 @@ class MonitorServer:
         self._requested_port = port
         self._server: asyncio.AbstractServer | None = None
         self._session_seq = 0
+        #: Each session's open text run: accepted events handed to its
+        #: shard but not yet stepped, which later lines may join.
+        self._runs: dict[Session, list] = {}
         self._conn_tasks: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
         self._dump_task: asyncio.Task | None = None
@@ -736,6 +739,15 @@ class MonitorServer:
 
         Problems never elicit a reply (events pipeline without per-event
         round-trips); they are surfaced by the next synchronising verb.
+        An accepted event joins the session's open run (``_runs``): the
+        events already handed to its shard but not yet stepped.  Only the
+        first event of a run submits it.  The worker closes the run when
+        it starts stepping it, in one :meth:`Session.step_run` call and
+        one accounting call, so a burst of lines costs one queue hop.  A
+        run holds at most ``DEFAULT_QUEUE_SIZE`` events, so a shard holds
+        at most that many runs of that many events.  An ``EVENTS`` batch
+        closes the open run, and every barrier flushes the shard, so no
+        run spans a bind, a reset, a snapshot or a batch.
         """
         durable = session.key is not None
         if durable and session.since_snapshot >= self.snapshot_every:
@@ -754,14 +766,24 @@ class MonitorServer:
             if session.errors > errors:
                 self.metrics.record_malformed()
             return
-        monitor, event, index, lid = pending
+        runs = self._runs
+        run = runs.get(session)
+        if run is not None and len(run) < DEFAULT_QUEUE_SIZE:
+            run.append(pending)
+            return
+        # Opened before the await: a full queue yields to the worker.
+        run = runs[session] = [pending]
         spec_name = session.compiled.name
         metrics = self.metrics
 
         def check() -> None:
+            if runs.get(session) is run:
+                del runs[session]
             start = metrics.clock()
-            skipped, violated = session.step_event(monitor, event, index, lid)
-            metrics.record_event(spec_name, metrics.clock() - start, skipped=skipped)
+            skipped, violated = session.step_run(run)
+            metrics.record_event(
+                spec_name, metrics.clock() - start, events=len(run), skipped=skipped
+            )
             if violated:
                 metrics.record_violation()
 
@@ -774,7 +796,8 @@ class MonitorServer:
         :class:`~repro.service.wire.FrameError` (the loop answers with an
         ``ERR`` frame).  The whole batch becomes *one* shard-queue thunk
         and one monitor call — the amortisation the binary protocol
-        exists for.
+        exists for.  It closes the session's open text run, so later
+        ``EVENT`` frames cannot step ahead of it.
         """
         durable = session.key is not None
         if durable and session.since_snapshot >= self.snapshot_every:
@@ -789,6 +812,7 @@ class MonitorServer:
             self.metrics.record_malformed(session.errors - errors)
         if pending is None:
             return
+        self._runs.pop(session, None)
         monitor, ids, base = pending
         n = len(ids)
         spec_name = session.compiled.name

@@ -14,10 +14,13 @@ assigns session-global event indices — in arrival order, which is why
 the server accepts on its event loop before any queue hop.  A text line
 that is a wire-safe letter's canonical line resolves through the bound
 spec's ``line_ids`` table, like a binary letter id; only other lines
-are parsed.  *Stepping* (:meth:`Session.step_event`,
-:meth:`Session.step_ids`) feeds an accepted input to the session's one
+are parsed.  *Stepping* (:meth:`Session.step_run`,
+:meth:`Session.step_ids`) feeds accepted inputs to the session's one
 monitor and keeps its first violation; the server runs it on the
-session's shard FIFO, replay inline.
+session's shard FIFO, replay inline.  Accepted text events step in
+*runs*: the server hands a burst of consecutive ones to the shard once
+and :meth:`Session.step_run` steps them in one call; replay steps each
+line as a run of one.
 
 The snapshot format lives here too, writer and reader side by side:
 :meth:`Session.snapshot`, :func:`snapshot_ok` and :meth:`Session.restore`.
@@ -184,16 +187,22 @@ class Session:
             self.monitor = self.registry.new_monitor_for(self.compiled)
         return self.monitor
 
-    def step_event(
-        self, monitor: SpecMonitor, event, index: int, lid: int | None = None
-    ) -> tuple[bool, bool]:
-        """Step one accepted event: (outside the alphabet, first violation)."""
+    def step_run(self, run) -> tuple[int, bool]:
+        """Step accepted events: (how many were outside the alphabet, first violation).
+
+        ``run`` is a list of :meth:`accept_line` tuples in index order.
+        The server never lets a run span a bind or a reset, so they all
+        carry one monitor.  Each event steps through
+        :meth:`SpecMonitor.observe` with the letter id the door resolved.
+        """
+        monitor = run[0][0]
         was_ok = not monitor.violations
         skipped_before = monitor.skipped
-        monitor.observe(event, index=index, lid=lid)
-        skipped = monitor.skipped > skipped_before
-        if skipped:
-            self.skipped += 1
+        observe = monitor.observe
+        for _monitor, event, index, lid in run:
+            observe(event, index=index, lid=lid)
+        skipped = monitor.skipped - skipped_before
+        self.skipped += skipped
         if was_ok and monitor.violations:
             self.violation = monitor.violations[-1]
             return skipped, True

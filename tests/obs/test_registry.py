@@ -56,6 +56,14 @@ class TestMetricObjects:
         assert snap["buckets"]["overflow"] == 1
         assert snap["mean_seconds"] == pytest.approx(100.05 / 4)
 
+    def test_histogram_weighted_observation(self):
+        h = Histogram(bounds=(0.1, 1.0))
+        h.observe(0.5, 3)
+        h.observe(0.05)
+        assert h.counts == [1, 3, 0]
+        assert h.count == 4
+        assert h.total == pytest.approx(1.55)
+
 
 class TestRegistry:
     def test_same_object_per_name_and_labels(self):

@@ -37,6 +37,7 @@ from repro.service.durability import (
     scan_records,
 )
 from repro.service import wire
+from repro.service.protocol import parse_reply
 from repro.workload.generator import FaultSpec, StreamSession
 from repro.workload.scenarios import all_scenarios, get_scenario
 
@@ -650,6 +651,67 @@ class TestReplayLaw:
 
         baseline, resumed = asyncio.run(run())
         assert _verdict(resumed) == _verdict(baseline)
+
+    @pytest.mark.parametrize("stream", ["clean", "noisy"])
+    @pytest.mark.parametrize(
+        "scenario_name", [s.name for s in all_scenarios()]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pipelined_text_burst_recovers_to_live_status(
+        self, tmp_path, scenario_name, seed, stream
+    ):
+        """Every line in one write, with snapshot points inside the burst.
+
+        ``snapshot_every`` is far below the write, so the snapshot
+        trigger's flush lands between runs of one burst.  A copy of the
+        data dir taken right after the live ``STATUS`` is what a killed
+        process leaves: recovering it gives the live status, with or
+        without its snapshot, and the log holds one ``REC_LINE`` per line.
+        """
+        scenario, registry, lines = _scenario_lines(scenario_name, seed)
+        if stream == "noisy":
+            lines = _noisy(lines, random.Random(f"{scenario_name}:{seed}"))
+        key = f"burst:{scenario_name}:{seed}"
+        request = [
+            f"HELLO session={key}",
+            f"SPEC {scenario.monitored}",
+            *("RESET" if line is None else f"EVENT {line}" for line in lines),
+            "STATUS",
+        ]
+        replies = sum(1 for line in request if not line.startswith("EVENT "))
+        killed = tmp_path / "killed"
+
+        async def run():
+            async with MonitorServer(
+                registry,
+                shards=2,
+                data_dir=tmp_path / "live",
+                fsync_every=4,
+                snapshot_every=8,
+            ) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(("\n".join(request) + "\n").encode())
+                await writer.drain()
+                for _ in range(replies):
+                    reply = await reader.readline()
+                shutil.copytree(tmp_path / "live", killed)
+                writer.close()
+                await writer.wait_closed()
+                return parse_reply(reply.decode()).status
+
+        live = asyncio.run(run())
+        records = scan_records(killed, key)
+        assert [r.opcode for r in records].count(REC_LINE) == sum(
+            line is not None for line in lines
+        )
+        snapshot = load_best_snapshot(killed, key)
+        assert 0 < snapshot["lsn"] < len(records)
+        assert recover(killed, key, scenario.registry()).status() == live
+        for snap_dir in killed.glob("worker-*/snapshots"):
+            shutil.rmtree(snap_dir)
+        assert recover(killed, key, scenario.registry()).status() == live
 
     @pytest.mark.parametrize("proto", [1, 2])
     def test_client_auto_resume_across_restart(self, tmp_path, proto, cast):

@@ -133,7 +133,7 @@ def _stream(compiled, lines, session):
             continue
         pending = session.accept_line(line)
         if pending is not None:
-            session.step_event(*pending)
+            session.step_run([pending])
     return session
 
 

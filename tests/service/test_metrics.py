@@ -3,6 +3,8 @@
 import asyncio
 import io
 
+import pytest
+
 from repro.obs.metrics import CheckerMetrics, ServiceMetrics
 from repro.obs.registry import LatencyHistogram
 
@@ -44,6 +46,16 @@ class TestServiceMetrics:
         assert snap["violations"] == 1
         assert set(snap["latency"]) == {"Read2", "Write"}
         assert snap["latency"]["Write"]["count"] == 2
+
+    def test_a_run_is_one_call_with_per_event_counts(self):
+        metrics = ServiceMetrics()
+        metrics.record_event("Write", 8e-6, events=4, skipped=1)
+        snap = metrics.snapshot()
+        assert snap["events_observed"] == 4
+        assert snap["events_skipped"] == 1
+        latency = snap["latency"]["Write"]
+        assert latency["count"] == 4
+        assert latency["mean_seconds"] == pytest.approx(2e-6)
 
     def test_session_counters(self):
         metrics = ServiceMetrics()

@@ -50,10 +50,10 @@ class TestMetricsVerb:
         assert samples["repro_monitor_events_total"][""] == len(WRITE_SESSION)
         assert sum(samples["repro_monitor_steps_total"].values()) > 0
 
-        # shard layer: every event stepped as one task on the session's shard
-        assert sum(samples["repro_shard_tasks_total"].values()) >= len(
-            WRITE_SESSION
-        )
+        # shard layer: the events stepped in runs, at least one task and
+        # at most one per event
+        tasks = sum(samples["repro_shard_tasks_total"].values())
+        assert 1 <= tasks <= len(WRITE_SESSION)
 
         # registry layer: interned-machine gauges are present and non-zero
         assert samples["repro_interned_machines"][""] >= 1
