@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 from pathlib import Path
+from typing import Awaitable
 
 from repro.core.errors import ReproError
 from repro.obs.metrics import ServiceMetrics, declare_cache_counters
@@ -56,17 +57,113 @@ _REPLY_OPS = {"OK": wire.OP_OK, "ERR": wire.OP_ERR, "VIOLATION": wire.OP_VIOLATI
 #: Seconds an over-long line's sender gets to read the refusal.
 _LINGER_S = 1.0
 
+#: The longest text line, newline excluded (docs/wire-protocol.md); also
+#: the most one socket read takes.
+_LINE_LIMIT = 1 << 16
+
+#: The most a scrape's request head may hold, newlines included.
+_SCRAPE_HEAD_LIMIT = 1 << 16
+
 
 class _LineTooLong(Exception):
     """A text line past the reader's limit: its tail would read as commands."""
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    """One raw text line (empty at EOF); raises :class:`_LineTooLong`."""
-    try:
-        return await reader.readline()
-    except ValueError as exc:  # asyncio's limit overrun
-        raise _LineTooLong() from exc
+class _TextReader:
+    """Whole text lines out of one stream, one socket read per arrival.
+
+    When no whole line is buffered, :meth:`readline` takes whatever has
+    arrived (one ``read``) and splits it at ``\\n``; :meth:`next_line`
+    hands the buffered lines out with no ``await``.  Both behave as
+    ``StreamReader.readline``: a line longer than ``_LINE_LIMIT`` bytes
+    raises :class:`_LineTooLong` only when it is reached, so the lines
+    before it apply first, and an unterminated last line is still a line
+    at EOF.  After a ``HELLO proto=2`` upgrade :meth:`readexactly` serves
+    what is buffered, then reads the stream directly.
+    """
+
+    __slots__ = ("_stream", "_lines", "_pos", "_tail")
+
+    def __init__(self, stream: asyncio.StreamReader) -> None:
+        self._stream = stream
+        self._lines: list[bytes] = []
+        self._pos = 0
+        #: The bytes after the last newline: the start of the next line.
+        self._tail = b""
+
+    def next_line(self) -> bytes | None:
+        """The next buffered line, newline stripped; None if none is whole."""
+        pos = self._pos
+        if pos < len(self._lines):
+            self._pos = pos + 1
+            line = self._lines[pos]
+            if len(line) > _LINE_LIMIT:
+                raise _LineTooLong()
+            return line
+        if len(self._tail) > _LINE_LIMIT:
+            raise _LineTooLong()
+        return None
+
+    async def _fill(self) -> bool:
+        """Read what has arrived; call it once every line is handed out.
+
+        False at EOF with nothing left; at EOF an unterminated tail
+        becomes the last line.
+        """
+        data = await self._stream.read(_LINE_LIMIT)
+        tail = self._tail
+        if not data:
+            if not tail:
+                return False
+            self._lines, self._pos, self._tail = [tail], 0, b""
+            return True
+        lines = (tail + data if tail else data).split(b"\n")
+        self._tail = lines.pop()
+        self._lines, self._pos = lines, 0
+        return True
+
+    async def readline(self) -> bytes | None:
+        """The next line, reading as needed; None at EOF."""
+        line = self.next_line()
+        while line is None and await self._fill():
+            line = self.next_line()
+        return line
+
+    def readexactly(self, n: int) -> Awaitable[bytes]:
+        """``n`` bytes: the buffered ones first, then the stream's own."""
+        if self._pos < len(self._lines):
+            rest = self._lines[self._pos:]
+            self._tail = b"\n".join(rest) + b"\n" + self._tail
+            self._lines, self._pos = [], 0
+        if not self._tail:
+            return self._stream.readexactly(n)
+        return self._take(n)
+
+    async def _take(self, n: int) -> bytes:
+        buffered = self._tail
+        if len(buffered) >= n:
+            self._tail = buffered[n:]
+            return buffered[:n]
+        self._tail = b""
+        try:
+            return buffered + await self._stream.readexactly(n - len(buffered))
+        except asyncio.IncompleteReadError as exc:
+            raise asyncio.IncompleteReadError(buffered + exc.partial, n) from None
+
+
+async def _refuse(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, reply: bytes
+) -> None:
+    """Send a last reply on an unsyncable stream and close, lingering.
+
+    Closing on unread input would reset the connection, which can
+    discard the reply before the peer reads it.
+    """
+    with contextlib.suppress(ConnectionError, asyncio.TimeoutError):
+        writer.write(reply)
+        await writer.drain()
+        writer.write_eof()
+        await asyncio.wait_for(_discard(reader), _LINGER_S)
 
 
 async def _discard(reader: asyncio.StreamReader) -> None:
@@ -265,12 +362,23 @@ class MonitorServer:
         self._conn_writers.add(writer)
         self._session_seq += 1
         session = Session(self.registry, self._session_seq % self.pool.shards)
+        text = _TextReader(reader)
         try:
             while True:
-                raw = await _read_line(reader)
-                if not raw:
-                    break
+                raw = text.next_line()
+                if raw is None:
+                    raw = await text.readline()
+                    if raw is None:
+                        break
                 line = raw.decode("utf-8", errors="replace").strip()
+                if line.startswith("EVENT "):
+                    # The hot path: no Command, and no await unless the
+                    # accept must wait.  The argument is what
+                    # parse_command would give.
+                    waiting = self._accept_event(session, line[6:].lstrip())
+                    if waiting is not None:
+                        await waiting
+                    continue
                 if not line:
                     continue
                 try:
@@ -279,29 +387,26 @@ class MonitorServer:
                     if verb == "UPDATE":
                         # The lines=<n> form reads its document body off
                         # the same reader.
-                        arg = await self._read_update(arg, reader)
+                        arg = await self._read_update(arg, text)
                 except ProtocolError as exc:
                     await self._reply(writer, f"ERR {exc}")
                     continue
                 if verb == "EVENT":
-                    await self._handle_event(session, arg)
+                    waiting = self._accept_event(session, arg)
+                    if waiting is not None:
+                        await waiting
                 elif verb == "HELLO":
                     session = await self._hello(session, arg, writer)
                     if session.proto >= 2:
-                        await self._binary_loop(session, reader, writer)
+                        await self._binary_loop(session, text, writer)
                         break
                 elif verb == "UPDATE" and arg is None:
                     break  # EOF inside the announced body
                 elif await self._handle_sync(session, verb, arg, writer):
                     break
         except _LineTooLong:
-            # The stream cannot resync, so refuse and close, lingering:
-            # closing on the line's unread tail would reset the
-            # connection, which can discard the reply before it is read.
-            with contextlib.suppress(ConnectionError, asyncio.TimeoutError):
-                await self._reply(writer, "ERR line too long")
-                writer.write_eof()
-                await asyncio.wait_for(_discard(reader), _LINGER_S)
+            # The stream cannot resync, so refuse and close.
+            await _refuse(reader, writer, b"ERR line too long\n")
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -474,20 +579,31 @@ class MonitorServer:
         full dump, the connection closes after one response — which is all
         a Prometheus scraper (or ``curl``) needs.
         """
+        head = _TextReader(reader)
+        size = 0
         try:
-            while True:  # drain the request head; body-less GETs only
-                line = await reader.readline()
-                if not line or line in (b"\r\n", b"\n"):
-                    break
+            # Drain the request head (body-less GETs only), bounded in
+            # total: a peer may not keep the endpoint reading forever.
+            while (line := await head.readline()) not in (None, b"", b"\r"):
+                size += len(line) + 1
+                if size > _SCRAPE_HEAD_LIMIT:
+                    raise _LineTooLong()
             body = get_registry().format_prometheus().encode("utf-8")
-            head = (
+            writer.write(
                 b"HTTP/1.0 200 OK\r\n"
                 b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
                 + f"Content-Length: {len(body)}\r\n".encode("ascii")
                 + b"Connection: close\r\n\r\n"
+                + body
             )
-            writer.write(head + body)
             await writer.drain()
+        except _LineTooLong:
+            await _refuse(
+                reader,
+                writer,
+                b"HTTP/1.0 431 Request Header Fields Too Large\r\n"
+                b"Content-Length: 0\r\nConnection: close\r\n\r\n",
+            )
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -569,7 +685,7 @@ class MonitorServer:
         """Hot-swap the registry from a scenario or document; OK detail.
 
         Existing sessions keep draining on the ``CompiledSpec`` they
-        bound (monitors are pinned — see :meth:`_handle_event`); new
+        bound (monitors are pinned — see :meth:`_accept_event`); new
         binds pick up the swapped machines, and the purge below makes a
         binary rebind sync the new letter table instead of a stale
         frame.  Raises :class:`ReproError` on unknown scenarios or
@@ -595,7 +711,7 @@ class MonitorServer:
 
     @staticmethod
     async def _read_update(
-        arg: str, reader: asyncio.StreamReader
+        arg: str, text: _TextReader
     ) -> tuple[str | None, str | None, bool] | None:
         """Decode a text ``UPDATE``; None when EOF truncated the body.
 
@@ -629,10 +745,10 @@ class MonitorServer:
             return scenario, None, force
         body: list[str] = []
         for _ in range(count):
-            raw = await _read_line(reader)
-            if not raw:
+            raw = await text.readline()
+            if raw is None:
                 return None  # client vanished mid-body
-            body.append(raw.decode("utf-8", errors="replace").rstrip("\r\n"))
+            body.append(raw.decode("utf-8", errors="replace").rstrip("\r"))
         return None, "\n".join(body), force
 
     # -- binary framing (proto >= 2) -----------------------------------------
@@ -664,10 +780,13 @@ class MonitorServer:
     async def _binary_loop(
         self,
         session: Session,
-        reader: asyncio.StreamReader,
+        text: _TextReader,
         writer: asyncio.StreamWriter,
     ) -> None:
         """Serve framed requests until ``BYE``, EOF, or an unsyncable frame.
+
+        Frames are read through the connection's text reader, which first
+        serves the bytes it buffered past the ``HELLO`` line.
 
         Error handling mirrors the framing guarantees: a malformed
         *payload* of a well-framed message elicits an ``ERR`` frame and
@@ -677,7 +796,7 @@ class MonitorServer:
         """
         while True:
             try:
-                opcode, payload = await wire.read_frame(reader)
+                opcode, payload = await wire.read_frame(text)
             except asyncio.IncompleteReadError:
                 return  # clean EOF between frames: client vanished
             except wire.FrameError as exc:
@@ -704,7 +823,9 @@ class MonitorServer:
             return False
         text = payload.decode("utf-8", errors="replace")
         if opcode == wire.OP_EVENT:
-            await self._handle_event(session, text)
+            waiting = self._accept_event(session, text)
+            if waiting is not None:
+                await waiting
             return False
         verb = _FRAME_VERBS.get(opcode)
         if verb is None:
@@ -734,26 +855,33 @@ class MonitorServer:
 
     # -- event ingest --------------------------------------------------------
 
-    async def _handle_event(self, session: Session, arg: str) -> None:
-        """Feed one event: silent on success, counted on failure.
+    def _accept_event(
+        self, session: Session, arg: str, *, snapshotted: bool = False
+    ) -> Awaitable[None] | None:
+        """Feed one event; an awaitable only when the caller must wait.
 
-        Problems never elicit a reply (events pipeline without per-event
-        round-trips); they are surfaced by the next synchronising verb.
-        An accepted event joins the session's open run (``_runs``): the
-        events already handed to its shard but not yet stepped.  Only the
-        first event of a run submits it.  The worker closes the run when
-        it starts stepping it, in one :meth:`Session.step_run` call and
-        one accounting call, so a burst of lines costs one queue hop.  A
-        run holds at most ``DEFAULT_QUEUE_SIZE`` events, so a shard holds
-        at most that many runs of that many events.  An ``EVENTS`` batch
-        closes the open run, and every barrier flushes the shard, so no
-        run spans a bind, a reset, a snapshot or a batch.
+        Silent on success, counted on failure: problems never elicit a
+        reply (events pipeline without per-event round-trips); they are
+        surfaced by the next synchronising verb.  An accepted event joins
+        the session's open run (``_runs``): the events already handed to
+        its shard but not yet stepped.  Only the first event of a run
+        submits it, and that ``submit_to`` is what the caller awaits; a
+        durable session's due snapshot is the other wait.  The worker
+        closes the run when it starts stepping it, in one
+        :meth:`Session.step_run` call and one accounting call, so a burst
+        of lines costs one queue hop.  A run holds at most
+        ``DEFAULT_QUEUE_SIZE`` events, so a shard holds at most that many
+        runs of that many events.  An ``EVENTS`` batch closes the open
+        run, and every barrier flushes the shard, so no run spans a bind,
+        a reset, a snapshot or a batch.
         """
         durable = session.key is not None
-        if durable and session.since_snapshot >= self.snapshot_every:
-            # Before accepting: the checkpoint covers exactly the records
-            # before this input, all already applied.
-            await self._snapshot_session(session)
+        if (
+            durable
+            and not snapshotted
+            and session.since_snapshot >= self.snapshot_every
+        ):
+            return self._snapshot_then_accept(session, arg)
         received, errors = session.received, session.errors
         pending = session.accept_line(arg)
         if durable:
@@ -765,13 +893,13 @@ class MonitorServer:
         if pending is None:
             if session.errors > errors:
                 self.metrics.record_malformed()
-            return
+            return None
         runs = self._runs
         run = runs.get(session)
         if run is not None and len(run) < DEFAULT_QUEUE_SIZE:
             run.append(pending)
-            return
-        # Opened before the await: a full queue yields to the worker.
+            return None
+        # Opened before the caller awaits: a full queue yields to the worker.
         run = runs[session] = [pending]
         spec_name = session.compiled.name
         metrics = self.metrics
@@ -787,7 +915,15 @@ class MonitorServer:
             if violated:
                 metrics.record_violation()
 
-        await self.pool.submit_to(session.shard, check)
+        return self.pool.submit_to(session.shard, check)
+
+    async def _snapshot_then_accept(self, session: Session, arg: str) -> None:
+        # Before accepting: the checkpoint covers exactly the records
+        # before this input, all already applied.
+        await self._snapshot_session(session)
+        waiting = self._accept_event(session, arg, snapshotted=True)
+        if waiting is not None:
+            await waiting
 
     async def _handle_events(self, session: Session, payload: bytes) -> None:
         """Feed one ``EVENTS`` batch: silent on success, like text ``EVENT``.

@@ -2,6 +2,8 @@
 
 import asyncio
 
+import pytest
+
 from repro.obs.registry import use_registry
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 
@@ -125,6 +127,38 @@ class TestScrapeEndpoint:
             if l.lower().startswith(b"content-length")
         )
         assert length == len(body)
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /" + b"x" * 100_000 + b" HTTP/1.0\r\n\r\n",
+            b"GET /metrics HTTP/1.0\r\n"
+            + (b"X-Filler: " + b"y" * 50 + b"\r\n") * 2_000
+            + b"\r\n",
+        ],
+        ids=["long-request-line", "endless-headers"],
+    )
+    def test_request_head_is_bounded_at_64_kib(self, cast, request_head):
+        """A head past 64 KiB gets a 431 and a close, not a traceback."""
+
+        async def run() -> bytes:
+            with use_registry():
+                registry = SpecRegistry([cast.write()])
+                async with MonitorServer(
+                    registry, shards=1, metrics_port=0
+                ) as server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.metrics_port
+                    )
+                    writer.write(request_head)
+                    await writer.drain()
+                    data = await asyncio.wait_for(reader.read(), 10)
+                    writer.close()
+                    return data
+
+        raw = asyncio.run(run())
+        assert raw.startswith(b"HTTP/1.0 431 Request Header Fields Too Large\r\n")
+        assert raw.endswith(b"\r\n\r\n")
 
     def test_no_metrics_port_means_no_endpoint(self, cast):
         async def run():

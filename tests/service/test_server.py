@@ -15,6 +15,7 @@ from repro.service import (
     MonitorServer,
     SessionStatus,
     SpecRegistry,
+    wire,
 )
 
 WRITER_SCRIPT = [
@@ -206,6 +207,125 @@ class TestEndToEnd:
         reply, rest = asyncio.run(run())
         assert reply == b"ERR line too long\n"
         assert rest == b""  # closed: the line's tail never ran as commands
+
+
+    @pytest.mark.parametrize(
+        "length,reply",
+        [
+            (65_536, b"OK status spec=Write events=1 skipped=0 errors=0\n"),
+            (65_537, b"ERR line too long\n"),
+        ],
+        ids=["at-limit", "one-past"],
+    )
+    def test_line_limit_is_65536_bytes_without_the_newline(
+        self, registry, length, reply
+    ):
+        # Padding between the verb and its argument is stripped, so the
+        # at-limit line is one valid event.
+        event = b"w1 -> o : OW"
+        line = b"EVENT" + b" " * (length - 5 - len(event)) + event
+        assert len(line) == length
+
+        async def run():
+            async with MonitorServer(registry, shards=1) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"SPEC Write\n" + line + b"\nSTATUS\n")
+                await writer.drain()
+                await reader.readline()  # the SPEC reply
+                got = await reader.readline()
+                writer.close()
+                await writer.wait_closed()
+                return got
+
+        assert asyncio.run(run()) == reply
+
+    def test_lines_before_an_over_long_line_apply_and_are_logged(
+        self, registry, tmp_path
+    ):
+        """One write: an event, then an over-long line.
+
+        The event applies and is logged before the refusal, so a
+        re-attach counts it in ``applied=``.
+        """
+
+        async def run():
+            async with MonitorServer(
+                registry, shards=1, data_dir=tmp_path
+            ) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"HELLO session=k\nSPEC Write\n")
+                await writer.drain()
+                for _ in range(2):
+                    await reader.readline()
+                writer.write(
+                    b"EVENT w1 -> o : OW\nEVENT " + b"x" * 100_000 + b"\n"
+                )
+                await writer.drain()
+                refusal = await reader.readline()
+                rest = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"HELLO session=k\nSPEC Write\nSTATUS\n")
+                await writer.drain()
+                replies = [await reader.readline() for _ in range(3)]
+                writer.close()
+                await writer.wait_closed()
+                return refusal, rest, replies[1:]
+
+        refusal, rest, (attach, status) = asyncio.run(run())
+        assert (refusal, rest) == (b"ERR line too long\n", b"")
+        assert attach == b"OK spec Write shards=1 applied=1\n"
+        assert status == (
+            b"OK status spec=Write events=1 skipped=0 errors=0 applied=1\n"
+        )
+
+    def test_binary_frames_in_the_hello_write_are_served(self, registry):
+        """``HELLO proto=2`` and frames in one write, past 64 KiB unbroken.
+
+        The text door has already read the frames' bytes with the
+        ``HELLO`` line; the binary loop must get them back, whatever
+        the text line limit.
+        """
+        compiled = registry.get("Write")
+        ow = compiled.letter_lines.index("#Obj0 -> o : OW")
+        cw = compiled.letter_lines.index("#Obj0 -> o : CW")
+        ids = [ow, cw] * 10_000
+        batch = wire.pack_event_ids(ids)
+        assert len(batch) > 1 << 16 and b"\n" not in batch
+
+        async def run():
+            async with MonitorServer(registry, shards=1) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    b"HELLO proto=2\n"
+                    + wire.encode_frame(wire.OP_SPEC, b"Write")
+                    + wire.encode_frame(wire.OP_EVENTS, batch)
+                    + wire.encode_frame(wire.OP_EVENT, b"w1 -> o : OW")
+                    + wire.encode_frame(wire.OP_STATUS)
+                )
+                await writer.drain()
+                hello = await reader.readline()
+                frames = [await wire.read_frame(reader) for _ in range(3)]
+                writer.close()
+                await writer.wait_closed()
+                return hello, frames
+
+        hello, (spec, letters, status) = asyncio.run(run())
+        assert hello.startswith(b"OK repro-service 2 ")
+        assert spec[0] == wire.OP_OK and letters[0] == wire.OP_LETTERS
+        assert status == (
+            wire.OP_OK,
+            b"status spec=Write events=20001 skipped=0 errors=0",
+        )
 
 
 class TestProtocolBehaviour:
