@@ -1,17 +1,19 @@
 """Monitoring-service client: retrying connector and pipelined sender.
 
-The client mirrors the protocol's asymmetry: events are *enqueued* into a
-bounded send queue (``await send_event`` blocks when the queue is full —
-backpressure propagates from the server's shard queues to the producer),
-while synchronising verbs (``HELLO``/``SPEC``/``STATUS``/``RESET``/``BYE``)
-first drain the queue, then perform one request/reply round-trip.
+The client mirrors the protocol's asymmetry: events are written as they
+are sent, with no reply (``await send_event`` waits only when the
+transport's buffer is past its high-water mark — the socket is the one
+backpressure bound between the producer and the server), while
+synchronising verbs (``HELLO``/``SPEC``/``STATUS``/``RESET``/``BYE``)
+perform one request/reply round-trip.  One connection is one ordered
+stream, so a verb's reply accounts for every event written before it.
 
 Connection establishment retries with exponential backoff and full
 jitter; the delay schedule is a pure function (:func:`backoff_delays`) so
 tests can check it without sleeping.  If the link dies mid-stream, the
-sender records the failure and keeps consuming the queue — producers
-never deadlock on a dead connection — and the next synchronising verb
-raises ``ConnectionError``.
+client records the failure and later sends return without writing —
+producers never see a dead connection mid-trace — and the next
+synchronising verb raises ``ConnectionError``.
 
 A client constructed with ``proto=2`` asks the server to upgrade to the
 binary framing (:mod:`repro.service.wire`): after ``SPEC`` it stores the
@@ -57,8 +59,9 @@ from repro.service.protocol import Reply, SessionStatus, parse_reply
 __all__ = ["MonitorClient", "ServiceUnavailable", "backoff_delays", "DEFAULT_BATCH"]
 
 #: Default ``EVENTS`` batch size for binary sessions.  Large enough to
-#: amortise framing and queue traffic, small enough that a violation
-#: surfaces within a few thousand events of being fed.
+#: amortise framing, socket writes and the server's shard hand-offs,
+#: small enough that a violation surfaces within a few thousand events
+#: of being fed.
 DEFAULT_BATCH = 256
 
 #: Synchronising verb → request opcode (binary sessions translate the
@@ -114,7 +117,6 @@ class MonitorClient:
         connect_retries: int = 5,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
-        queue_size: int = 1024,
         rng: random.Random | None = None,
         proto: int = 1,
         batch: int = DEFAULT_BATCH,
@@ -152,12 +154,8 @@ class MonitorClient:
         self._line_ids: dict[str, int] = {}
         self._event_ids: dict[Event, int | None] = {}
         self._pending = array("i")
-        self._queue: asyncio.Queue[str | bytes | None] = asyncio.Queue(
-            maxsize=queue_size
-        )
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
-        self._sender: asyncio.Task | None = None
         self._send_error: Exception | None = None
         self.server_specs: tuple[str, ...] = ()
         self.events_sent = 0
@@ -205,7 +203,6 @@ class MonitorClient:
                 f"cannot reach {self.host}:{self.port} after "
                 f"{self.connect_retries + 1} attempts: {last_error}"
             )
-        self._sender = asyncio.create_task(self._drain_queue(), name="repro-client-send")
         self.proto = 1  # negotiation itself is always text
         self.durable = False
         want = self.requested_proto
@@ -251,7 +248,7 @@ class MonitorClient:
         return 1
 
     async def close(self) -> SessionStatus | None:
-        """Gracefully drain, say BYE, and close; returns nothing on a dead link."""
+        """Say BYE and close; returns nothing on a dead link."""
         if self._writer is None:
             return None
         self._closing = True
@@ -260,7 +257,6 @@ class MonitorClient:
         except (ReproError, ConnectionError):
             pass
         finally:
-            await self._stop_sender()
             # Re-read the attribute: a resume attempt racing the BYE can
             # have torn down and nulled the writer underneath us.
             writer = self._writer
@@ -323,7 +319,7 @@ class MonitorClient:
                 # letter table (ids may differ after a hot swap).
                 self._note_applied(applied)
                 for line in self._sent_log:
-                    await self._send_input(line)
+                    await self._send(line)
             else:
                 # New binding (or a brand-new client adopting recovered
                 # server state): the server's watermark becomes the base
@@ -386,14 +382,14 @@ class MonitorClient:
             reply = await self._sync(f"UPDATE scenario={scenario}{suffix}")
         elif self.proto >= 2:
             payload = f"doc{suffix}\n{text}".encode("utf-8")
-            opcode, raw = await self._request_frame(wire.OP_UPDATE, payload)
-            keyword = _REPLY_KEYWORDS.get(opcode)
-            if keyword is None:
-                raise ReproError(f"unexpected reply frame 0x{opcode:02x}")
-            body = raw.decode("utf-8", errors="replace")
-            reply = parse_reply(f"{keyword} {body}" if body else keyword)
+            reply = await self._frame_round_trip(wire.OP_UPDATE, payload)
         else:
-            reply = await self._update_text_document(text or "", suffix)
+            # The text protocol's one multi-line request: header + body.
+            lines = (text or "").split("\n")
+            header = f"UPDATE lines={len(lines)}{suffix}"
+            reply = await self._text_round_trip(
+                "".join(f"{line}\n" for line in (header, *lines))
+            )
         if reply.kind != "ok" or not reply.detail.startswith("update "):
             raise ReproError(f"server rejected UPDATE: {reply.detail}")
         from repro.service.protocol import _parse_fields
@@ -401,91 +397,48 @@ class MonitorClient:
         fields, _ = _parse_fields(reply.detail[len("update "):])
         return fields
 
-    async def _update_text_document(self, text: str, suffix: str) -> Reply:
-        """The text protocol's one multi-line request: header + body lines."""
-        if self._writer is None or self._reader is None:
-            raise ReproError("client is not connected")
-        await self._queue.join()
-        if self._send_error is not None:
-            raise ConnectionError(
-                f"send failed mid-stream: {self._send_error}"
-            ) from self._send_error
-        lines = text.split("\n")
-        self._writer.write(
-            f"UPDATE lines={len(lines)}{suffix}\n".encode("utf-8")
-        )
-        for line in lines:
-            self._writer.write(line.encode("utf-8") + b"\n")
-        await self._writer.drain()
-        raw = await self._reader.readline()
-        if not raw:
-            raise ConnectionError("server closed the connection")
-        return parse_reply(raw.decode("utf-8", errors="replace"))
-
     async def send_event(self, event: Event | str) -> None:
-        """Enqueue one event; blocks when the bounded queue is full.
+        """Write one event; waits only while the transport is full.
 
         On a binary session an event found in the synced letter table
         joins the pending ``array('i')`` batch (flushed as one ``EVENTS``
         frame at :attr:`batch` ids, or by the next synchronising verb);
         anything else — out-of-table events, sessions without a letter
         table — flushes the batch first and travels as a per-event
-        ``EVENT`` frame, so stream order is preserved exactly.
+        ``EVENT`` frame, so stream order is preserved exactly.  Raises
+        :class:`ReproError` when the client is not connected.
         """
-        if self.session is not None and self.durable:
+        if self._writer is None:
+            raise ReproError("client is not connected")
+        if self.durable:
             # Durable sessions render the line eagerly: the resend log
             # must hold wire-identical text so a replayed suffix means
             # byte-for-byte what the lost original meant.
-            line = (
-                tracefile.format_event(event)
-                if isinstance(event, Event)
-                else event
-            )
-            self._sent_log.append(line)
-            await self._send_input(line)
-            self.events_sent += 1
-            return
-        if self.proto >= 2:
-            lid = self._letter_id(event)
-            if lid is not None:
-                self._pending.append(lid)
-                self.events_sent += 1
-                if len(self._pending) >= self.batch:
-                    await self._flush_pending()
-                return
-            line = (
-                tracefile.format_event(event)
-                if isinstance(event, Event)
-                else event
-            )
-            await self._flush_pending()
-            await self._queue.put(
-                wire.encode_frame(wire.OP_EVENT, line.encode("utf-8"))
-            )
-            self.events_sent += 1
+            if isinstance(event, Event):
+                event = tracefile.format_event(event)
+            self._sent_log.append(event)
+        self.events_sent += 1
+        await self._send(event)
+
+    async def _send(self, event: Event | str) -> None:
+        """Batch the event's letter id, or write it as a line or frame."""
+        lid = self._letter_id(event) if self.proto >= 2 else None
+        if lid is not None:
+            self._pending.append(lid)
+            if len(self._pending) >= self.batch:
+                await self._flush_pending()
             return
         line = tracefile.format_event(event) if isinstance(event, Event) else event
-        await self._queue.put(f"EVENT {line}")
-        self.events_sent += 1
-
-    async def _send_input(self, line: str) -> None:
-        """Enqueue one already-rendered event line, batching when binary."""
         if self.proto >= 2:
-            lid = self._line_ids.get(line) if self._line_ids else None
-            if lid is not None:
-                self._pending.append(lid)
-                if len(self._pending) >= self.batch:
-                    await self._flush_pending()
-                return
             await self._flush_pending()
-            await self._queue.put(
+            await self._write(
                 wire.encode_frame(wire.OP_EVENT, line.encode("utf-8"))
             )
-            return
-        await self._queue.put(f"EVENT {line}")
+        else:
+            await self._write(f"EVENT {line}\n".encode("utf-8"))
 
     async def send_trace(self, events) -> None:
-        """Enqueue every event of an iterable (e.g. a loaded Trace)."""
+        """Send every event of an iterable (e.g. a loaded Trace)."""
         for event in events:
             await self.send_event(event)
 
@@ -527,13 +480,7 @@ class MonitorClient:
             raise ReproError(
                 f"malformed METRICS reply: {reply.detail}"
             ) from exc
-        assert self._reader is not None
-        lines = []
-        for _ in range(count):
-            raw = await self._reader.readline()
-            if not raw:
-                raise ConnectionError("server closed mid-METRICS")
-            lines.append(raw.decode("utf-8", errors="replace").rstrip("\n"))
+        lines = [(await self._readline()).rstrip("\n") for _ in range(count)]
         return "\n".join(lines) + ("\n" if lines else "")
 
     # -- internals -----------------------------------------------------------
@@ -557,32 +504,39 @@ class MonitorClient:
         return self._line_ids.get(event)
 
     async def _flush_pending(self) -> None:
-        """Enqueue the pending letter-id batch as one ``EVENTS`` frame."""
+        """Write the pending letter-id batch as one ``EVENTS`` frame."""
         if not self._pending:
             return
         payload = wire.pack_event_ids(self._pending)
         del self._pending[:]
-        await self._queue.put(wire.encode_frame(wire.OP_EVENTS, payload))
+        await self._write(wire.encode_frame(wire.OP_EVENTS, payload))
 
-    async def _drain_queue(self) -> None:
+    async def _write(self, data: bytes) -> None:
+        """Write ``data``; ``drain`` waits past the transport's high-water mark.
+
+        A dead link is kept in ``_send_error``, not raised: later writes
+        are dropped, so a producer never fails mid-trace, and the next
+        synchronising verb raises ``ConnectionError``.
+        """
+        if self._send_error is not None:
+            return
         assert self._writer is not None
-        while True:
-            item = await self._queue.get()
-            try:
-                if item is None:
-                    return
-                if self._send_error is not None:
-                    continue  # link is dead: consume so producers never block
-                try:
-                    if isinstance(item, bytes):  # a pre-encoded frame
-                        self._writer.write(item)
-                    else:
-                        self._writer.write(item.encode("utf-8") + b"\n")
-                    await self._writer.drain()
-                except (ConnectionError, OSError) as exc:
-                    self._send_error = exc
-            finally:
-                self._queue.task_done()
+        try:
+            self._writer.write(data)
+            await self._writer.drain()
+        except (ConnectionError, OSError) as exc:
+            self._send_error = exc
+
+    async def _request(self, data: bytes) -> None:
+        """Write one request after the pending batch; raise a dead link."""
+        if self._writer is None or self._reader is None:
+            raise ReproError("client is not connected")
+        await self._flush_pending()
+        await self._write(data)
+        if self._send_error is not None:
+            raise ConnectionError(
+                f"send failed mid-stream: {self._send_error}"
+            ) from self._send_error
 
     async def _read_frame(self) -> tuple[int, bytes]:
         assert self._reader is not None
@@ -591,31 +545,33 @@ class MonitorClient:
         except asyncio.IncompleteReadError:
             raise ConnectionError("server closed the connection") from None
 
+    async def _readline(self) -> str:
+        assert self._reader is not None
+        raw = await self._reader.readline()
+        if not raw:
+            raise ConnectionError("server closed the connection")
+        return raw.decode("utf-8", errors="replace")
+
     async def _request_frame(
         self, opcode: int, payload: bytes = b""
     ) -> tuple[int, bytes]:
-        """Drain queued events, then one framed request/reply round-trip."""
-        if self._writer is None or self._reader is None:
-            raise ReproError("client is not connected")
-        await self._flush_pending()
-        await self._queue.join()
-        if self._send_error is not None:
-            raise ConnectionError(
-                f"send failed mid-stream: {self._send_error}"
-            ) from self._send_error
-        self._writer.write(wire.encode_frame(opcode, payload))
-        await self._writer.drain()
+        """One framed request/reply round-trip."""
+        await self._request(wire.encode_frame(opcode, payload))
         return await self._read_frame()
 
-    async def _stop_sender(self) -> None:
-        if self._sender is None:
-            return
-        await self._queue.put(None)
-        try:
-            await self._sender
-        except (ConnectionError, OSError):
-            pass
-        self._sender = None
+    async def _frame_round_trip(self, opcode: int, payload: bytes) -> Reply:
+        """A framed request whose reply payload reuses a text keyword's grammar."""
+        opcode, raw = await self._request_frame(opcode, payload)
+        keyword = _REPLY_KEYWORDS.get(opcode)
+        if keyword is None:
+            raise ReproError(f"unexpected reply frame 0x{opcode:02x}")
+        text = raw.decode("utf-8", errors="replace")
+        return parse_reply(f"{keyword} {text}" if text else keyword)
+
+    async def _text_round_trip(self, request: str) -> Reply:
+        """Text request lines, then the one reply line."""
+        await self._request(request.encode("utf-8"))
+        return parse_reply(await self._readline())
 
     async def _sync(self, line: str) -> Reply:
         """One synchronising round-trip, resuming a durable session once.
@@ -644,16 +600,13 @@ class MonitorClient:
         """Tear down the dead link and rebuild the durable session."""
         self._resuming = True
         try:
-            await self._stop_sender()
             if self._writer is not None:
                 # close() without wait_closed(): the old transport is
                 # already dead, and its close waiter can surface the
                 # reset (or a spurious cancel) instead of completing.
                 self._writer.close()
             self._reader = self._writer = None
-            self._send_error = None
             self._pending = array("i")
-            self._queue = asyncio.Queue(maxsize=self._queue.maxsize)
             get_registry().counter(
                 "repro_client_resumes_total",
                 help="Durable-session reconnect-and-resend recoveries.",
@@ -663,33 +616,16 @@ class MonitorClient:
             self._resuming = False
 
     async def _sync_once(self, line: str) -> Reply:
-        """Drain the send queue, then one request/reply round-trip.
+        """One request/reply round-trip for a synchronising verb line.
 
         Binary sessions translate the verb line to its frame and parse
         the reply payload with the *same* grammar as the text keyword it
         replaces — one :class:`~repro.service.protocol.Reply` shape
         either way, so every caller above is framing-agnostic.
         """
-        if self._writer is None or self._reader is None:
-            raise ReproError("client is not connected")
         if self.proto >= 2:
             verb, _, arg = line.partition(" ")
-            opcode, payload = await self._request_frame(
+            return await self._frame_round_trip(
                 _VERB_OPS[verb], arg.encode("utf-8")
             )
-            keyword = _REPLY_KEYWORDS.get(opcode)
-            if keyword is None:
-                raise ReproError(f"unexpected reply frame 0x{opcode:02x}")
-            text = payload.decode("utf-8", errors="replace")
-            return parse_reply(f"{keyword} {text}" if text else keyword)
-        await self._queue.join()
-        if self._send_error is not None:
-            raise ConnectionError(
-                f"send failed mid-stream: {self._send_error}"
-            ) from self._send_error
-        self._writer.write(line.encode("utf-8") + b"\n")
-        await self._writer.drain()
-        raw = await self._reader.readline()
-        if not raw:
-            raise ConnectionError("server closed the connection")
-        return parse_reply(raw.decode("utf-8", errors="replace"))
+        return await self._text_round_trip(line + "\n")

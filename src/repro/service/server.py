@@ -186,7 +186,6 @@ class MonitorServer:
         metrics_out=None,
         metrics_port: int | None = None,
         direct_port: int | None = None,
-        queue_size: int = DEFAULT_QUEUE_SIZE,
         max_proto: int = wire.WIRE_VERSION,
         data_dir: str | Path | None = None,
         worker_id: int = 0,
@@ -197,7 +196,7 @@ class MonitorServer:
         sock=None,
     ) -> None:
         self.registry = registry
-        self.pool = ShardPool(shards, queue_size=queue_size)
+        self.pool = ShardPool(shards)
         #: Durable-session support: with a data directory the server
         #: write-ahead logs every input of a keyed session and replays
         #: the log on the session's next attach (same or later process).

@@ -33,12 +33,12 @@ class _Flush:
 class ShardPool:
     """``n`` single-consumer FIFO workers."""
 
-    def __init__(self, shards: int, *, queue_size: int = DEFAULT_QUEUE_SIZE) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError("shard count must be positive")
         self.shards = shards
         self._queues: list[asyncio.Queue] = [
-            asyncio.Queue(maxsize=queue_size) for _ in range(shards)
+            asyncio.Queue(maxsize=DEFAULT_QUEUE_SIZE) for _ in range(shards)
         ]
         self._workers: list[asyncio.Task] = []
         registry = get_registry()

@@ -114,19 +114,20 @@ class TestSending:
         status = asyncio.run(run())
         assert status.ok and status.events == 3 and status.errors == 0
 
-    def test_bounded_queue_backpressure(self, cast):
-        """A tiny send queue still delivers everything (puts block, not drop)."""
+    def test_every_event_arrives_on_both_framings(self, cast):
+        """Written inline, every sent event is checked, text or binary."""
         registry = SpecRegistry([cast.write()])
 
-        async def run():
+        async def run(proto):
             async with MonitorServer(registry, shards=1) as server:
                 async with MonitorClient(
-                    "127.0.0.1", server.port, spec="Write", queue_size=2
+                    "127.0.0.1", server.port, spec="Write", proto=proto, batch=8
                 ) as client:
-                    assert client._queue.maxsize == 2
                     for i in range(100):
                         await client.send_event(f"w{i % 3} -> o : UNRELATED")
-                    return await client.status()
+                    return client.proto, client.events_sent, await client.status()
 
-        status = asyncio.run(run())
-        assert status.events == 100 and status.skipped == 100
+        for proto in (1, 2):
+            agreed, sent, status = asyncio.run(run(proto))
+            assert agreed == proto and sent == 100
+            assert status.events == 100 and status.skipped == 100

@@ -1,5 +1,5 @@
 """Client behaviour under injected faults: retries, disconnects,
-duplicated replies, and bounded-queue backpressure.
+duplicated replies, and transport backpressure.
 
 The misbehaving peers are scripted ``asyncio`` servers speaking just
 enough of the wire protocol to reach the fault under test — the client
@@ -124,20 +124,27 @@ class TestDisconnects:
         asyncio.run(run())
 
     def test_connection_reset_mid_trace_surfaces(self):
+        hung_up = asyncio.Event()
+
         async def handler(reader, writer):
             await reader.readline()  # HELLO
             writer.write(b"OK hello specs=Write\n")
             await writer.drain()
             await reader.readline()  # first EVENT
             writer.close()  # hang up without a word
+            hung_up.set()
 
         async def run():
             server, port = await _stub_server(handler)
             client = MonitorClient("127.0.0.1", port, connect_retries=0)
             await client.connect()
-            with pytest.raises((ConnectionError, ReproError)):
-                for i in range(5000):
-                    await client.send_event(f"x{i} -> o : PING")
+            await client.send_event("x -> o : PING")
+            await hung_up.wait()
+            # A dead link fails no send: each one returns ...
+            for i in range(5000):
+                await client.send_event(f"x{i} -> o : PING")
+            # ... and the next synchronising verb reports it.
+            with pytest.raises(ConnectionError):
                 await client.status()
             await client.close()
             server.close()
@@ -187,30 +194,54 @@ class TestDuplicatedReplies:
 
 
 class TestBackpressure:
-    def test_send_blocks_when_queue_full(self):
-        # With no sender draining, the bounded queue must make the
-        # producer wait (backpressure), never drop or grow unbounded.
+    def test_send_blocks_when_the_transport_is_full(self):
+        # A peer that stops reading fills the socket, then the transport
+        # buffer: past its high-water mark the producer waits, and the
+        # buffer never grows by more than one write beyond that mark.
+        release = asyncio.Event()
+
+        async def handler(reader, writer):
+            await reader.readline()  # HELLO
+            writer.write(b"OK hello specs=Write\n")
+            await writer.drain()
+            await release.wait()  # read nothing more
+            writer.close()
+
         async def run():
-            client = MonitorClient("127.0.0.1", 1, queue_size=2)
-            await client.send_event("a -> o : M")
-            await client.send_event("a -> o : M")
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    client.send_event("a -> o : M"), timeout=0.05
-                )
-            assert client._queue.qsize() == 2
+            server, port = await _stub_server(handler)
+            client = MonitorClient("127.0.0.1", port, connect_retries=0)
+            await client.connect()
+            transport = client._writer.transport
+            high = transport.get_write_buffer_limits()[1]
+            line = "a -> o : " + "M" * 16384
+            bound = high + len(f"EVENT {line}\n")  # the mark plus one write
+            blocked = False
+            for _ in range(10_000):
+                try:
+                    await asyncio.wait_for(client.send_event(line), timeout=0.2)
+                except asyncio.TimeoutError:
+                    blocked = True
+                    break
+                assert transport.get_write_buffer_size() <= bound
+            assert blocked
+            assert transport.get_write_buffer_size() <= bound
+            release.set()
+            await client.close()
+            server.close()
+            await server.wait_closed()
 
         asyncio.run(run())
 
     def test_slow_reader_throttles_but_loses_nothing(self, cast):
-        # A server whose shard pool is tiny still checks every event the
-        # client pushed through a tiny queue — end-to-end conservation.
+        # A server with one shard still checks every event the client
+        # pushed, however the socket throttled it — end-to-end
+        # conservation.
         registry = SpecRegistry([cast.write()])
 
         async def run():
             async with MonitorServer(registry, shards=1) as server:
                 async with MonitorClient(
-                    "127.0.0.1", server.port, spec="Write", queue_size=1
+                    "127.0.0.1", server.port, spec="Write"
                 ) as client:
                     for i in range(300):
                         await client.send_event(f"w{i % 5} -> o : NOISE")
@@ -219,11 +250,21 @@ class TestBackpressure:
         status = asyncio.run(run())
         assert status.events == 300 and status.skipped == 300
 
-    def test_events_sent_counter_tracks_queue_puts(self):
-        async def run():
-            client = MonitorClient("127.0.0.1", 1, queue_size=8)
-            for _ in range(5):
-                await client.send_event("a -> o : M")
-            assert client.events_sent == 5
+    def test_events_sent_matches_server_events(self, cast):
+        # A send before connect() is refused, not counted as sent and
+        # lost; once connected, every counted event reaches the server.
+        registry = SpecRegistry([cast.write()])
 
-        asyncio.run(run())
+        async def run():
+            async with MonitorServer(registry, shards=1) as server:
+                client = MonitorClient("127.0.0.1", server.port, spec="Write")
+                for _ in range(2):
+                    with pytest.raises(ReproError, match="not connected"):
+                        await client.send_event("a -> o : M")
+                async with client:
+                    for _ in range(5):
+                        await client.send_event("a -> o : M")
+                    status = await client.status()
+                return client.events_sent, status.events
+
+        assert asyncio.run(run()) == (5, 5)

@@ -34,9 +34,9 @@ class TestLatencyHistogram:
 class TestServiceMetrics:
     def test_event_counters(self):
         metrics = ServiceMetrics()
-        metrics.record_event("Write", 1e-6, skipped=False)
-        metrics.record_event("Write", 1e-6, skipped=True)
-        metrics.record_event("Read2", 1e-6, skipped=False)
+        metrics.record_event("Write", 1e-6, skipped=0)
+        metrics.record_event("Write", 1e-6, skipped=1)
+        metrics.record_event("Read2", 1e-6, skipped=0)
         metrics.record_malformed()
         metrics.record_violation()
         snap = metrics.snapshot()
@@ -67,7 +67,7 @@ class TestServiceMetrics:
 
     def test_format_text_mentions_every_counter(self):
         metrics = ServiceMetrics()
-        metrics.record_event("Write", 2e-6, skipped=False)
+        metrics.record_event("Write", 2e-6, skipped=0)
         text = metrics.format_text()
         assert "events_observed=1" in text
         assert "latency[Write]" in text
