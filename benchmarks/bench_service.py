@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from repro.obs.registry import get_registry
 from repro.paper.specs import PaperCast
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 
@@ -56,9 +57,13 @@ async def _blast(shards: int) -> int:
             status = await client.status()
             assert status.ok and status.events == len(lines)
 
+    # The registry is process-wide and every round adds to it: count
+    # this round's events as a delta.
+    events = get_registry().counter("repro_monitor_events_total")
+    before = events.value
     async with MonitorServer(registry, shards=shards) as server:
         await asyncio.gather(*(one_session(server.port) for _ in range(SESSIONS)))
-        total = server.metrics.events_observed
+    total = events.value - before
     assert total == SESSIONS * len(lines)
     return total
 

@@ -351,7 +351,7 @@ class Gateway:
         thread.start()
         self._loop, self._thread = loop, thread
         try:
-            self.documents()
+            self._spec_names()
         except BaseException:
             self.close()
             raise
@@ -448,7 +448,9 @@ class Gateway:
     def documents(self) -> list[str]:
         """Specification names the service currently serves."""
         self._count("documents")
+        return self._spec_names()
 
+    def _spec_names(self) -> list[str]:
         async def names(client):
             return list(client.server_specs)
 
@@ -609,7 +611,8 @@ class Gateway:
 
     def health(self) -> dict:
         """Liveness probe: reaches the backend and reports the surface."""
-        specs = self.documents()
+        self._count("health")
+        specs = self._spec_names()
         return {
             "status": "ok",
             "version": API_VERSION,

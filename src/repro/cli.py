@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="periodically dump metrics to stderr",
+        help="print the METRICS exposition to stderr every SECONDS",
     )
     p_serve.add_argument(
         "--metrics-port",

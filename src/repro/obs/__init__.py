@@ -15,11 +15,12 @@ One subsystem for the system's self-knowledge, in two halves:
   :class:`MetricsRegistry` of counters, gauges, and histograms that
   absorbs what used to be three incompatible APIs — the service's
   ``ServiceMetrics``, the checker's ``CheckerMetrics``, the pipeline's
-  ``NormalizationMetrics`` (all now in :mod:`repro.obs.metrics`, still
-  instance-shaped for tests, mirroring into the registry) and the
-  exploration counters (:mod:`repro.obs.exploration`).  The registry
-  renders Prometheus text for the service's ``METRICS`` verb and
-  ``repro serve --metrics-port``.
+  ``NormalizationMetrics`` (all in :mod:`repro.obs.metrics`) and the
+  exploration counters (:mod:`repro.obs.exploration`).  The service's
+  counts live only in the registry; the per-run bundles also keep
+  their own integers, since one run is not the whole process.  The
+  registry renders Prometheus text for the service's ``METRICS`` verb,
+  ``repro serve --metrics-port`` and ``--metrics-interval``.
 """
 
 from repro.obs.export import (

@@ -2,13 +2,16 @@
 
 :class:`ServiceMetrics` (online monitoring), :class:`CheckerMetrics`
 (obligation engine + machine cache) and :class:`NormalizationMetrics`
-(pass pipeline) historically lived in ``repro.service.metrics`` as three
-unrelated counter bags.  They now share one spine: every instance keeps
-its own counters — the per-instance ``snapshot()`` shapes are pinned by
-tests and dashboards and unchanged — *and* mirrors each increment into
-the process-wide :class:`~repro.obs.registry.MetricsRegistry`, so one
-Prometheus scrape sees the whole system regardless of which layer did the
-work.
+(pass pipeline) all write through the process-wide
+:class:`~repro.obs.registry.MetricsRegistry`, so one Prometheus scrape
+sees the whole system regardless of which layer did the work.
+
+The service's counts live *only* in the registry: :class:`ServiceMetrics`
+holds the resolved metric objects and derives ``snapshot()`` from them.
+The checker and pipeline bundles also keep their own integers, because
+they count a different quantity: one engine run (``EngineRun.metrics``)
+or one pipeline, while the registry counts the whole process.  A
+snapshot derived from the registry would be cumulative across runs.
 
 Registry metric objects are resolved once at construction (a dict lookup
 per event would not survive on the service's hot path); per-pass labelled
@@ -17,9 +20,6 @@ or delta-merged on a parent, as before — no locks.
 """
 
 from __future__ import annotations
-
-import asyncio
-import time
 
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
@@ -70,9 +70,7 @@ def declare_cache_counters(registry: MetricsRegistry) -> dict:
 class CheckerMetrics:
     """Counters and wall-time histogram for one obligation-engine run.
 
-    Mirrors :class:`ServiceMetrics` in shape (monotonic counters + the
-    shared :class:`LatencyHistogram` type + a stable ``snapshot()``) but
-    measures the *offline* checker: whole proof obligations instead of
+    Measures the *offline* checker: whole proof obligations instead of
     single events, plus the machine cache's hit/miss/store/error and
     uncacheable counts.  Mutation happens either on one thread (inline
     runs) or by merging per-worker deltas on the parent (parallel runs),
@@ -175,30 +173,6 @@ class CheckerMetrics:
             "wall": self.wall.snapshot(),
         }
 
-    def format_text(self) -> str:
-        """A compact human-readable dump (one counter per line)."""
-        snap = self.snapshot()
-        lines = [
-            f"{key}={snap[key]}"
-            for key in (
-                "obligations_run",
-                "agreements",
-                "disagreements",
-                "errors",
-                "timeouts",
-                "cache_hits",
-                "cache_misses",
-                "cache_stores",
-                "cache_errors",
-                "cache_uncacheable",
-            )
-        ]
-        lines.append(
-            f"wall: count={self.wall.count} mean={self.wall.mean:.3f}s "
-            f"total={self.wall.total:.3f}s"
-        )
-        return "\n".join(lines)
-
 
 class NormalizationMetrics:
     """Per-pass rewrite counts and wall time for a normalization pipeline.
@@ -206,8 +180,8 @@ class NormalizationMetrics:
     One instance lives on each :class:`~repro.passes.base.PassPipeline`
     (the process-wide default pipeline accumulates across every
     normalization the process runs).  Same conventions as the sibling
-    classes: monotonic counters mutated from one thread, a stable
-    ``snapshot()`` shape, a compact ``format_text()``.
+    classes: monotonic counters mutated from one thread and a stable
+    ``snapshot()`` shape.
     """
 
     def __init__(self) -> None:
@@ -274,33 +248,18 @@ class NormalizationMetrics:
             },
         }
 
-    def format_text(self) -> str:
-        """A compact human-readable dump (one counter per line)."""
-        snap = self.snapshot()
-        lines = [
-            f"normalizations={snap['normalizations']}",
-            f"rewrites={snap['rewrites']}",
-        ]
-        for name, entry in snap["passes"].items():
-            lines.append(
-                f"pass[{name}]: rewrites={entry['rewrites']} "
-                f"seconds={entry['seconds']:.4f}"
-            )
-        return "\n".join(lines)
-
 
 class ServiceMetrics:
-    """Counters and per-spec histograms for one server instance."""
+    """The online service's accounting, held only in the registry.
 
-    def __init__(self, clock=time.perf_counter) -> None:
-        self.clock = clock
-        self.events_observed = 0
-        self.events_skipped = 0
-        self.events_malformed = 0
-        self.violations = 0
-        self.sessions_opened = 0
-        self.sessions_closed = 0
-        self.latency: dict[str, LatencyHistogram] = {}
+    Each method updates the registry metrics resolved at construction,
+    once each; :meth:`snapshot` reads them back.  Because the registry
+    is process-wide, two servers in one process share these counts (a
+    test that asserts absolute values builds its server inside
+    :func:`~repro.obs.registry.use_registry`).
+    """
+
+    def __init__(self) -> None:
         registry = get_registry()
         self._c_events = registry.counter(
             "repro_monitor_events_total", help="events accepted by sessions"
@@ -338,7 +297,7 @@ class ServiceMetrics:
 
     # -- recording -----------------------------------------------------------
 
-    def record_batch(self, spec: str, n: int, seconds: float) -> None:
+    def record_batch(self, n: int, seconds: float) -> None:
         """One ``EVENTS`` batch of ``n`` in-alphabet events checked.
 
         The whole point of batching is to amortise accounting, so this is
@@ -346,103 +305,53 @@ class ServiceMetrics:
         latency is ``seconds / n``) and counter increments of ``n``,
         not ``n`` per-event records.
         """
-        self.events_observed += n
         self._c_events.inc(n)
         self._c_steps.inc(n)
         self._c_batches.inc()
         self._c_batched.inc(n)
-        hist = self.latency.get(spec)
-        if hist is None:
-            hist = self.latency[spec] = LatencyHistogram()
-        hist.observe(seconds)
         self._h_check.observe(seconds)
 
     def record_event(
-        self, spec: str, seconds: float, *, events: int = 1, skipped: int = 0
+        self, seconds: float, *, events: int = 1, skipped: int = 0
     ) -> None:
-        """``events`` events checked for ``spec`` in ``seconds`` in all.
+        """``events`` events checked in ``seconds`` in all.
 
         ``skipped`` of them were outside the alphabet.  A text run is one
-        call: counters move by the run's counts, and the histograms take
-        ``events`` observations of the mean per-event latency, so their
+        call: counters move by the run's counts, and the histogram takes
+        ``events`` observations of the mean per-event latency, so its
         count stays one per event.
         """
-        self.events_observed += events
         self._c_events.inc(events)
         if skipped:
-            self.events_skipped += skipped
             self._c_skipped.inc(skipped)
         if events > skipped:
             self._c_steps.inc(events - skipped)
-        hist = self.latency.get(spec)
-        if hist is None:
-            hist = self.latency[spec] = LatencyHistogram()
         if events > 1:
             seconds /= events
-        hist.observe(seconds, events)
         self._h_check.observe(seconds, events)
 
     def record_malformed(self, n: int = 1) -> None:
-        self.events_malformed += n
         self._c_malformed.inc(n)
 
     def record_violation(self) -> None:
-        self.violations += 1
         self._c_violations.inc()
 
     def session_opened(self) -> None:
-        self.sessions_opened += 1
         self._c_opened.inc()
 
     def session_closed(self) -> None:
-        self.sessions_closed += 1
         self._c_closed.inc()
 
     # -- reporting -----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A plain-dict snapshot; keys are stable for tests and dumps."""
+        """A plain-dict snapshot of the registry values; keys are stable."""
         return {
-            "events_observed": self.events_observed,
-            "events_skipped": self.events_skipped,
-            "events_malformed": self.events_malformed,
-            "violations": self.violations,
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "latency": {
-                name: hist.snapshot() for name, hist in sorted(self.latency.items())
-            },
+            "events_observed": self._c_events.value,
+            "events_skipped": self._c_skipped.value,
+            "events_malformed": self._c_malformed.value,
+            "violations": self._c_violations.value,
+            "sessions_opened": self._c_opened.value,
+            "sessions_closed": self._c_closed.value,
+            "latency": self._h_check.snapshot(),
         }
-
-    def format_text(self) -> str:
-        """A compact human-readable dump (one counter per line)."""
-        snap = self.snapshot()
-        lines = [
-            f"{key}={snap[key]}"
-            for key in (
-                "events_observed",
-                "events_skipped",
-                "events_malformed",
-                "violations",
-                "sessions_opened",
-                "sessions_closed",
-            )
-        ]
-        for name, hist in snap["latency"].items():
-            lines.append(
-                f"latency[{name}]: count={hist['count']} "
-                f"mean={hist['mean_seconds'] * 1e6:.1f}µs"
-            )
-        return "\n".join(lines)
-
-    async def periodic_dump(self, interval: float, out=None) -> None:
-        """Print :meth:`format_text` every ``interval`` seconds until cancelled."""
-        import sys
-
-        out = out if out is not None else sys.stderr
-        try:
-            while True:
-                await asyncio.sleep(interval)
-                print(f"-- metrics --\n{self.format_text()}", file=out, flush=True)
-        except asyncio.CancelledError:
-            pass

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import sys
 from pathlib import Path
+from time import perf_counter
 from typing import Awaitable
 
 from repro.core.errors import ReproError
@@ -181,9 +183,7 @@ class MonitorServer:
         shards: int = 4,
         host: str = "127.0.0.1",
         port: int = 0,
-        metrics: ServiceMetrics | None = None,
         metrics_interval: float | None = None,
-        metrics_out=None,
         metrics_port: int | None = None,
         direct_port: int | None = None,
         max_proto: int = wire.WIRE_VERSION,
@@ -230,7 +230,7 @@ class MonitorServer:
         #: a hot swap bumps the version, so rebinding sessions always
         #: sync the *current* table while the stale frame is purged.
         self._letters_frames: dict[tuple[str, int], bytes] = {}
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self.host = host
         self.port = port
         self._requested_port = port
@@ -243,7 +243,6 @@ class MonitorServer:
         self._conn_writers: set[asyncio.StreamWriter] = set()
         self._dump_task: asyncio.Task | None = None
         self._metrics_interval = metrics_interval
-        self._metrics_out = metrics_out
         self.metrics_port = metrics_port
         self._metrics_server: asyncio.AbstractServer | None = None
         #: Optional second listener on the *same* connection handler.
@@ -295,9 +294,7 @@ class MonitorServer:
                 self._metrics_server.sockets[0].getsockname()[1]
             )
         if self._metrics_interval:
-            self._dump_task = asyncio.create_task(
-                self.metrics.periodic_dump(self._metrics_interval, self._metrics_out)
-            )
+            self._dump_task = asyncio.create_task(self._dump_metrics())
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -568,6 +565,13 @@ class MonitorServer:
         return None
 
     # -- Prometheus scrape endpoint ------------------------------------------
+
+    async def _dump_metrics(self) -> None:
+        """Print the ``METRICS`` exposition to stderr every interval."""
+        while True:
+            await asyncio.sleep(self._metrics_interval)
+            sys.stderr.write(get_registry().format_prometheus())
+            sys.stderr.flush()
 
     async def _handle_scrape(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -900,16 +904,15 @@ class MonitorServer:
             return None
         # Opened before the caller awaits: a full queue yields to the worker.
         run = runs[session] = [pending]
-        spec_name = session.compiled.name
         metrics = self.metrics
 
         def check() -> None:
             if runs.get(session) is run:
                 del runs[session]
-            start = metrics.clock()
+            start = perf_counter()
             skipped, violated = session.step_run(run)
             metrics.record_event(
-                spec_name, metrics.clock() - start, events=len(run), skipped=skipped
+                perf_counter() - start, events=len(run), skipped=skipped
             )
             if violated:
                 metrics.record_violation()
@@ -955,9 +958,9 @@ class MonitorServer:
 
         def check() -> None:
             with span("service.batch", spec=spec_name, events=n):
-                start = metrics.clock()
+                start = perf_counter()
                 violated = session.step_ids(monitor, ids, base)
-                metrics.record_batch(spec_name, n, metrics.clock() - start)
+                metrics.record_batch(n, perf_counter() - start)
                 if violated:
                     metrics.record_violation()
 

@@ -39,7 +39,7 @@ from repro.workload.scenarios import Scenario, get_scenario
 __all__ = ["SessionOutcome", "WorkloadReport", "run_workload"]
 
 #: Per-event check latency family exposed by the service (see
-#: :class:`repro.obs.metrics.ServiceMetrics`), parsed back in external mode.
+#: :class:`repro.obs.metrics.ServiceMetrics`), read back over ``METRICS``.
 _LATENCY_FAMILY = "repro_event_check_seconds"
 
 
@@ -229,6 +229,27 @@ def _histogram_from_prometheus(text: str, family: str) -> Histogram | None:
     return hist
 
 
+async def _check_latency(host: str, port: int) -> Histogram | None:
+    """The server's check-latency histogram, as ``METRICS`` reports it."""
+    client = MonitorClient(host, port)
+    await client.connect()
+    try:
+        text = await client.metrics()
+    finally:
+        await client.close()
+    return _histogram_from_prometheus(text, _LATENCY_FAMILY)
+
+
+def _since(after: Histogram | None, before: Histogram | None) -> Histogram | None:
+    """``after`` minus ``before``: the observations made in between."""
+    if after is None or before is None:
+        return after
+    after.counts = [a - b for a, b in zip(after.counts, before.counts)]
+    after.count -= before.count
+    after.total -= before.total
+    return after
+
+
 async def _chaos_killer(
     server, kill_at: tuple[int, ...], clients: list, seed, record: dict
 ) -> None:
@@ -354,9 +375,13 @@ async def _run(
     async def drive(
         target_host: str,
         target_port: int,
-        metrics_source,
+        *,
+        latency: bool = True,
         chaos_server=None,
     ):
+        before = (
+            await _check_latency(target_host, target_port) if latency else None
+        )
         clients: list = []
         started = time.monotonic()
         chaos_task = (
@@ -398,7 +423,10 @@ async def _run(
                 except asyncio.CancelledError:
                     pass
         seconds = time.monotonic() - started
-        latency = await metrics_source()
+        summary = None
+        if latency:
+            hist = _since(await _check_latency(target_host, target_port), before)
+            summary = latency_summary(hist) if hist is not None else None
         if chaos_server is not None:
             chaos["restarts"] = chaos_server.restarts
         return WorkloadReport(
@@ -408,7 +436,7 @@ async def _run(
             faults=faults,
             sessions=tuple(outcomes),
             seconds=seconds,
-            latency=latency,
+            latency=summary,
             binary=binary,
             kills=chaos["kills"],
             restarts=chaos["restarts"],
@@ -423,26 +451,9 @@ async def _run(
         binary=binary,
     ) as sp:
         if port is not None:
-            target_host = host or "127.0.0.1"
-
-            async def remote_latency():
-                client = MonitorClient(target_host, port)
-                await client.connect()
-                try:
-                    text = await client.metrics()
-                finally:
-                    await client.close()
-                hist = _histogram_from_prometheus(text, _LATENCY_FAMILY)
-                return latency_summary(hist) if hist is not None else None
-
-            report = await drive(target_host, port, remote_latency)
+            report = await drive(host or "127.0.0.1", port)
         elif procs is not None and procs > 1:
             from repro.service.topology import ScaleOutServer
-
-            async def no_latency():
-                # Per-worker histograms live in N processes; percentile
-                # aggregation across them is not meaningful here.
-                return None
 
             with tempfile.TemporaryDirectory() as tmp:
                 store = data_dir if data_dir is not None else (
@@ -455,16 +466,14 @@ async def _run(
                     data_dir=store,
                     history_limit=history_limit,
                 ) as server:
+                    # Per-worker histograms live in N processes; percentile
+                    # aggregation across them is not meaningful here.
                     report = await drive(
-                        "127.0.0.1", server.port, no_latency,
+                        "127.0.0.1", server.port, latency=False,
                         chaos_server=server,
                     )
         else:
             from repro.service.server import MonitorServer
-
-            async def local_latency():
-                hist = server.metrics.latency.get(scenario.monitored)
-                return latency_summary(hist) if hist is not None else None
 
             with tempfile.TemporaryDirectory() as tmp:
                 store = data_dir if data_dir is not None else (
@@ -473,9 +482,7 @@ async def _run(
                 async with MonitorServer(
                     registry, shards=shards, data_dir=store
                 ) as server:
-                    report = await drive(
-                        "127.0.0.1", server.port, local_latency
-                    )
+                    report = await drive("127.0.0.1", server.port)
         sp.set(
             events=report.events_total,
             agreement=report.agreement,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.obs.registry import use_registry
 from repro.service import SpecRegistry
 
 from tests.gateway.conftest import (
@@ -21,6 +22,16 @@ class TestHealthAndDocuments:
             assert body["version"].count(".") == 2
             assert set(body["specs"]) == {"A", "B", "One"}
             assert body["sessions"] == 0
+
+    def test_health_probes_count_as_health(self):
+        # The gateway's own start-up probe is not a request: it is not
+        # counted, and a health probe is not a documents request.
+        with use_registry() as registry:
+            with live_gateway(SpecRegistry.from_text(DOC)) as (api, _gw):
+                for _ in range(3):
+                    assert api.request("GET", "/v1/healthz")[0] == 200
+            requests = registry.snapshot()["repro_gateway_requests_total"]
+        assert requests == {"op=health": 3}
 
     def test_documents_lists_served_specs(self):
         with live_gateway(SpecRegistry.from_text(DOC)) as (api, _gw):

@@ -298,7 +298,10 @@ class TestPipeline:
         snap = metrics.snapshot()
         assert snap["rewrites"] == report.total_rewrites
         assert "prune-trivial-parts" in snap["passes"]
-        assert "rewrite" in metrics.format_text()
+        assert (
+            sum(entry["rewrites"] for entry in snap["passes"].values())
+            == report.total_rewrites
+        )
 
     def test_alphabet_invariant_enforced(self):
         pipeline = PassPipeline([_AlphabetBreakingPass()], max_rounds=1)

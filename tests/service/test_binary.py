@@ -13,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.core.errors import ReproError
+from repro.obs.registry import use_registry
 from repro.service import MonitorClient, MonitorServer, wire
 from repro.workload.scenarios import get_scenario
 
@@ -162,7 +163,8 @@ class TestBinarySession:
                     await client.close()
                 return status, server.metrics.snapshot()
 
-        status, snap = _run(go())
+        with use_registry():
+            status, snap = _run(go())
         assert status.ok and status.events == len(HAPPY)
         assert status.errors == 0 and status.skipped == 0
         assert snap["events_observed"] == len(HAPPY)

@@ -1,12 +1,9 @@
 """Tests for service metrics: counters, histograms, snapshot shape."""
 
-import asyncio
-import io
-
 import pytest
 
 from repro.obs.metrics import CheckerMetrics, ServiceMetrics
-from repro.obs.registry import LatencyHistogram
+from repro.obs.registry import LatencyHistogram, use_registry
 
 
 class TestLatencyHistogram:
@@ -33,58 +30,71 @@ class TestLatencyHistogram:
 
 class TestServiceMetrics:
     def test_event_counters(self):
-        metrics = ServiceMetrics()
-        metrics.record_event("Write", 1e-6, skipped=0)
-        metrics.record_event("Write", 1e-6, skipped=1)
-        metrics.record_event("Read2", 1e-6, skipped=0)
-        metrics.record_malformed()
-        metrics.record_violation()
+        with use_registry() as registry:
+            metrics = ServiceMetrics()
+            metrics.record_event(1e-6, skipped=0)
+            metrics.record_event(1e-6, skipped=1)
+            metrics.record_event(1e-6, skipped=0)
+            metrics.record_malformed()
+            metrics.record_violation()
         snap = metrics.snapshot()
         assert snap["events_observed"] == 3
         assert snap["events_skipped"] == 1
         assert snap["events_malformed"] == 1
         assert snap["violations"] == 1
-        assert set(snap["latency"]) == {"Read2", "Write"}
-        assert snap["latency"]["Write"]["count"] == 2
+        assert snap["latency"]["count"] == 3
+        steps = registry.snapshot()["repro_monitor_steps_total"][""]
+        assert steps == 2
 
     def test_a_run_is_one_call_with_per_event_counts(self):
-        metrics = ServiceMetrics()
-        metrics.record_event("Write", 8e-6, events=4, skipped=1)
+        with use_registry():
+            metrics = ServiceMetrics()
+            metrics.record_event(8e-6, events=4, skipped=1)
         snap = metrics.snapshot()
         assert snap["events_observed"] == 4
         assert snap["events_skipped"] == 1
-        latency = snap["latency"]["Write"]
+        latency = snap["latency"]
         assert latency["count"] == 4
         assert latency["mean_seconds"] == pytest.approx(2e-6)
 
+    def test_a_batch_is_one_observation(self):
+        with use_registry() as registry:
+            metrics = ServiceMetrics()
+            metrics.record_batch(64, 1e-4)
+        snap = metrics.snapshot()
+        assert snap["events_observed"] == 64
+        assert snap["latency"]["count"] == 1
+        values = registry.snapshot()
+        assert values["repro_monitor_batches_total"][""] == 1
+        assert values["repro_monitor_batched_events_total"][""] == 64
+
     def test_session_counters(self):
-        metrics = ServiceMetrics()
-        metrics.session_opened()
-        metrics.session_opened()
-        metrics.session_closed()
+        with use_registry():
+            metrics = ServiceMetrics()
+            metrics.session_opened()
+            metrics.session_opened()
+            metrics.session_closed()
         snap = metrics.snapshot()
         assert snap["sessions_opened"] == 2 and snap["sessions_closed"] == 1
 
-    def test_format_text_mentions_every_counter(self):
-        metrics = ServiceMetrics()
-        metrics.record_event("Write", 2e-6, skipped=0)
-        text = metrics.format_text()
-        assert "events_observed=1" in text
-        assert "latency[Write]" in text
-
-    def test_periodic_dump_writes_and_cancels(self):
-        async def run():
+    def test_the_snapshot_reads_the_registry(self):
+        with use_registry() as registry:
             metrics = ServiceMetrics()
-            out = io.StringIO()
-            task = asyncio.create_task(metrics.periodic_dump(0.01, out))
-            await asyncio.sleep(0.05)
-            task.cancel()
-            await task
-            return out.getvalue()
-
-        text = asyncio.run(run())
-        assert "-- metrics --" in text
-        assert "events_observed=0" in text
+            metrics.record_event(2e-6, events=3, skipped=1)
+            metrics.record_malformed(2)
+            metrics.session_opened()
+        values = registry.snapshot()
+        snap = metrics.snapshot()
+        for key, family in (
+            ("events_observed", "repro_monitor_events_total"),
+            ("events_skipped", "repro_monitor_skipped_total"),
+            ("events_malformed", "repro_monitor_malformed_total"),
+            ("violations", "repro_monitor_violations_total"),
+            ("sessions_opened", "repro_sessions_opened_total"),
+            ("sessions_closed", "repro_sessions_closed_total"),
+        ):
+            assert snap[key] == values[family][""], key
+        assert snap["latency"] == values["repro_event_check_seconds"][""]
 
 
 class TestCheckerMetrics:
@@ -121,13 +131,6 @@ class TestCheckerMetrics:
         snap = m.snapshot()
         assert snap["cache_hits"] == 4
         assert snap["cache_errors"] == 1
-
-    def test_format_text_mentions_every_counter(self):
-        m = CheckerMetrics()
-        m.record_outcome(self._outcome())
-        text = m.format_text()
-        for key in ("obligations_run=1", "cache_hits=0", "timeouts=0", "wall:"):
-            assert key in text
 
     def test_empty_hit_rate_is_zero(self):
         assert CheckerMetrics().cache_hit_rate == 0.0

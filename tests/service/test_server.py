@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.obs.registry import use_registry
 from repro.service import (
     MonitorClient,
     MonitorServer,
@@ -99,7 +100,8 @@ class TestEndToEnd:
                 statuses = await asyncio.gather(*writers, *readers, rogue)
                 return statuses, server.metrics.snapshot()
 
-        statuses, snap = asyncio.run(run())
+        with use_registry():
+            statuses, snap = asyncio.run(run())
         clean, violated = statuses[:-1], statuses[-1]
 
         # (a) the violating session is flagged at the correct event index
@@ -126,9 +128,7 @@ class TestEndToEnd:
         assert snap["violations"] == 1
         assert snap["events_malformed"] == 0
         assert snap["sessions_opened"] == 9 == snap["sessions_closed"]
-        assert snap["latency"]["Write"]["count"] + snap["latency"]["Read2"][
-            "count"
-        ] == total_sent
+        assert snap["latency"]["count"] == total_sent
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
     def test_verdicts_independent_of_shard_count(self, registry, shards):

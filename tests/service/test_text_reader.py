@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.registry import use_registry
 from repro.service import MonitorServer
 from repro.service.durability import REC_LINE, scan_records
 from repro.service.protocol import parse_command
@@ -262,7 +263,8 @@ def _serve(chunks: list[bytes], durable: bool):
                 final = await _send(server.port, [b"HELLO session=k\nSTATUS\n"])
         return replies, counters, final
 
-    with tempfile.TemporaryDirectory() as data_dir:
+    # Its own registry: the counters are this server's alone.
+    with tempfile.TemporaryDirectory() as data_dir, use_registry():
         replies, counters, final = asyncio.run(run(data_dir))
         records = [
             (r.opcode, r.lsn, r.received, r.body) for r in scan_records(data_dir, "k")

@@ -182,6 +182,39 @@ class TestService:
         code, text = run("serve", str(doc), "--port", "0", "--procs", "2")
         assert code == 2 and "SO_REUSEPORT" in text
 
+    def test_serve_metrics_interval_prints_the_exposition(self, doc_file):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import threading
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(doc_file),
+             "--port", "0", "--metrics-interval", "0.2"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        seen = []
+        try:
+            for line in proc.stderr:
+                seen.append(line)
+                if line.startswith("# TYPE repro_monitor_events_total"):
+                    break
+        finally:
+            watchdog.cancel()
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=30)
+        assert "# TYPE repro_monitor_events_total counter\n" in seen
+
     def test_send_against_unreachable_server(self, tmp_path):
         trace_path = tmp_path / "t.trace"
         trace_path.write_text("x -> o : OR\n")

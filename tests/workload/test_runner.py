@@ -5,12 +5,16 @@ server shards → dense monitor — hermetically (in-process server on an
 ephemeral port), across shard counts, with and without faults.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core.errors import ReproError
 from repro.obs.registry import Histogram, use_registry
+from repro.service import MonitorServer
 from repro.workload.generator import FaultSpec
 from repro.workload.runner import _histogram_from_prometheus, run_workload
+from repro.workload.scenarios import get_scenario
 
 from .conftest import SCENARIO_NAMES
 
@@ -63,6 +67,28 @@ class TestReportShape:
         assert set(report.latency) == {
             "count", "mean_us", "p50_us", "p90_us", "p99_us",
         }
+
+    def test_latency_counts_only_this_run_against_a_shared_server(self):
+        # Two runs against one external server: the server's histogram
+        # holds both, and each report covers its own events only.
+        async def go():
+            registry = get_scenario("pubsub_fanout").registry()
+            async with MonitorServer(registry) as server:
+                return [
+                    await asyncio.to_thread(
+                        run_workload,
+                        "pubsub_fanout",
+                        seed=seed,
+                        sessions=2,
+                        events=60,
+                        port=server.port,
+                    )
+                    for seed in (1, 2)
+                ]
+
+        for report in asyncio.run(go()):
+            assert report.events_total == 120
+            assert report.latency["count"] == report.events_total
 
     def test_run_record_matches_bench_schema(self, report):
         record = report.run_record("faulted")
