@@ -77,7 +77,7 @@ def _live_stack():
 
     def run() -> None:
         async def main() -> None:
-            async with MonitorServer(scenario.registry(), shards=4) as server:
+            async with MonitorServer(scenario.registry()) as server:
                 box["port"] = server.port
                 box["loop"] = asyncio.get_running_loop()
                 box["stop"] = asyncio.Event()

@@ -1,8 +1,8 @@
 """Workload benchmarks: oracle-checked scenario throughput.
 
 End-to-end events/sec of `repro.workload.run_workload` — generator →
-wire protocol → sharded monitors → verdict — for each corpus scenario,
-fault-free vs faulted.  Every measured run also *checks* itself: the
+wire protocol → session queue → monitor → verdict — for each corpus
+scenario, fault-free vs faulted.  Every measured run also *checks* itself: the
 report must show 100% oracle agreement, so the number is meaningless
 unless the monitoring was correct.
 

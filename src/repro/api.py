@@ -32,7 +32,10 @@ resolves them lazily so importing a single submodule stays cheap.
 
 :data:`API_VERSION` tracks the facade's own compatibility promise
 (1.2.0 added the management surface: ``Gateway``, ``serve_http``,
-``update_from_text``, ``metrics_text``).
+``update_from_text``, ``metrics_text``).  2.0.0 removed the ``shards=``
+keyword of :func:`serve` and :func:`serve_http`, since the server has
+one session queue; it is a major version because callers that pass the
+keyword break.
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ __all__ = [
     "verify_refinement",
 ]
 
-#: The facade's compatibility version (semver).  Bumped to 1.2.0 for the
-#: management surface; see the module docstring for the 1.2 additions.
-API_VERSION = "1.2.0"
+#: The facade's compatibility version (semver); the module docstring
+#: says what each minor and major version changed.
+API_VERSION = "2.0.0"
 
 
 def parse(text: str):
@@ -132,7 +135,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 7471,
-    shards: int = 4,
     metrics_port: int | None = None,
 ) -> None:
     """Run the online-monitoring TCP service over an OUN document (blocking).
@@ -149,7 +151,6 @@ def serve(
     async def run() -> None:
         server = MonitorServer(
             registry,
-            shards=shards,
             host=host,
             port=port,
             metrics_port=metrics_port,
@@ -173,7 +174,6 @@ def serve_http(
     port: int = 0,
     http_host: str = "127.0.0.1",
     http_port: int = 8080,
-    shards: int = 4,
 ) -> None:
     """Run the TCP service *and* the HTTP/JSON gateway over it (blocking).
 
@@ -191,7 +191,7 @@ def serve_http(
     registry = SpecRegistry.from_file(document)
 
     async def run() -> None:
-        server = MonitorServer(registry, shards=shards, host=host, port=port)
+        server = MonitorServer(registry, host=host, port=port)
         await server.start()
         loop = asyncio.get_running_loop()
         # The Gateway speaks TCP to the server this loop runs, so its

@@ -214,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7471, help="TCP port (0 picks one)"
     )
     p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="session queues on one event loop; parallelism comes from --procs",
-    )
-    p_serve.add_argument(
         "--history-limit",
         type=int,
         default=4096,
@@ -503,12 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="external service port (default: a hermetic in-process server)",
-    )
-    w_run.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="session queues on one event loop; parallelism comes from --procs",
     )
     w_run.add_argument(
         "--history-limit",
@@ -804,7 +792,6 @@ def _cmd_serve(args, out) -> int:
                     else None
                 ),
                 procs=args.procs,
-                shards=args.shards,
                 host=args.host,
                 port=args.port,
                 data_dir=args.data_dir,
@@ -832,7 +819,7 @@ def _cmd_serve(args, out) -> int:
                 notes += f"; metrics on :{fronts[-1].port}"
             print(
                 f"repro service on {server.host}:{server.port} "
-                f"({args.procs} procs x {args.shards} shards; "
+                f"({args.procs} procs; "
                 f"specs: {names}{notes})",
                 file=out,
                 flush=True,
@@ -852,7 +839,6 @@ def _cmd_serve(args, out) -> int:
     async def run() -> None:
         server = MonitorServer(
             registry,
-            shards=args.shards,
             host=args.host,
             port=args.port,
             metrics_interval=args.metrics_interval,
@@ -872,7 +858,7 @@ def _cmd_serve(args, out) -> int:
         http_note = f"; http on :{fronts[0].port}" if fronts else ""
         print(
             f"repro service on {server.host}:{server.port} "
-            f"({args.shards} shards; specs: {names}{scrape}{http_note})",
+            f"(specs: {names}{scrape}{http_note})",
             file=out,
             flush=True,
         )
@@ -1056,7 +1042,6 @@ def _cmd_workload(args, out) -> int:
         duration=args.duration,
         host=args.host,
         port=args.port,
-        shards=args.shards,
         history_limit=args.history_limit,
         binary=args.binary,
         batch=args.batch,
@@ -1098,7 +1083,6 @@ def _cmd_workload(args, out) -> int:
                 "mode": "external" if args.port is not None else "in-process",
                 "wire": "binary" if args.binary else "text",
                 "batch": args.batch,
-                "shards": args.shards,
                 "procs": args.procs,
                 "durable": args.durable,
                 "kill_at": list(kill_at),

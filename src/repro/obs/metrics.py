@@ -278,10 +278,12 @@ class ServiceMetrics:
             "repro_monitor_violations_total", help="first violations detected"
         )
         self._c_opened = registry.counter(
-            "repro_sessions_opened_total", help="TCP sessions accepted"
+            "repro_sessions_opened_total",
+            help="connections whose first SPEC succeeded (durable re-attach included)",
         )
         self._c_closed = registry.counter(
-            "repro_sessions_closed_total", help="TCP sessions finished"
+            "repro_sessions_closed_total",
+            help="connections counted as opened that have since ended",
         )
         self._h_check = registry.histogram(
             "repro_event_check_seconds", help="per-event check latency, all specs"

@@ -5,8 +5,8 @@ are monitorable online.  This package turns the in-process
 :class:`~repro.runtime.monitor.SpecMonitor` into a server: many
 concurrent TCP sessions, each an event stream checked against a
 registered specification by one monitor that sees the whole stream in
-arrival order (the paper's ``h/α(Γ) ∈ T(Γ)``).  Sessions spread over
-FIFO queues on one event loop; real parallelism comes from the
+arrival order (the paper's ``h/α(Γ) ∈ T(Γ)``).  Sessions step on one
+FIFO queue on one event loop; real parallelism comes from the
 multi-process topology.
 
 Modules:
@@ -15,8 +15,8 @@ Modules:
 * :mod:`~repro.service.registry` — compile specs once, share machines;
 * :mod:`~repro.service.session`  — one session's input semantics, shared
   by the live handlers and crash replay;
-* :mod:`~repro.service.shards`   — per-session FIFO worker pool;
-* :mod:`~repro.service.durability` — per-shard event log + snapshots;
+* :mod:`~repro.service.shards`   — the server's one FIFO session queue;
+* :mod:`~repro.service.durability` — per-worker event log + snapshots;
 * :mod:`~repro.service.topology` — multi-process serving (scale-out);
 * :mod:`~repro.service.server`   — the asyncio TCP server;
 * :mod:`~repro.service.client`   — retrying, backpressured client.

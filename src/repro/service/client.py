@@ -59,7 +59,7 @@ from repro.service.protocol import Reply, SessionStatus, parse_reply
 __all__ = ["MonitorClient", "ServiceUnavailable", "backoff_delays", "DEFAULT_BATCH"]
 
 #: Default ``EVENTS`` batch size for binary sessions.  Large enough to
-#: amortise framing, socket writes and the server's shard hand-offs,
+#: amortise framing, socket writes and the server's queue hand-offs,
 #: small enough that a violation surfaces within a few thousand events
 #: of being fed.
 DEFAULT_BATCH = 256

@@ -1,9 +1,9 @@
-"""Durable monitor state: per-shard event logs + session snapshots.
+"""Durable monitor state: per-worker event logs + session snapshots.
 
 The service's exactly-once story (DESIGN.md §15, docs/operations.md) in
 one page.  A *durable* session — one that said ``HELLO session=<key>``
 against a server started with a data directory — has every event input
-appended to an on-disk log **before** it is fed to the shard pool, and
+appended to an on-disk log **before** it is fed to the session queue, and
 its monitor state snapshotted periodically.  A restarted worker rebuilds
 the session by loading the freshest snapshot and replaying the log
 suffix after it through the same :class:`~repro.service.session.Session`
@@ -225,7 +225,10 @@ class WorkerStore:
     """One worker's durable state: shard logs + snapshots under a data dir.
 
     Layout: ``<data_dir>/worker-<i>/shard-<j>.log`` and
-    ``<data_dir>/worker-<i>/snapshots/<hash>.snap``.  Appends go through
+    ``<data_dir>/worker-<i>/snapshots/<hash>.snap``.  The server appends
+    every record to ``shard-0.log``; recovery still reads every
+    ``shard-*.log``, so directories that older servers spread over
+    several shard logs recover unchanged.  Appends go through
     a buffered file flushed per record (a killed process loses nothing)
     and ``fsync``-ed every ``fsync_every`` records (bounding what a
     crashed host can lose), with the fsync wall time observed in the
@@ -422,8 +425,8 @@ class LogIndex:
 def scan_records(data_dir: str | Path, key: str) -> list[Record]:
     """Every record for ``key`` across all worker dirs, sorted by lsn.
 
-    A reconnect may land a session on a different worker (and a
-    restarted worker may hash its events to different shards), so one
+    A reconnect may land a session on a different worker (and older
+    servers spread one worker's records over several shard logs), so one
     key's records can be spread over many files; ``lsn`` is monotonic
     per key across its whole life, so the sort alone rebuilds the total
     order.  This is a fresh :class:`LogIndex`'s answer.
@@ -463,13 +466,12 @@ def recover(
     registry,
     *,
     index: LogIndex | None = None,
-    shard: int = 0,
 ) -> Session:
     """Rebuild a durable session: freshest snapshot + lsn-ordered log replay.
 
     Replay feeds every surviving record through the same
     :class:`~repro.service.session.Session` calls the live handlers make,
-    stepping inline instead of on a shard (each ``REC_LINE`` as a run of
+    stepping inline instead of on the queue (each ``REC_LINE`` as a run of
     one, which steps like any longer run) — so counters, the dense
     state, and the first-violation index land exactly where the
     uninterrupted run put them.  The ``received`` watermark makes the
@@ -477,14 +479,13 @@ def recover(
     including partially-covered ``EVENTS`` batches.
 
     ``index`` is the caller's long-lived :class:`LogIndex` over
-    ``data_dir``; without one a fresh index reads every log.  ``shard``
-    is the caller's queue for the recovered session.
+    ``data_dir``; without one a fresh index reads every log.
     """
-    session = Session(registry, shard, key=key)
+    session = Session(registry, key=key)
     snap = load_best_snapshot(data_dir, key)
     if snap is not None and not session.restore(snap):
         # A state the spec's dense image does not have: as if torn.
-        session, snap = Session(registry, shard, key=key), None
+        session, snap = Session(registry, key=key), None
     if snap is not None:
         session.snapshot_lsn = session.next_lsn  # on disk already
     records = (index or LogIndex(data_dir)).records(key)

@@ -5,13 +5,12 @@ one registered specification (the paper's soundness condition
 ``h/α(Γ) ∈ T(Γ)`` per connection).  The session's input semantics live
 in :class:`~repro.service.session.Session`, the ingest core that crash
 replay drives too; this module adds the sockets, the write-ahead log,
-the shard-pool hop and the metrics around it.  Each session has one
-monitor and one shard, assigned round-robin as connections arrive: the
-whole stream steps in arrival order on that shard's FIFO, while
-sessions spread over the pool.  The monitor's first violation is what
-``STATUS`` reports.
+the session-queue hop and the metrics around it.  Each session has one
+monitor, and its whole stream steps in arrival order on the server's
+one FIFO queue (:mod:`repro.service.shards`).  The monitor's first
+violation is what ``STATUS`` reports.
 
-The server is single-loop: shard workers are tasks, not threads, so
+The server is single-loop: the queue worker is a task, not a thread, so
 monitor state and metrics need no locks; parallelism comes from
 ``--procs`` (:mod:`repro.service.topology`).
 """
@@ -174,13 +173,12 @@ async def _discard(reader: asyncio.StreamReader) -> None:
 
 
 class MonitorServer:
-    """The monitoring service: registry + shard pool + metrics + TCP front."""
+    """The monitoring service: registry + session queue + metrics + TCP front."""
 
     def __init__(
         self,
         registry: SpecRegistry,
         *,
-        shards: int = 4,
         host: str = "127.0.0.1",
         port: int = 0,
         metrics_interval: float | None = None,
@@ -196,7 +194,7 @@ class MonitorServer:
         sock=None,
     ) -> None:
         self.registry = registry
-        self.pool = ShardPool(shards)
+        self.pool = ShardPool()
         #: Durable-session support: with a data directory the server
         #: write-ahead logs every input of a keyed session and replays
         #: the log on the session's next attach (same or later process).
@@ -235,11 +233,13 @@ class MonitorServer:
         self.port = port
         self._requested_port = port
         self._server: asyncio.AbstractServer | None = None
-        self._session_seq = 0
-        #: Each session's open text run: accepted events handed to its
-        #: shard but not yet stepped, which later lines may join.
+        #: Each session's open text run: accepted events handed to the
+        #: queue but not yet stepped, which later lines may join.
         self._runs: dict[Session, list] = {}
         self._conn_tasks: set[asyncio.Task] = set()
+        #: The connections counted as monitoring sessions: those whose
+        #: SPEC succeeded (control connections never send one).
+        self._bound_conns: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
         self._dump_task: asyncio.Task | None = None
         self._metrics_interval = metrics_interval
@@ -259,7 +259,7 @@ class MonitorServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the socket and start the shard workers.
+        """Bind the socket and start the queue worker.
 
         With ``port=0`` the OS picks an ephemeral port; :attr:`port` holds
         the actual one afterwards (tests and benchmarks rely on this).
@@ -330,7 +330,7 @@ class MonitorServer:
             self._server = None
         # Sever live connections and let their handlers finish (they
         # drain through the still-running pool, durable sessions write a
-        # farewell snapshot) *before* the shard workers go away.
+        # farewell snapshot) *before* the queue worker goes away.
         for conn_writer in list(self._conn_writers):
             conn_writer.close()
         if self._conn_tasks:
@@ -351,13 +351,11 @@ class MonitorServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.metrics.session_opened()
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
-        self._session_seq += 1
-        session = Session(self.registry, self._session_seq % self.pool.shards)
+        session = Session(self.registry)
         text = _TextReader(reader)
         try:
             while True:
@@ -406,7 +404,9 @@ class MonitorServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self.metrics.session_closed()
+            if task in self._bound_conns:
+                self._bound_conns.discard(task)
+                self.metrics.session_closed()
             self._conn_writers.discard(writer)
             if session.key is not None:
                 try:
@@ -487,7 +487,6 @@ class MonitorServer:
                 key,
                 self.registry,
                 index=self._log_index,
-                shard=session.shard,
             )
             durable = " durable=1"
         names = ",".join(self.registry.names())
@@ -510,14 +509,14 @@ class MonitorServer:
         record = durability.encode_record(
             opcode, session.key, session.next_lsn, received, body
         )
-        self._store.append(session.shard, record)
+        self._store.append(0, record)
         session.next_lsn += 1
         session.since_snapshot += session.received - received
 
     async def _snapshot_session(self, session: Session) -> None:
         """Checkpoint a durable session so recovery can skip log prefix.
 
-        Order matters: flush the shard (the monitor must have applied
+        Order matters: flush the queue (the monitor must have applied
         everything the snapshot claims), fsync the log (a snapshot must
         never cover records that could still be lost), then write.
         Nothing is written when this session already wrote one at the
@@ -526,7 +525,7 @@ class MonitorServer:
         if session.snapshot_lsn == session.next_lsn:
             return
         session.since_snapshot = 0
-        await self.pool.flush((session.shard,))
+        await self.pool.flush()
         self._store.sync()
         payload = session.snapshot()
         if payload is not None:
@@ -545,7 +544,7 @@ class MonitorServer:
         a bind to a *different* spec starts over (logged as REC_BIND, the
         input watermark still monotonic).
         """
-        await self.pool.flush((session.shard,))
+        await self.pool.flush()
         durable = session.key is not None
         if (
             durable
@@ -640,11 +639,15 @@ class MonitorServer:
             except ReproError as exc:
                 return "ERR", str(exc)
             applied = await self._bind_session(session, compiled)
+            task = asyncio.current_task()
+            if task not in self._bound_conns:
+                self._bound_conns.add(task)
+                self.metrics.session_opened()
             suffix = "" if applied is None else f" applied={applied}"
-            return "OK", f"spec {compiled.name} shards={self.pool.shards}{suffix}"
+            return "OK", f"spec {compiled.name}{suffix}"
         # Every other verb synchronises first: the reply covers every
         # input this session sent before it.
-        await self.pool.flush((session.shard,))
+        await self.pool.flush()
         if verb == "STATUS":
             keyword, _, detail = format_status(session.status()).partition(" ")
             return keyword, detail
@@ -867,15 +870,15 @@ class MonitorServer:
         reply (events pipeline without per-event round-trips); they are
         surfaced by the next synchronising verb.  An accepted event joins
         the session's open run (``_runs``): the events already handed to
-        its shard but not yet stepped.  Only the first event of a run
+        the queue but not yet stepped.  Only the first event of a run
         submits it, and that ``submit_to`` is what the caller awaits; a
         durable session's due snapshot is the other wait.  The worker
         closes the run when it starts stepping it, in one
         :meth:`Session.step_run` call and one accounting call, so a burst
         of lines costs one queue hop.  A run holds at most
-        ``DEFAULT_QUEUE_SIZE`` events, so a shard holds at most that many
+        ``DEFAULT_QUEUE_SIZE`` events, so the queue holds at most that many
         runs of that many events.  An ``EVENTS`` batch closes the open
-        run, and every barrier flushes the shard, so no run spans a bind,
+        run, and every barrier flushes the queue, so no run spans a bind,
         a reset, a snapshot or a batch.
         """
         durable = session.key is not None
@@ -917,7 +920,7 @@ class MonitorServer:
             if violated:
                 metrics.record_violation()
 
-        return self.pool.submit_to(session.shard, check)
+        return self.pool.submit_to(check)
 
     async def _snapshot_then_accept(self, session: Session, arg: str) -> None:
         # Before accepting: the checkpoint covers exactly the records
@@ -932,7 +935,7 @@ class MonitorServer:
 
         A structurally malformed payload raises
         :class:`~repro.service.wire.FrameError` (the loop answers with an
-        ``ERR`` frame).  The whole batch becomes *one* shard-queue thunk
+        ``ERR`` frame).  The whole batch becomes *one* session-queue thunk
         and one monitor call — the amortisation the binary protocol
         exists for.  It closes the session's open text run, so later
         ``EVENT`` frames cannot step ahead of it.
@@ -964,7 +967,7 @@ class MonitorServer:
                 if violated:
                     metrics.record_violation()
 
-        await self.pool.submit_to(session.shard, check)
+        await self.pool.submit_to(check)
 
 
 def _decode_update(text: str) -> tuple[str | None, str | None, bool]:

@@ -4,7 +4,7 @@ A session's verdict is a function of its trace prefix (the paper's
 ``h/α(Γ) ∈ T(Γ)``), so the live server and crash replay must compute
 the same function.  They do by construction: both feed inputs through
 this one synchronous :class:`Session`.  The live handlers
-(:mod:`repro.service.server`) add the write-ahead log, the shard-pool
+(:mod:`repro.service.server`) add the write-ahead log, the session-queue
 hop and metrics around the calls; :func:`repro.service.durability.recover`
 makes the same calls while replaying a key's log.
 
@@ -16,9 +16,9 @@ that is a wire-safe letter's canonical line resolves through the bound
 spec's ``line_ids`` table, like a binary letter id; only other lines
 are parsed.  *Stepping* (:meth:`Session.step_run`,
 :meth:`Session.step_ids`) feeds accepted inputs to the session's one
-monitor and keeps its first violation; the server runs it on the
-session's shard FIFO, replay inline.  Accepted text events step in
-*runs*: the server hands a burst of consecutive ones to the shard once
+monitor and keeps its first violation; the server runs it on its
+session FIFO, replay inline.  Accepted text events step in
+*runs*: the server hands a burst of consecutive ones to the queue once
 and :meth:`Session.step_run` steps them in one call; replay steps each
 line as a run of one.
 
@@ -43,15 +43,12 @@ __all__ = ["Session", "snapshot_ok"]
 class Session:
     """One event stream checked by one monitor against one bound spec.
 
-    ``shard`` is the server's queue this session's monitor steps on (the
-    write-ahead log appends to the same shard's log); the session itself
-    only carries it.  The monitor sees the whole stream in arrival
-    order, as the soundness check ``h/α(Γ) ∈ T(Γ)`` needs.
+    The monitor sees the whole stream in arrival order, as the soundness
+    check ``h/α(Γ) ∈ T(Γ)`` needs.
     """
 
     __slots__ = (
         "registry",
-        "shard",
         "proto",
         "key",
         "compiled",
@@ -67,9 +64,8 @@ class Session:
         "snapshot_lsn",
     )
 
-    def __init__(self, registry, shard: int = 0, *, key: str | None = None) -> None:
+    def __init__(self, registry, *, key: str | None = None) -> None:
         self.registry = registry
-        self.shard = shard
         self.proto = 1
         #: The durable-session key (None on plain sessions).
         self.key = key

@@ -1,9 +1,9 @@
 """Multi-process serving topology: N monitor workers behind one port.
 
 One :class:`~repro.service.server.MonitorServer` is a single asyncio
-process — its shards are tasks on one event loop, so one core bounds
-it.  This module scales that design out to N worker *processes*, each
-running its own ``MonitorServer`` over its own slice of a shared data
+process — its session queue is a task on one event loop, so one core
+bounds it.  This module scales that design out to N worker *processes*,
+each running its own ``MonitorServer`` over its own slice of a shared data
 directory (``data-dir/worker-<i>/`` — see
 :mod:`~repro.service.durability`), behind one advertised ``host:port``.
 
@@ -60,10 +60,8 @@ class WorkerConfig:
     port: int  # concrete port (every worker binds it itself)
     scenario: str | None = None
     document: str | None = None
-    shards: int = 4
     history_limit: int | None = 4096
     data_dir: str | None = None
-    max_proto: int = 2
     fsync_every: int = 64
     snapshot_every: int = 1024
     watch: str | None = None
@@ -109,14 +107,12 @@ async def _worker_main(config: WorkerConfig, conn) -> None:
     sock.setblocking(False)
     server = MonitorServer(
         registry,
-        shards=config.shards,
         host=config.host,
         data_dir=config.data_dir,
         worker_id=config.worker_index,
         fsync_every=config.fsync_every,
         snapshot_every=config.snapshot_every,
         watch=config.watch,
-        max_proto=config.max_proto,
         direct_port=config.direct_port,
         sock=sock,
     )
@@ -156,12 +152,10 @@ class ScaleOutServer:
         scenario: str | None = None,
         document: str | None = None,
         procs: int = 2,
-        shards: int = 4,
         host: str = "127.0.0.1",
         port: int = 0,
         data_dir: str | Path | None = None,
         history_limit: int | None = 4096,
-        max_proto: int = 2,
         fsync_every: int = 64,
         snapshot_every: int = 1024,
         watch: str | Path | None = None,
@@ -184,10 +178,8 @@ class ScaleOutServer:
             port=port,
             scenario=scenario,
             document=document,
-            shards=shards,
             history_limit=history_limit,
             data_dir=str(data_dir) if data_dir is not None else None,
-            max_proto=max_proto,
             fsync_every=fsync_every,
             snapshot_every=snapshot_every,
             watch=str(watch) if watch is not None else None,

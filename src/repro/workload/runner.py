@@ -358,7 +358,6 @@ async def _run(
     duration: float | None,
     host: str | None,
     port: int | None,
-    shards: int,
     history_limit: int | None,
     binary: bool,
     batch: int | None,
@@ -462,7 +461,6 @@ async def _run(
                 async with ScaleOutServer(
                     scenario=scenario.name,
                     procs=procs,
-                    shards=shards,
                     data_dir=store,
                     history_limit=history_limit,
                 ) as server:
@@ -479,9 +477,7 @@ async def _run(
                 store = data_dir if data_dir is not None else (
                     tmp if durable else None
                 )
-                async with MonitorServer(
-                    registry, shards=shards, data_dir=store
-                ) as server:
+                async with MonitorServer(registry, data_dir=store) as server:
                     report = await drive("127.0.0.1", server.port)
         sp.set(
             events=report.events_total,
@@ -502,7 +498,6 @@ def run_workload(
     duration: float | None = None,
     host: str | None = None,
     port: int | None = None,
-    shards: int = 4,
     history_limit: int | None = 4096,
     binary: bool = False,
     batch: int | None = None,
@@ -516,7 +511,7 @@ def run_workload(
     ``events`` is the happy-path batch size per session; with
     ``duration`` set, each session keeps streaming batches until the
     deadline passes.  ``port=None`` (the default) runs a hermetic
-    in-process server with ``shards`` workers; otherwise the stream is
+    in-process server; otherwise the stream is
     driven at ``host:port``, which must be a ``repro serve`` instance
     with the scenario's specs registered (``repro serve --scenario``).
 
@@ -547,7 +542,6 @@ def run_workload(
             duration=duration,
             host=host,
             port=port,
-            shards=shards,
             history_limit=history_limit,
             binary=binary,
             batch=batch,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+
+from repro.api import Gateway
 from repro.obs.registry import use_registry
 from repro.service import SpecRegistry
 
@@ -10,6 +13,7 @@ from tests.gateway.conftest import (
     EVENT,
     EXTRA_DOC,
     live_gateway,
+    live_server,
 )
 
 
@@ -158,3 +162,21 @@ class TestMetrics:
             assert "repro_gateway_requests_total" in exposition
             status, alias = api.request("GET", "/metrics", raw=True)
             assert status == 200 and alias.decode("utf-8")
+
+    def test_control_connections_are_not_sessions(self):
+        # Probes, listings and scrapes open connections that never send
+        # SPEC; only a bound event stream is a monitoring session.
+        def opened(text: str) -> int:
+            match = re.search(r"^repro_sessions_opened_total (\S+)$", text, re.M)
+            assert match, text
+            return int(float(match.group(1)))
+
+        with use_registry():
+            with live_server(SpecRegistry.from_text(DOC)) as port:
+                with Gateway("127.0.0.1", port) as gateway:
+                    for _ in range(3):
+                        gateway.health()
+                    gateway.documents()
+                    assert opened(gateway.metrics_text()) == 0
+                    gateway.send_events("s", [EVENT], spec="A")
+                    assert opened(gateway.metrics_text()) == 1

@@ -79,10 +79,9 @@ def test_gateway_aggregates_worker_metrics(tmp_path):
             text = gateway.metrics_text()
 
     # counters fold by summing — one unlabeled series for both workers
-    # (>= 4: the gateway's own control and scrape connections also count)
     match = re.search(r"^repro_sessions_opened_total (\d+)$", text, re.M)
     assert match, text
-    assert int(match.group(1)) >= 4
+    assert int(match.group(1)) == 4
     assert "# TYPE repro_sessions_opened_total counter" in text
     assert 'repro_sessions_opened_total{worker=' not in text
 

@@ -70,7 +70,7 @@ class TestRetryAccounting:
 
                 async def late_server():
                     await asyncio.sleep(0.1)
-                    server = MonitorServer(registry_specs, shards=1, port=port)
+                    server = MonitorServer(registry_specs, port=port)
                     await server.start()
                     return server
 
@@ -92,7 +92,7 @@ class TestRetryAccounting:
 
         async def run():
             with use_registry() as registry:
-                async with MonitorServer(registry_specs, shards=1) as server:
+                async with MonitorServer(registry_specs) as server:
                     async with MonitorClient(
                         "127.0.0.1", server.port
                     ) as client:
@@ -233,13 +233,13 @@ class TestBackpressure:
         asyncio.run(run())
 
     def test_slow_reader_throttles_but_loses_nothing(self, cast):
-        # A server with one shard still checks every event the client
+        # The server's one queue still checks every event the client
         # pushed, however the socket throttled it — end-to-end
         # conservation.
         registry = SpecRegistry([cast.write()])
 
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
                 ) as client:
@@ -256,7 +256,7 @@ class TestBackpressure:
         registry = SpecRegistry([cast.write()])
 
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 client = MonitorClient("127.0.0.1", server.port, spec="Write")
                 for _ in range(2):
                     with pytest.raises(ReproError, match="not connected"):

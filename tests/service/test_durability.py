@@ -622,7 +622,7 @@ class TestReplayLaw:
         async def run():
             # the uninterrupted twin
             async with MonitorServer(
-                registry, shards=2, data_dir=tmp_path / "a"
+                registry, data_dir=tmp_path / "a"
             ) as server:
                 baseline = await _drive(server.port, spec, lines, key, proto=proto)
 
@@ -631,7 +631,7 @@ class TestReplayLaw:
                 data_dir=tmp_path / "b", fsync_every=4, snapshot_every=16
             )
             async with MonitorServer(
-                scenario.registry(), shards=2, **durable
+                scenario.registry(), **durable
             ) as server:
                 await _drive(
                     server.port, spec, lines[:cut], key, proto=proto, status_every=7
@@ -642,7 +642,7 @@ class TestReplayLaw:
                 for snap_dir in (tmp_path / "b").glob("worker-*/snapshots"):
                     shutil.rmtree(snap_dir)
             async with MonitorServer(
-                scenario.registry(), shards=2, **durable
+                scenario.registry(), **durable
             ) as server:
                 resumed = await _drive(
                     server.port, spec, lines[cut:], key, proto=proto
@@ -684,7 +684,6 @@ class TestReplayLaw:
         async def run():
             async with MonitorServer(
                 registry,
-                shards=2,
                 data_dir=tmp_path / "live",
                 fsync_every=4,
                 snapshot_every=8,
@@ -722,7 +721,7 @@ class TestReplayLaw:
         async def run():
             # uninterrupted control session (plain, no durability)
             async with MonitorServer(
-                SpecRegistry([cast.write()]), shards=2
+                SpecRegistry([cast.write()])
             ) as control_server:
                 async with MonitorClient(
                     "127.0.0.1", control_server.port, spec="Write", proto=proto
@@ -732,7 +731,7 @@ class TestReplayLaw:
                     baseline = await control.status()
 
             server = MonitorServer(
-                registry, shards=2, data_dir=tmp_path / "d", fsync_every=1
+                registry, data_dir=tmp_path / "d", fsync_every=1
             )
             await server.start()
             port = server.port
@@ -750,7 +749,6 @@ class TestReplayLaw:
             # re-attaches the session, and resends the unacked suffix
             server = MonitorServer(
                 SpecRegistry([cast.write()]),
-                shards=2,
                 port=port,
                 data_dir=tmp_path / "d",
                 fsync_every=1,
@@ -776,7 +774,7 @@ class TestReplayLaw:
 
         async def run():
             async with MonitorServer(
-                registry, shards=2, data_dir=tmp_path
+                registry, data_dir=tmp_path
             ) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
@@ -809,7 +807,7 @@ class TestDurableServing:
 
         async def run():
             async with MonitorServer(
-                SpecRegistry([cast.write()]), shards=2, data_dir=tmp_path
+                SpecRegistry([cast.write()]), data_dir=tmp_path
             ) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write", session="k", proto=proto
@@ -823,6 +821,48 @@ class TestDurableServing:
         assert status.applied == len(lines)
         assert sum(record.inputs for record in records) == status.applied
 
+    def test_older_shard_log_reattaches_unchanged(self, tmp_path, cast):
+        # Servers before 2.0.0 spread a worker's records over one log per
+        # session queue.  A key logged in shard-2.log re-attaches with the
+        # applied= and verdict of a live run, and new records go to
+        # shard-0.log.
+        old = tmp_path / "old"
+        store = WorkerStore(old)
+        _log_lines(store, "k", VIOLATING_LINES, shard=2)
+        store.close()
+        shard_2 = (old / "worker-0" / "shard-2.log").read_bytes()
+        events = b"".join(b"EVENT %s\n" % line.encode() for line in VIOLATING_LINES)
+
+        async def replies(data_dir, body: bytes, count: int) -> list[bytes]:
+            async with MonitorServer(
+                SpecRegistry([cast.write()]), data_dir=data_dir
+            ) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(b"HELLO session=k\nSPEC Write\n" + body)
+                await writer.drain()
+                out = [await reader.readline() for _ in range(count)]
+                writer.close()
+                await writer.wait_closed()
+                return out[1:]
+
+        live = asyncio.run(replies(tmp_path / "live", events + b"STATUS\n", 3))
+        recovered = asyncio.run(
+            replies(old, b"STATUS\nEVENT w9 -> o : CW\nBYE\n", 4)
+        )
+        assert live[0] == b"OK spec Write applied=0\n"
+        assert recovered[0] == b"OK spec Write applied=4\n"
+        assert recovered[1] == live[1]
+        assert b"index=2" in live[1]
+        assert (old / "worker-0" / "shard-2.log").read_bytes() == shard_2
+        tail = scan_records(old, "k")[-1]
+        assert (tail.opcode, tail.body) == (REC_LINE, b"w9 -> o : CW")
+        assert sorted(p.name for p in (old / "worker-0").glob("*.log")) == [
+            "shard-0.log",
+            "shard-2.log",
+        ]
+
     def test_bye_then_close_writes_one_farewell_snapshot(self, tmp_path, cast):
         # BYE snapshots the session; the connection's close must not write
         # the same unchanged state again, and neither must a later
@@ -831,7 +871,7 @@ class TestDurableServing:
 
         async def run():
             server = MonitorServer(
-                SpecRegistry([cast.write()]), shards=2, data_dir=tmp_path
+                SpecRegistry([cast.write()]), data_dir=tmp_path
             )
             await server.start()
             write_snapshot = server._store.write_snapshot
@@ -871,7 +911,7 @@ class TestDurableServing:
             loop = asyncio.get_running_loop()
             loop.set_exception_handler(lambda _loop, context: errors.append(context))
             server = MonitorServer(
-                SpecRegistry([cast.write()]), shards=2, data_dir=tmp_path
+                SpecRegistry([cast.write()]), data_dir=tmp_path
             )
             await server.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)

@@ -1,7 +1,7 @@
 """Text lines step in runs: the verdict equals stepping line by line.
 
-The server hands consecutive accepted ``EVENT`` lines to the session's
-shard as one *run* and steps the run in one :meth:`Session.step_run`
+The server hands consecutive accepted ``EVENT`` lines to its session
+queue as one *run* and steps the run in one :meth:`Session.step_run`
 call.  Trace sets are prefix-closed, so that must not change a single
 reply.  The property sends one stream three
 ways — all in one write (long runs), one write and a ``STATUS`` per line
@@ -122,7 +122,7 @@ async def _binary(port, spec, items):
 
 def _three_ways(registry, spec, items):
     async def run():
-        async with MonitorServer(registry, shards=2) as server:
+        async with MonitorServer(registry) as server:
             return (
                 await _one_write(server.port, spec, items),
                 await _line_at_a_time(server.port, spec, items),
@@ -211,7 +211,7 @@ def test_an_events_batch_closes_the_open_run():
     wid = registry.get("WriteAcc").line_ids[w]
 
     async def run():
-        async with MonitorServer(registry, shards=2) as server:
+        async with MonitorServer(registry) as server:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             writer.write(
                 b"HELLO proto=2\n"
@@ -258,7 +258,7 @@ def test_one_write_of_many_lines_steps_in_bounded_runs():
     async def run():
         with use_registry():
             tasks = get_registry().counter("repro_shard_tasks_total")
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 before = tasks.value
                 status = await _one_write(server.port, scenario.monitored, lines)
                 return status, tasks.value - before

@@ -35,7 +35,7 @@ class TestMetricsVerb:
         async def run() -> str:
             with use_registry():
                 registry = SpecRegistry([cast.write(), cast.read2()])
-                async with MonitorServer(registry, shards=2) as server:
+                async with MonitorServer(registry) as server:
                     async with MonitorClient(
                         "127.0.0.1", server.port, spec="Write"
                     ) as client:
@@ -52,7 +52,7 @@ class TestMetricsVerb:
         assert samples["repro_monitor_events_total"][""] == len(WRITE_SESSION)
         assert sum(samples["repro_monitor_steps_total"].values()) > 0
 
-        # shard layer: the events stepped in runs, at least one task and
+        # queue layer: the events stepped in runs, at least one task and
         # at most one per event
         tasks = sum(samples["repro_shard_tasks_total"].values())
         assert 1 <= tasks <= len(WRITE_SESSION)
@@ -78,7 +78,7 @@ class TestMetricsVerb:
         async def run():
             with use_registry():
                 registry = SpecRegistry([cast.write()])
-                async with MonitorServer(registry, shards=1) as server:
+                async with MonitorServer(registry) as server:
                     async with MonitorClient(
                         "127.0.0.1", server.port, spec="Write"
                     ) as client:
@@ -102,7 +102,7 @@ class TestScrapeEndpoint:
             with use_registry():
                 registry = SpecRegistry([cast.write()])
                 async with MonitorServer(
-                    registry, shards=1, metrics_port=0
+                    registry, metrics_port=0
                 ) as server:
                     assert server.metrics_port not in (None, 0)
                     reader, writer = await asyncio.open_connection(
@@ -145,7 +145,7 @@ class TestScrapeEndpoint:
             with use_registry():
                 registry = SpecRegistry([cast.write()])
                 async with MonitorServer(
-                    registry, shards=1, metrics_port=0
+                    registry, metrics_port=0
                 ) as server:
                     reader, writer = await asyncio.open_connection(
                         "127.0.0.1", server.metrics_port
@@ -164,7 +164,7 @@ class TestScrapeEndpoint:
         async def run():
             with use_registry():
                 registry = SpecRegistry([cast.write()])
-                async with MonitorServer(registry, shards=1) as server:
+                async with MonitorServer(registry) as server:
                     return server.metrics_port
 
         assert asyncio.run(run()) is None

@@ -79,7 +79,7 @@ async def _session(
 class TestEndToEnd:
     def test_concurrent_interleaved_sessions(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=4) as server:
+            async with MonitorServer(registry) as server:
                 writers = [
                     _session(
                         server.port,
@@ -130,17 +130,28 @@ class TestEndToEnd:
         assert snap["sessions_opened"] == 9 == snap["sessions_closed"]
         assert snap["latency"]["count"] == total_sent
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_verdicts_independent_of_shard_count(self, registry, shards):
-        async def run():
-            async with MonitorServer(registry, shards=shards) as server:
-                return [
-                    await _session(server.port, "Write", script, proto)
-                    for script in (VIOLATING_SCRIPT, MULTI_CALLEE_SCRIPT)
-                    for proto in (1, 2)
-                ]
+    @pytest.mark.parametrize("sessions", [1, 2, 8])
+    def test_verdicts_independent_of_shard_count(self, registry, sessions):
+        """The server has one session queue; the verdicts do not depend on
+        how many concurrent sessions share it."""
 
-        plain, plain_binary, multi, multi_binary = asyncio.run(run())
+        async def group(port):
+            return [
+                await _session(port, "Write", script, proto)
+                for script in (VIOLATING_SCRIPT, MULTI_CALLEE_SCRIPT)
+                for proto in (1, 2)
+            ]
+
+        async def run():
+            async with MonitorServer(registry) as server:
+                return await asyncio.gather(
+                    *(group(server.port) for _ in range(sessions))
+                )
+
+        groups = asyncio.run(run())
+        assert len(groups) == sessions
+        assert all(g == groups[0] for g in groups)
+        plain, plain_binary, multi, multi_binary = groups[0]
         assert plain.violation_index == VIOLATION_INDEX
         assert multi.violation_index == MULTI_CALLEE_VIOLATION_INDEX
         assert multi.skipped == 4 and multi.events == len(MULTI_CALLEE_SCRIPT)
@@ -149,7 +160,7 @@ class TestEndToEnd:
         assert multi_binary == multi
 
     def test_one_monitor_per_session(self, cast):
-        """One bind, one monitor; a sync flushes the session's one shard."""
+        """One bind, one monitor per session."""
         registry = SpecRegistry([cast.write()])
         created = []
         new_monitor_for = registry.new_monitor_for
@@ -159,17 +170,9 @@ class TestEndToEnd:
             return new_monitor_for(compiled)
 
         registry.new_monitor_for = counting
-        flushed: list[list[int]] = []
 
         async def run():
-            async with MonitorServer(registry, shards=8) as server:
-                flush = server.pool.flush
-
-                async def recording(shard_ids=None):
-                    flushed.append(sorted(set(shard_ids)))
-                    await flush(shard_ids)
-
-                server.pool.flush = recording
+            async with MonitorServer(registry) as server:
                 async with MonitorClient("127.0.0.1", server.port) as client:
                     statuses = []
                     for _ in range(2):  # SPEC on a plain session rebinds
@@ -182,7 +185,6 @@ class TestEndToEnd:
         statuses = asyncio.run(run())
         assert len({line.split()[2] for line in MULTI_CALLEE_SCRIPT}) >= 4
         assert created == ["Write", "Write"]
-        assert flushed and all(len(ids) == 1 for ids in flushed)
         for status in statuses:
             assert status.violation_index == MULTI_CALLEE_VIOLATION_INDEX
             assert status.skipped == 4
@@ -192,7 +194,7 @@ class TestEndToEnd:
     )
     def test_over_long_line_is_refused_and_closes(self, registry, head):
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -227,7 +229,7 @@ class TestEndToEnd:
         assert len(line) == length
 
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -252,7 +254,7 @@ class TestEndToEnd:
 
         async def run():
             async with MonitorServer(
-                registry, shards=1, data_dir=tmp_path
+                registry, data_dir=tmp_path
             ) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
@@ -281,7 +283,7 @@ class TestEndToEnd:
 
         refusal, rest, (attach, status) = asyncio.run(run())
         assert (refusal, rest) == (b"ERR line too long\n", b"")
-        assert attach == b"OK spec Write shards=1 applied=1\n"
+        assert attach == b"OK spec Write applied=1\n"
         assert status == (
             b"OK status spec=Write events=1 skipped=0 errors=0 applied=1\n"
         )
@@ -301,7 +303,7 @@ class TestEndToEnd:
         assert len(batch) > 1 << 16 and b"\n" not in batch
 
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", server.port
                 )
@@ -331,14 +333,14 @@ class TestEndToEnd:
 class TestProtocolBehaviour:
     def _roundtrip(self, registry, lines, spec="Write"):
         async def run():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 return await _session(server.port, spec, lines)
 
         return asyncio.run(run())
 
     def test_unknown_spec_rejected(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 client = MonitorClient("127.0.0.1", server.port)
                 await client.connect()
                 with pytest.raises(Exception, match="Nope"):
@@ -356,7 +358,7 @@ class TestProtocolBehaviour:
 
     def test_events_before_spec_are_errors(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 client = MonitorClient("127.0.0.1", server.port)
                 await client.connect()
                 await client.send_event("w1 -> o : OW")
@@ -370,7 +372,7 @@ class TestProtocolBehaviour:
 
     def test_reset_forgets_violation(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
                 ) as client:
@@ -388,7 +390,7 @@ class TestProtocolBehaviour:
 
     def test_rebinding_spec_resets_session(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="Write"
                 ) as client:
@@ -403,7 +405,7 @@ class TestProtocolBehaviour:
 
     def test_hello_lists_specs(self, registry):
         async def run():
-            async with MonitorServer(registry, shards=1) as server:
+            async with MonitorServer(registry) as server:
                 async with MonitorClient("127.0.0.1", server.port) as client:
                     return client.server_specs
 

@@ -1,64 +1,51 @@
-"""Tests for the shard pool: per-shard FIFO, barriers, surviving workers."""
+"""Tests for the session queue: FIFO order, barriers, a surviving worker."""
 
 import asyncio
-
-import pytest
 
 from repro.obs.registry import use_registry
 from repro.service.shards import ShardPool
 
 
 class TestPool:
-    def test_rejects_nonpositive_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardPool(0)
-
     def test_per_key_order_preserved(self):
         async def run():
-            pool = ShardPool(4)
+            pool = ShardPool()
             await pool.start()
-            seen: dict[int, list[int]] = {}
+            seen: list[int] = []
             for i in range(200):
-                shard = i % pool.shards
-
-                def record(shard=shard, i=i):
-                    seen.setdefault(shard, []).append(i)
-
-                await pool.submit_to(shard, record)
+                await pool.submit_to(lambda i=i: seen.append(i))
             await pool.flush()
             await pool.stop()
             return seen
 
-        seen = asyncio.run(run())
-        assert sum(len(v) for v in seen.values()) == 200
-        for order in seen.values():
-            assert order == sorted(order)
+        assert asyncio.run(run()) == list(range(200))
 
     def test_flush_is_a_barrier(self):
         async def run():
-            pool = ShardPool(2)
+            pool = ShardPool()
             await pool.start()
             done = []
             for i in range(50):
-                await pool.submit_to(i % 2, lambda i=i: done.append(i))
+                await pool.submit_to(lambda i=i: done.append(i))
             await pool.flush()
             count_at_barrier = len(done)
+            await pool.submit_to(lambda: done.append(50))
             await pool.stop()
-            return count_at_barrier
+            return count_at_barrier, len(done)
 
-        assert asyncio.run(run()) == 50
+        assert asyncio.run(run()) == (50, 51)
 
     def test_failing_thunk_keeps_worker_alive(self):
         async def run():
-            pool = ShardPool(1)
+            pool = ShardPool()
             await pool.start()
 
             def boom():
                 raise RuntimeError("thunk failed")
 
             ok = []
-            await pool.submit_to(0, boom)
-            await pool.submit_to(0, lambda: ok.append(1))
+            await pool.submit_to(boom)
+            await pool.submit_to(lambda: ok.append(1))
             await pool.flush()
             await pool.stop()
             return ok
@@ -68,15 +55,3 @@ class TestPool:
         assert ok == [1]
         assert registry.counter("repro_shard_task_errors_total").value == 1
         assert registry.counter("repro_shard_tasks_total").value == 2
-
-    def test_flush_subset_of_shards(self):
-        async def run():
-            pool = ShardPool(4)
-            await pool.start()
-            hit = []
-            await pool.submit_to(2, lambda: hit.append(1))
-            await pool.flush({2})
-            assert hit == [1]
-            await pool.stop()
-
-        asyncio.run(run())

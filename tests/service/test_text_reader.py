@@ -244,7 +244,7 @@ def _serve(chunks: list[bytes], durable: bool):
 
     async def run(data_dir):
         async with MonitorServer(
-            SCENARIO.registry(), shards=2, data_dir=data_dir, snapshot_every=4
+            SCENARIO.registry(), data_dir=data_dir, snapshot_every=4
         ) as server:
             replies = await _send(server.port, chunks)
             await server.pool.flush()

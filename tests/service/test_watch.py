@@ -68,7 +68,7 @@ class TestWatch:
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
             async with MonitorServer(
-                registry, shards=2, watch=doc, watch_interval=0.02
+                registry, watch=doc, watch_interval=0.02
             ) as server:
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="B"
@@ -96,7 +96,7 @@ class TestWatch:
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
             async with MonitorServer(
-                registry, shards=2, watch=doc, watch_interval=0.02
+                registry, watch=doc, watch_interval=0.02
             ) as server:
                 _rewrite(doc, "specification {")  # a half-saved document
                 # a broken edit must not take the service down: new
@@ -126,7 +126,7 @@ class TestWatch:
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
             async with MonitorServer(
-                registry, shards=2, watch=doc, watch_interval=0.01
+                registry, watch=doc, watch_interval=0.01
             ) as server:
                 del server
                 await asyncio.sleep(0.1)  # many poll rounds, no edit

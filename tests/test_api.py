@@ -1,6 +1,8 @@
 """The stable public facade: ``repro.api`` and the lazy top-level exports."""
 
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +56,15 @@ class TestSurface:
         assert api.API_VERSION == repro.__version__
         major, minor, _patch = api.API_VERSION.split(".")
         assert (int(major), int(minor)) >= (1, 2)
+
+    def test_package_metadata_version_matches(self):
+        # A regex, not tomllib: the package supports Python 3.10.
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text(
+            encoding="utf-8"
+        )
+        match = re.search(r'^version = "([^"]+)"$', text, re.M)
+        assert match, "pyproject.toml has no version"
+        assert match.group(1) == repro.__version__
 
     def test_lazy_names_stay_in_sync_with_api_all(self):
         # The package __init__ keeps its own frozenset of lazily

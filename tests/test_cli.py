@@ -167,6 +167,13 @@ class TestService:
             run("serve", "--help")
         assert excinfo.value.code == 0
 
+    def test_serve_has_no_shards_flag(self, doc_file, capsys):
+        # The server has one session queue; the old flag is an error.
+        with pytest.raises(SystemExit) as excinfo:
+            run("serve", str(doc_file), "--shards", "2")
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
     def test_serve_rejects_spec_free_document(self, tmp_path):
         empty = tmp_path / "empty.oun"
         empty.write_text("object o\n")

@@ -7,6 +7,7 @@ docs/ must point at a file that exists, and the normative documents
 must keep referencing each other.
 """
 
+import argparse
 import re
 from pathlib import Path
 
@@ -125,3 +126,27 @@ class TestCrossReferences:
             "little-endian",
         ):
             assert needle in text, f"wire-protocol.md lost {needle!r}"
+
+
+def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every ``--flag`` of ``parser`` and of its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+class TestCliReference:
+    """docs/cli.md and the argument parser name the same flags."""
+
+    def test_documented_flags_match_the_parser(self):
+        from repro.cli import build_parser
+
+        text = (REPO / "docs" / "cli.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+        parsed = _parser_flags(build_parser()) - {"--help"}
+        assert sorted(documented - parsed) == [], "documented, not parsed"
+        assert sorted(parsed - documented) == [], "parsed, not documented"

@@ -118,7 +118,7 @@ def live_server():
 
     def serve():
         async def body():
-            async with MonitorServer(registry, shards=2) as server:
+            async with MonitorServer(registry) as server:
                 box["port"] = server.port
                 box["stop"] = asyncio.Event()
                 box["loop"] = asyncio.get_running_loop()

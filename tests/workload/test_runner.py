@@ -1,8 +1,9 @@
 """Runner tests: live service verdicts must match the oracle exactly.
 
-These run the full stack — generator → wire format → client queue →
-server shards → dense monitor — hermetically (in-process server on an
-ephemeral port), across shard counts, with and without faults.
+These run the full stack — generator → wire format → client →
+server queue → dense monitor — hermetically (in-process server on an
+ephemeral port), with one and with several concurrent sessions, with
+and without faults.
 """
 
 import asyncio
@@ -23,10 +24,11 @@ FAULTS = FaultSpec(reorder=0.05, dup=0.05, drop=0.05)
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
-    @pytest.mark.parametrize("shards", (1, 4))
-    def test_faulted_run_agrees(self, name, shards):
+    @pytest.mark.parametrize("sessions", (1, 4))
+    def test_faulted_run_agrees(self, name, sessions):
+        # several sessions interleave their runs on the server's one queue
         report = run_workload(
-            name, seed=13, faults=FAULTS, sessions=3, events=120, shards=shards
+            name, seed=13, faults=FAULTS, sessions=sessions, events=120
         )
         assert report.all_agree, report.describe()
         assert report.agreement == 1.0

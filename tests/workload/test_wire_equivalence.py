@@ -87,7 +87,7 @@ class TestHotSwapEquivalence:
 
     async def _run(self, proto: int):
         registry = SpecRegistry.from_text(OLD_DOC)
-        async with MonitorServer(registry, shards=2) as server:
+        async with MonitorServer(registry) as server:
             async with MonitorClient(
                 "127.0.0.1", server.port, spec="Alt", proto=proto
             ) as session:
