@@ -7,7 +7,9 @@ truthiness check per instrumentation point.  This harness pins that
 contract on the hottest workload the system has: dense online stepping
 (``DFA.run_ids``) over the paper's composed ``Read ‖ Write`` machine.
 
-Three timed variants of the same chunked stepping loop:
+Three timed variants of the same chunked stepping loop, run back to back
+inside each of several rounds (the gate ratios are medians of the
+per-round ratios):
 
 * **plain** — no instrumentation at all (the pre-obs baseline);
 * **obs-off** — a ``span(...)`` open/close plus a pre-resolved counter
@@ -34,6 +36,7 @@ Runs under the pytest-benchmark harness *and* standalone::
 from __future__ import annotations
 
 import random
+import statistics
 import sys
 import time
 
@@ -49,10 +52,15 @@ from repro.paper.specs import PaperCast
 #: Steps per span — the coarsest-grained phase the system instruments.
 CHUNK = 5_000
 
-#: Event-stream length and timing repetitions (full / ``--quick``).
+#: Event-stream length (full / ``--quick``).
 STREAM_LEN = 400_000
 QUICK_STREAM_LEN = 100_000
-ROUNDS = 7
+
+#: Interleaved timing rounds, a multiple of 3 so that each variant runs
+#: in each position of a round equally often.  A quick run times each
+#: variant for about 4 ms, so one host hiccup moves that round's ratio
+#: by several percent; the median over 90 rounds does not move with it.
+ROUNDS = 90
 
 #: Allowed slowdown ratios versus the uninstrumented baseline.
 OFF_TOLERANCE = 1.05
@@ -99,17 +107,20 @@ def _instrumented_loop(dfa: DFA, ids: list[int]):
     return run
 
 
-def _best_of(fn, rounds: int) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
 
 
-def _measure(length: int, rounds: int) -> dict:
-    """plain/off/on best-of timings for one stream; sanity-checked."""
+def _measure(length: int) -> dict:
+    """plain/off/on timed in interleaved rounds; sanity-checked.
+
+    Each round times all three variants back to back, in an order that
+    rotates from round to round, so a slow stretch of the host lands on
+    one round's variants alike instead of on one variant's whole block.
+    A gate ratio is the median of the per-round ratios.
+    """
     dfa = _workload()
     ids = _encoded_stream(dfa, length)
     plain = _plain_loop(dfa, ids)
@@ -118,24 +129,36 @@ def _measure(length: int, rounds: int) -> dict:
     assert not tracing_enabled(), "a leaked sink would poison the off gate"
     assert plain() == instrumented(), "instrumentation changed the run"
 
-    plain_s = _best_of(plain, rounds)
-    off_s = _best_of(instrumented, rounds)
     collector = InMemoryCollector()
-    with use_sink(collector):
-        on_s = _best_of(instrumented, rounds)
-    expected_spans = rounds * ((len(ids) + CHUNK - 1) // CHUNK)
+
+    def on() -> int:
+        with use_sink(collector):
+            return instrumented()
+
+    variants = [("plain", plain), ("off", instrumented), ("on", on)]
+    times: dict[str, list[float]] = {name: [] for name, _ in variants}
+    for r in range(ROUNDS):
+        for name, fn in variants[r % 3 :] + variants[: r % 3]:
+            times[name].append(_timed(fn))
+    expected_spans = ROUNDS * ((len(ids) + CHUNK - 1) // CHUNK)
     assert len(collector.records) == expected_spans, (
         "obs-on must record one span per chunk"
     )
+    ratios = {
+        name: statistics.median(
+            t / p for t, p in zip(times[name], times["plain"])
+        )
+        for name in ("off", "on")
+    }
     return {
         "states": dfa.n_states,
         "letters": dfa.n_letters,
         "steps": len(ids),
-        "plain_s": plain_s,
-        "off_s": off_s,
-        "on_s": on_s,
-        "off_ratio": off_s / plain_s,
-        "on_ratio": on_s / plain_s,
+        "plain_s": statistics.median(times["plain"]),
+        "off_s": statistics.median(times["off"]),
+        "on_s": statistics.median(times["on"]),
+        "off_ratio": ratios["off"],
+        "on_ratio": ratios["on"],
     }
 
 
@@ -145,7 +168,7 @@ def _measure(length: int, rounds: int) -> dict:
 
 
 def bench_obs_overhead(benchmark):
-    result = _measure(QUICK_STREAM_LEN, rounds=5)
+    result = _measure(QUICK_STREAM_LEN)
     dfa = _workload()
     ids = _encoded_stream(dfa, QUICK_STREAM_LEN)
     benchmark.pedantic(_plain_loop(dfa, ids), rounds=3, iterations=1)
@@ -171,9 +194,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     quick = "--quick" in argv
     length = QUICK_STREAM_LEN if quick else STREAM_LEN
-    rounds = 5 if quick else ROUNDS
-    print("observability overhead: chunked dense stepping, best of rounds")
-    result = _measure(length, rounds)
+    print(
+        f"observability overhead: chunked dense stepping, {ROUNDS} "
+        f"interleaved rounds, median of per-round ratios"
+    )
+    result = _measure(length)
     rate = result["steps"] / result["plain_s"] / 1e6
     print(
         f"  workload: read||write trimmed "
@@ -181,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{result['steps']} steps in chunks of {CHUNK}, {rate:.1f} Mstep/s"
     )
     print(
-        f"  {'variant':<10} {'best ms':>9} {'vs plain':>9}   gate"
+        f"  {'variant':<10} {'median ms':>9} {'vs plain':>9}   gate"
     )
     rows = [
         ("plain", result["plain_s"], 1.0, ""),

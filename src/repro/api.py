@@ -40,6 +40,7 @@ keyword break.
 
 from __future__ import annotations
 
+import contextlib
 from pathlib import Path
 from typing import Iterable
 
@@ -140,7 +141,10 @@ def serve(
     """Run the online-monitoring TCP service over an OUN document (blocking).
 
     ``document`` is a path to an ``.oun`` file.  ``metrics_port`` also
-    exposes a Prometheus text scrape endpoint.  Returns when interrupted.
+    serves ``GET /metrics`` (and ``GET /v1/metrics``) over HTTP: the
+    Prometheus text the ``METRICS`` verb returns, through the gateway's
+    metrics-only front (:class:`~repro.gateway.MetricsServer`); ``0``
+    picks a port.  Returns when interrupted.
     """
     import asyncio
 
@@ -149,15 +153,13 @@ def serve(
     registry = SpecRegistry.from_file(document)
 
     async def run() -> None:
-        server = MonitorServer(
-            registry,
-            host=host,
-            port=port,
-            metrics_port=metrics_port,
-        )
+        server = MonitorServer(registry, host=host, port=port)
         await server.start()
         try:
-            await server.serve_forever()
+            async with _http_fronts(
+                host, server.port, host=host, metrics_port=metrics_port
+            ):
+                await server.serve_forever()
         finally:
             await server.stop()
 
@@ -185,7 +187,6 @@ def serve_http(
     """
     import asyncio
 
-    from repro.gateway import GatewayServer
     from repro.service import MonitorServer, SpecRegistry
 
     registry = SpecRegistry.from_file(document)
@@ -193,18 +194,12 @@ def serve_http(
     async def run() -> None:
         server = MonitorServer(registry, host=host, port=port)
         await server.start()
-        loop = asyncio.get_running_loop()
-        # The Gateway speaks TCP to the server this loop runs, so its
-        # blocking open/close must happen off-loop.
-        gateway = Gateway(host, server.port)
-        await loop.run_in_executor(None, gateway.open)
-        front = GatewayServer(gateway, host=http_host, port=http_port)
-        front.start()
         try:
-            await server.serve_forever()
+            async with _http_fronts(
+                host, server.port, host=http_host, http_port=http_port
+            ):
+                await server.serve_forever()
         finally:
-            await loop.run_in_executor(None, front.close)
-            await loop.run_in_executor(None, gateway.close)
             await server.stop()
 
     try:
@@ -213,11 +208,90 @@ def serve_http(
         pass
 
 
+def _backend_host(host: str) -> str:
+    """A connectable address for a service bound to ``host``."""
+    return "127.0.0.1" if host in ("0.0.0.0", "::") else host
+
+
+@contextlib.asynccontextmanager
+async def _http_fronts(
+    backend_host: str,
+    backend_port: int,
+    *,
+    host: str,
+    http_port: int | None = None,
+    metrics_port: int | None = None,
+    metrics_interval: float | None = None,
+    metrics_targets=None,
+):
+    """Open a :class:`Gateway` and its HTTP fronts beside a running server.
+
+    ``backend_host:backend_port`` is the server; the fronts bind ``host``.
+    Yields ``(http, metrics)``: the started REST front on ``http_port``
+    and the metrics-only front on ``metrics_port``, ``None`` where a port
+    is not asked for (``0`` picks one).  With ``metrics_interval`` set,
+    :meth:`Gateway.metrics_text` goes to stderr every that many seconds.
+    ``metrics_targets`` is the Gateway's: ``None`` scrapes the server
+    itself, unmerged.  With nothing asked for, no Gateway opens.  Every
+    front and the Gateway close on exit.
+    """
+    import asyncio
+    import sys
+
+    from repro.gateway import GatewayServer, MetricsServer
+
+    if http_port is None and metrics_port is None and not metrics_interval:
+        yield None, None
+        return
+    loop = asyncio.get_running_loop()
+    gateway = Gateway(
+        _backend_host(backend_host),
+        backend_port,
+        metrics_targets=metrics_targets,
+    )
+    # The Gateway speaks TCP to a server this loop may run, so each of
+    # its blocking calls runs off-loop.
+    await loop.run_in_executor(None, gateway.open)
+
+    async def dump() -> None:
+        while True:
+            await asyncio.sleep(metrics_interval)
+            try:
+                text = await loop.run_in_executor(None, gateway.metrics_text)
+            except (ReproError, OSError) as exc:  # a worker mid-respawn
+                text = f"# metrics unavailable: {exc}\n"
+            sys.stderr.write(text)
+            sys.stderr.flush()
+
+    http = metrics = dumper = None
+    try:
+        if http_port is not None:
+            http = GatewayServer(gateway, host=host, port=http_port).start()
+        if metrics_port is not None:
+            metrics = MetricsServer(
+                gateway, host=host, port=metrics_port
+            ).start()
+        if metrics_interval:
+            dumper = asyncio.create_task(dump())
+        yield http, metrics
+    finally:
+        if dumper is not None:
+            dumper.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await dumper
+        for front in (http, metrics):
+            if front is not None:
+                await loop.run_in_executor(None, front.close)
+        await loop.run_in_executor(None, gateway.close)
+
+
 def metrics_text() -> str:
     """This process's metrics registry in Prometheus text exposition format.
 
     A snapshot of :func:`repro.obs.registry.get_registry` — the same text
-    the service's ``METRICS`` verb and ``--metrics-port`` endpoint serve.
+    the service's ``METRICS`` verb returns.  ``--metrics-port`` serves
+    :meth:`Gateway.metrics_text`, which is that text fetched from the
+    server (merged across workers at ``--procs N``).
     """
     from repro.obs.registry import get_registry
 

@@ -250,16 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="print the METRICS exposition to stderr every SECONDS",
+        help="print the METRICS exposition to stderr every SECONDS "
+        "(merged across workers with --procs > 1)",
     )
     p_serve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
         metavar="PORT",
-        help="also serve a Prometheus text scrape endpoint on PORT "
-        "(0 picks one; with --procs > 1 the gateway aggregates all "
-        "workers' metrics here)",
+        help="also serve GET /metrics (Prometheus text) on PORT "
+        "(0 picks one; with --procs > 1 merged across workers)",
     )
     p_serve.add_argument(
         "--http-port",
@@ -686,69 +686,10 @@ def _cmd_monitor(args, out) -> int:
     return 1
 
 
-def _backend_host(host: str) -> str:
-    """A connectable address for a service bound to ``host``."""
-    return "127.0.0.1" if host in ("0.0.0.0", "::") else host
-
-
-async def _start_gateway(
-    args, backend_port, *, metrics_targets=None, metrics_port=None
-):
-    """Open an api.Gateway + HTTP front(s) next to a started server.
-
-    Returns ``(gateway, fronts)``; fronts are the bound
-    :class:`~repro.gateway.GatewayServer` objects, ``--http-port`` first
-    and the aggregated ``--metrics-port`` endpoint (when asked) last.
-    The gateway speaks TCP to the server this loop runs, so its blocking
-    open happens off-loop.
-    """
-    import asyncio
-
-    from repro.api import Gateway
-    from repro.gateway import GatewayServer
-
-    loop = asyncio.get_running_loop()
-    gateway = Gateway(
-        _backend_host(args.host),
-        backend_port,
-        metrics_targets=metrics_targets,
-    )
-    await loop.run_in_executor(None, gateway.open)
-    fronts = []
-    try:
-        if args.http_port is not None:
-            fronts.append(
-                GatewayServer(
-                    gateway, host=args.host, port=args.http_port
-                ).start()
-            )
-        if metrics_port is not None:
-            fronts.append(
-                GatewayServer(
-                    gateway, host=args.host, port=metrics_port
-                ).start()
-            )
-    except BaseException:
-        for front in fronts:
-            front.close()
-        await loop.run_in_executor(None, gateway.close)
-        raise
-    return gateway, fronts
-
-
-async def _stop_gateway(gateway, fronts) -> None:
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    for front in fronts:
-        await loop.run_in_executor(None, front.close)
-    if gateway is not None:
-        await loop.run_in_executor(None, gateway.close)
-
-
 def _cmd_serve(args, out) -> int:
     import asyncio
 
+    from repro.api import _backend_host, _http_fronts
     from repro.service import MonitorServer, SpecRegistry
 
     if (args.file is None) == (args.scenario is None):
@@ -774,16 +715,10 @@ def _cmd_serve(args, out) -> int:
         raise ReproError(f"{args.file}: no monitorable specifications")
     names = ", ".join(registry.names())
 
-    if args.procs > 1:
-        if args.metrics_interval is not None:
-            raise ReproError(
-                "--metrics-interval is a single-process knob; with "
-                "--procs > 1 use --metrics-port (the gateway aggregates "
-                "all workers) or scrape worker direct ports individually"
-            )
-        from repro.service.topology import ScaleOutServer
+    async def run() -> None:
+        if args.procs > 1:
+            from repro.service.topology import ScaleOutServer
 
-        async def run_scaleout() -> None:
             server = ScaleOutServer(
                 scenario=args.scenario,
                 document=(
@@ -798,74 +733,46 @@ def _cmd_serve(args, out) -> int:
                 history_limit=args.history_limit,
                 watch=watch,
             )
-            await server.start()
-            gateway, fronts = None, []
-            if args.http_port is not None or args.metrics_port is not None:
-                host = _backend_host(args.host)
-                gateway, fronts = await _start_gateway(
-                    args,
-                    server.port,
-                    # Re-evaluated per scrape: respawned workers come
-                    # back on fresh direct ports.
-                    metrics_targets=lambda: [
-                        (host, port) for port in server.worker_ports if port
-                    ],
-                    metrics_port=args.metrics_port,
-                )
-            notes = ""
-            if args.http_port is not None:
-                notes += f"; http on :{fronts[0].port}"
-            if args.metrics_port is not None:
-                notes += f"; metrics on :{fronts[-1].port}"
-            print(
-                f"repro service on {server.host}:{server.port} "
-                f"({args.procs} procs; "
-                f"specs: {names}{notes})",
-                file=out,
-                flush=True,
+            host = _backend_host(args.host)
+            # Re-evaluated per scrape: respawned workers come back on
+            # fresh direct ports.
+            targets = lambda: [  # noqa: E731
+                (host, port) for port in server.worker_ports if port
+            ]
+            mode = f"{args.procs} procs; "
+        else:
+            server = MonitorServer(
+                registry,
+                host=args.host,
+                port=args.port,
+                data_dir=args.data_dir,
+                watch=watch,
             )
-            try:
-                await asyncio.Event().wait()
-            finally:
-                await _stop_gateway(gateway, fronts)
-                await server.stop()
-
-        try:
-            asyncio.run(run_scaleout())
-        except KeyboardInterrupt:
-            print("service stopped", file=out)
-        return 0
-
-    async def run() -> None:
-        server = MonitorServer(
-            registry,
-            host=args.host,
-            port=args.port,
-            metrics_interval=args.metrics_interval,
-            metrics_port=args.metrics_port,
-            data_dir=args.data_dir,
-            watch=watch,
-        )
+            targets, mode = None, ""
         await server.start()
-        gateway, fronts = None, []
-        if args.http_port is not None:
-            gateway, fronts = await _start_gateway(args, server.port)
-        scrape = (
-            f"; metrics on :{server.metrics_port}"
-            if server.metrics_port is not None
-            else ""
-        )
-        http_note = f"; http on :{fronts[0].port}" if fronts else ""
-        print(
-            f"repro service on {server.host}:{server.port} "
-            f"(specs: {names}{scrape}{http_note})",
-            file=out,
-            flush=True,
-        )
         try:
-            await server.serve_forever()
+            async with _http_fronts(
+                args.host,
+                server.port,
+                host=args.host,
+                http_port=args.http_port,
+                metrics_port=args.metrics_port,
+                metrics_interval=args.metrics_interval,
+                metrics_targets=targets,
+            ) as (http, metrics):
+                notes = "".join(
+                    f"; {what} on :{front.port}"
+                    for what, front in (("http", http), ("metrics", metrics))
+                    if front is not None
+                )
+                print(
+                    f"repro service on {server.host}:{server.port} "
+                    f"({mode}specs: {names}{notes})",
+                    file=out,
+                    flush=True,
+                )
+                await asyncio.Event().wait()
         finally:
-            await _stop_gateway(gateway, fronts)
             await server.stop()
 
     try:

@@ -8,11 +8,12 @@ deliberately knows nothing about the TCP service: handlers call only the
 ``repro.service`` imports here), so the wire protocol can keep evolving
 behind the stable API surface.
 
-Entry points: ``repro serve --http-port N``, ``repro gateway``, and
+Entry points: ``repro serve --http-port N`` (and ``--metrics-port N``,
+which serves only the metrics routes), ``repro gateway``, and
 :func:`repro.api.serve_http`.  Endpoint reference: ``docs/http-api.md``.
 """
 
-from repro.gateway.app import GatewayServer
+from repro.gateway.app import GatewayServer, MetricsServer
 from repro.gateway.errors import error_envelope, status_for
 
-__all__ = ["GatewayServer", "error_envelope", "status_for"]
+__all__ = ["GatewayServer", "MetricsServer", "error_envelope", "status_for"]

@@ -42,7 +42,7 @@ from repro.gateway.errors import (
     error_envelope,
 )
 
-__all__ = ["GatewayServer"]
+__all__ = ["GatewayServer", "MetricsServer"]
 
 #: Upper bound on request bodies (documents, event batches): plenty for
 #: any real OUN document, small enough to shrug off garbage.
@@ -68,6 +68,9 @@ _ROUTES = [
     ("GET", re.compile(r"^/metrics$"), "_get_metrics"),
 ]
 
+#: The ``--metrics-port`` front's whole surface: the Prometheus scrape.
+_METRICS_ROUTES = [route for route in _ROUTES if route[2] == "_get_metrics"]
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -75,6 +78,7 @@ class _Handler(BaseHTTPRequestHandler):
     # headers and body go out as two writes; without TCP_NODELAY that
     # pattern hits Nagle + delayed-ACK (~40ms) on every keep-alive request
     disable_nagle_algorithm = True
+    routes = _ROUTES
 
     @property
     def gateway(self) -> api.Gateway:
@@ -86,12 +90,13 @@ class _Handler(BaseHTTPRequestHandler):
     # -- dispatch --------------------------------------------------------
 
     def _dispatch(self, method: str) -> None:
+        self._body_read = False
         try:
             split = urlsplit(self.path)
             path = unquote(split.path)
             self._query = parse_qs(split.query)
             path_known = False
-            for verb, pattern, attr in _ROUTES:
+            for verb, pattern, attr in self.routes:
                 match = pattern.match(path)
                 if match is None:
                     continue
@@ -107,6 +112,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise NotFoundError(f"no such resource: {path}")
         except Exception as exc:  # uniform envelope, never a stack trace
             status, payload = error_envelope(exc)
+            # A body the route never read would parse as the next request.
+            if not self._body_read and (
+                "Content-Length" in self.headers
+                or "Transfer-Encoding" in self.headers
+            ):
+                self.close_connection = True
             try:
                 self._send_json(status, payload)
             except (BrokenPipeError, ConnectionResetError):
@@ -147,7 +158,9 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequestError(
                 f"body of {size} bytes exceeds the {MAX_BODY} byte limit"
             )
-        return self.rfile.read(size)
+        body = self.rfile.read(size)
+        self._body_read = True
+        return body
 
     def _read_json(self) -> dict:
         raw = self._read_body()
@@ -181,6 +194,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -263,6 +278,10 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
+class _MetricsHandler(_Handler):
+    routes = _METRICS_ROUTES
+
+
 class _HTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -276,10 +295,12 @@ class GatewayServer:
     print/advertise the address before the first request).
     """
 
+    handler = _Handler
+
     def __init__(
         self, gateway: api.Gateway, *, host: str = "127.0.0.1", port: int = 8080
     ) -> None:
-        self._httpd = _HTTPServer((host, port), _Handler)
+        self._httpd = _HTTPServer((host, port), self.handler)
         self._httpd.gateway = gateway
         self.host = self._httpd.server_address[0]
         self.port = self._httpd.server_address[1]
@@ -313,3 +334,13 @@ class GatewayServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class MetricsServer(GatewayServer):
+    """The ``--metrics-port`` front: ``GET /metrics`` and ``GET /v1/metrics``.
+
+    Every other path gets the JSON 404, so the port an operator opens to
+    a scraper cannot hot-swap documents or feed sessions.
+    """
+
+    handler = _MetricsHandler

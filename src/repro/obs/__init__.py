@@ -19,8 +19,9 @@ One subsystem for the system's self-knowledge, in two halves:
   exploration counters (:mod:`repro.obs.exploration`).  The service's
   counts live only in the registry; the per-run bundles also keep
   their own integers, since one run is not the whole process.  The
-  registry renders Prometheus text for the service's ``METRICS`` verb,
-  ``repro serve --metrics-port`` and ``--metrics-interval``.
+  registry renders Prometheus text for the service's ``METRICS`` verb;
+  ``repro serve --metrics-port`` and ``--metrics-interval`` serve that
+  text through the gateway (merged across workers at ``--procs N``).
 """
 
 from repro.obs.export import (

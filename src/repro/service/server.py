@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import sys
 from pathlib import Path
 from time import perf_counter
 from typing import Awaitable
@@ -61,9 +60,6 @@ _LINGER_S = 1.0
 #: The longest text line, newline excluded (docs/wire-protocol.md); also
 #: the most one socket read takes.
 _LINE_LIMIT = 1 << 16
-
-#: The most a scrape's request head may hold, newlines included.
-_SCRAPE_HEAD_LIMIT = 1 << 16
 
 
 class _LineTooLong(Exception):
@@ -181,8 +177,6 @@ class MonitorServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        metrics_interval: float | None = None,
-        metrics_port: int | None = None,
         direct_port: int | None = None,
         max_proto: int = wire.WIRE_VERSION,
         data_dir: str | Path | None = None,
@@ -241,10 +235,6 @@ class MonitorServer:
         #: SPEC succeeded (control connections never send one).
         self._bound_conns: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
-        self._dump_task: asyncio.Task | None = None
-        self._metrics_interval = metrics_interval
-        self.metrics_port = metrics_port
-        self._metrics_server: asyncio.AbstractServer | None = None
         #: Optional second listener on the *same* connection handler.
         #: Scale-out workers share one advertised SO_REUSEPORT port,
         #: which makes an individual worker unaddressable;
@@ -286,15 +276,6 @@ class MonitorServer:
             # Stamped now, so an edit right after start() is not missed.
             stamp = self._watch_stamp(self._watch)
             self._watch_task = asyncio.create_task(self._watch_loop(stamp))
-        if self.metrics_port is not None:
-            self._metrics_server = await asyncio.start_server(
-                self._handle_scrape, self.host, self.metrics_port
-            )
-            self.metrics_port = (
-                self._metrics_server.sockets[0].getsockname()[1]
-            )
-        if self._metrics_interval:
-            self._dump_task = asyncio.create_task(self._dump_metrics())
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -309,17 +290,6 @@ class MonitorServer:
             except asyncio.CancelledError:
                 pass
             self._watch_task = None
-        if self._dump_task is not None:
-            self._dump_task.cancel()
-            try:
-                await self._dump_task
-            except asyncio.CancelledError:
-                pass
-            self._dump_task = None
-        if self._metrics_server is not None:
-            self._metrics_server.close()
-            await self._metrics_server.wait_closed()
-            self._metrics_server = None
         if self._direct_server is not None:
             self._direct_server.close()
             await self._direct_server.wait_closed()
@@ -562,58 +532,6 @@ class MonitorServer:
             )
             return session.received
         return None
-
-    # -- Prometheus scrape endpoint ------------------------------------------
-
-    async def _dump_metrics(self) -> None:
-        """Print the ``METRICS`` exposition to stderr every interval."""
-        while True:
-            await asyncio.sleep(self._metrics_interval)
-            sys.stderr.write(get_registry().format_prometheus())
-            sys.stderr.flush()
-
-    async def _handle_scrape(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Answer one HTTP scrape with the Prometheus text exposition.
-
-        A deliberately minimal HTTP/1.0 responder — every path returns the
-        full dump, the connection closes after one response — which is all
-        a Prometheus scraper (or ``curl``) needs.
-        """
-        head = _TextReader(reader)
-        size = 0
-        try:
-            # Drain the request head (body-less GETs only), bounded in
-            # total: a peer may not keep the endpoint reading forever.
-            while (line := await head.readline()) not in (None, b"", b"\r"):
-                size += len(line) + 1
-                if size > _SCRAPE_HEAD_LIMIT:
-                    raise _LineTooLong()
-            body = get_registry().format_prometheus().encode("utf-8")
-            writer.write(
-                b"HTTP/1.0 200 OK\r\n"
-                b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                + f"Content-Length: {len(body)}\r\n".encode("ascii")
-                + b"Connection: close\r\n\r\n"
-                + body
-            )
-            await writer.drain()
-        except _LineTooLong:
-            await _refuse(
-                reader,
-                writer,
-                b"HTTP/1.0 431 Request Header Fields Too Large\r\n"
-                b"Content-Length: 0\r\nConnection: close\r\n\r\n",
-            )
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
 
     async def _verb(
         self, session: Session, verb: str, arg

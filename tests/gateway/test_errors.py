@@ -168,6 +168,17 @@ class TestEnvelope:
         assert got["error"]["kind"] == kind
         assert got["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "method,path,status",
+        [("POST", "/v1/nope", 404), ("POST", "/v1/healthz", 405)],
+    )
+    def test_unread_body_does_not_poison_keep_alive(
+        self, gateway_stack, method, path, status
+    ):
+        api, _gw = gateway_stack
+        assert api.request(method, path, {"event": EVENT})[0] == status
+        assert api.request("GET", "/v1/healthz")[0] == 200
+
     def test_syntax_error_detail_has_position(self, gateway_stack):
         api, _gw = gateway_stack
         _, got = api.request("PUT", "/v1/documents/Broken", BAD_DOC)

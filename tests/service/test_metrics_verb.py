@@ -1,11 +1,17 @@
-"""The METRICS verb and the Prometheus scrape endpoint, end to end."""
+"""The METRICS verb and the ``--metrics-port`` scrape front, end to end."""
 
 import asyncio
+import contextlib
+import socket
 
 import pytest
 
+from repro.api import Gateway, _http_fronts
+from repro.gateway import MetricsServer
 from repro.obs.registry import use_registry
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
+
+from tests.gateway.conftest import live_server
 
 WRITE_SESSION = [
     "w1 -> o : OW",
@@ -96,27 +102,32 @@ class TestMetricsVerb:
         assert (a, b) == (1.0, 2.0)
 
 
+@contextlib.contextmanager
+def metrics_front(cast):
+    """A live server behind the ``--metrics-port`` front; yields its port."""
+    with use_registry():
+        with live_server(SpecRegistry([cast.write()])) as port:
+            with Gateway("127.0.0.1", port) as gateway:
+                with MetricsServer(gateway, host="127.0.0.1", port=0) as front:
+                    yield front.port
+
+
+def exchange(port: int, request: bytes) -> bytes:
+    """Send one raw request; return every byte the front answers."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(1 << 16):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
 class TestScrapeEndpoint:
     def test_http_get_returns_prometheus_text(self, cast):
-        async def run() -> bytes:
-            with use_registry():
-                registry = SpecRegistry([cast.write()])
-                async with MonitorServer(
-                    registry, metrics_port=0
-                ) as server:
-                    assert server.metrics_port not in (None, 0)
-                    reader, writer = await asyncio.open_connection(
-                        "127.0.0.1", server.metrics_port
-                    )
-                    writer.write(b"GET /metrics HTTP/1.0\r\n\r\n")
-                    await writer.drain()
-                    data = await reader.read()
-                    writer.close()
-                    return data
-
-        raw = asyncio.run(run())
+        with metrics_front(cast) as port:
+            raw = exchange(port, b"GET /metrics HTTP/1.0\r\n\r\n")
         head, _, body = raw.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.0 200 OK")
+        assert head.startswith(b"HTTP/1.1 200 OK")
         assert b"text/plain; version=0.0.4" in head
         samples = parse_prometheus(body.decode("utf-8"))
         assert samples["repro_interned_machines"][""] >= 1
@@ -129,42 +140,60 @@ class TestScrapeEndpoint:
         assert length == len(body)
 
     @pytest.mark.parametrize(
-        "request_head",
+        "request_head, status",
         [
-            b"GET /" + b"x" * 100_000 + b" HTTP/1.0\r\n\r\n",
-            b"GET /metrics HTTP/1.0\r\n"
-            + (b"X-Filler: " + b"y" * 50 + b"\r\n") * 2_000
-            + b"\r\n",
+            (b"GET /" + b"x" * 100_000 + b" HTTP/1.0\r\n\r\n", b"414"),
+            (
+                b"GET /metrics HTTP/1.0\r\n"
+                + (b"X-Filler: " + b"y" * 50 + b"\r\n") * 2_000
+                + b"\r\n",
+                b"431",
+            ),
         ],
         ids=["long-request-line", "endless-headers"],
     )
-    def test_request_head_is_bounded_at_64_kib(self, cast, request_head):
-        """A head past 64 KiB gets a 431 and a close, not a traceback."""
+    def test_request_head_is_bounded_at_64_kib(
+        self, cast, request_head, status
+    ):
+        """A head past 64 KiB gets a whole refusal and a close, not a traceback.
 
-        async def run() -> bytes:
-            with use_registry():
-                registry = SpecRegistry([cast.write()])
-                async with MonitorServer(
-                    registry, metrics_port=0
-                ) as server:
-                    reader, writer = await asyncio.open_connection(
-                        "127.0.0.1", server.metrics_port
-                    )
-                    writer.write(request_head)
-                    await writer.drain()
-                    data = await asyncio.wait_for(reader.read(), 10)
-                    writer.close()
-                    return data
-
-        raw = asyncio.run(run())
-        assert raw.startswith(b"HTTP/1.0 431 Request Header Fields Too Large\r\n")
-        assert raw.endswith(b"\r\n\r\n")
+        The request line is read at most 64 KiB + 1 deep (``414``); the
+        header lines stop at 100 (``431``).
+        """
+        with metrics_front(cast) as port:
+            raw = exchange(port, request_head)
+        assert raw.startswith(b"HTTP/1.1 " + status + b" ")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        length = next(
+            int(l.split(b":")[1])
+            for l in head.split(b"\r\n")
+            if l.lower().startswith(b"content-length")
+        )
+        assert length == len(body)
 
     def test_no_metrics_port_means_no_endpoint(self, cast):
+        """Without a metrics port no HTTP front and no Gateway open."""
+
         async def run():
             with use_registry():
                 registry = SpecRegistry([cast.write()])
                 async with MonitorServer(registry) as server:
-                    return server.metrics_port
+                    assert not hasattr(server, "metrics_port")
+                    async with _http_fronts(
+                        "127.0.0.1", server.port, host="127.0.0.1"
+                    ) as fronts:
+                        return fronts
 
-        assert asyncio.run(run()) is None
+        assert asyncio.run(run()) == (None, None)
+
+    @pytest.mark.parametrize("lines, status", [(99, b"200"), (100, b"431")])
+    def test_header_lines_are_bounded_at_100(self, cast, lines, status):
+        """At most 100 lines follow the request line, the blank included."""
+        request = (
+            b"GET /metrics HTTP/1.0\r\n"
+            + b"X-Filler: y\r\n" * lines
+            + b"\r\n"
+        )
+        with metrics_front(cast) as port:
+            raw = exchange(port, request)
+        assert raw.startswith(b"HTTP/1.1 " + status + b" ")

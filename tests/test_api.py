@@ -129,3 +129,54 @@ class TestRoundTrip:
         monitor = repro.check(specs["Read2"], [])
         assert isinstance(monitor, repro.Monitor)
         assert monitor.ok
+
+
+class TestServe:
+    def test_metrics_port_is_the_metrics_only_front(self, tmp_path):
+        import http.client
+        import os
+        import signal
+        import socket
+        import subprocess
+        import sys
+        import time
+
+        doc = tmp_path / "rw.oun"
+        doc.write_text(DOC)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from repro import api; "
+             "api.serve(sys.argv[1], port=0, metrics_port=int(sys.argv[2]))",
+             str(doc), str(port)],
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    conn = http.client.HTTPConnection(
+                        "127.0.0.1", port, timeout=30
+                    )
+                    conn.request("GET", "/metrics")
+                    break
+                except ConnectionRefusedError:
+                    assert time.monotonic() < deadline, "api.serve never bound"
+                    time.sleep(0.1)
+            scrape = conn.getresponse()
+            text = scrape.read()
+            conn.request(
+                "POST", "/v1/sessions/k/events", body=b'{"event": "x"}'
+            )
+            refused = conn.getresponse()
+            refused.read()
+            conn.close()
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
+        assert scrape.status == 200
+        assert b"\nrepro_monitor_events_total " in text
+        assert refused.status == 404

@@ -1,9 +1,17 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import io
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 DOC = """
@@ -39,6 +47,28 @@ def run(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+@contextlib.contextmanager
+def serving(doc_file, *flags):
+    """``repro serve`` in a child process; stopped with SIGINT on exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(doc_file),
+         "--port", "0", *flags],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        yield proc
+    finally:
+        watchdog.cancel()
+        proc.send_signal(signal.SIGINT)
+        proc.communicate(timeout=30)
 
 
 class TestParse:
@@ -190,37 +220,46 @@ class TestService:
         assert code == 2 and "SO_REUSEPORT" in text
 
     def test_serve_metrics_interval_prints_the_exposition(self, doc_file):
-        import os
-        import signal
-        import subprocess
-        import sys
-        import threading
-        from pathlib import Path
+        for procs in ("1", "2"):
+            seen = []
+            with serving(
+                doc_file, "--procs", procs, "--metrics-interval", "0.2"
+            ) as proc:
+                for line in proc.stderr:
+                    seen.append(line)
+                    if line.startswith("# TYPE repro_monitor_events_total"):
+                        break
+            assert "# TYPE repro_monitor_events_total counter\n" in seen, procs
 
-        import repro
+    @pytest.mark.parametrize("procs", ["1", "2"])
+    def test_metrics_port_serves_only_the_metrics_routes(
+        self, doc_file, procs
+    ):
+        import http.client
+        import re
 
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", str(doc_file),
-             "--port", "0", "--metrics-interval", "0.2"],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        watchdog = threading.Timer(60, proc.kill)
-        watchdog.start()
-        seen = []
-        try:
-            for line in proc.stderr:
-                seen.append(line)
-                if line.startswith("# TYPE repro_monitor_events_total"):
-                    break
-        finally:
-            watchdog.cancel()
-            proc.send_signal(signal.SIGINT)
-            proc.communicate(timeout=30)
-        assert "# TYPE repro_monitor_events_total counter\n" in seen
+        flags = ("--procs", procs, "--metrics-port", "0")
+        with serving(doc_file, *flags) as proc:
+            banner = proc.stdout.readline()
+            port = int(re.search(r"metrics on :(\d+)", banner).group(1))
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            replies = {}
+            for method, path, body in (
+                ("GET", "/metrics", None),
+                ("POST", "/v1/sessions/k/events", b'{"event": "x"}'),
+                ("PUT", "/v1/documents/x", DOC.encode("utf-8")),
+            ):
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                replies[method] = (response.status, response.read())
+            conn.close()
+        status, text = replies["GET"]
+        assert status == 200
+        assert b"\nrepro_monitor_events_total " in text
+        for method in ("POST", "PUT"):
+            status, body = replies[method]
+            assert status == 404, (method, body)
+            assert b'"NotFoundError"' in body
 
     def test_send_against_unreachable_server(self, tmp_path):
         trace_path = tmp_path / "t.trace"
