@@ -322,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_send.add_argument(
         "--binary",
         action="store_true",
-        help="request the proto=2 binary framing (falls back to text "
-        "against an older server)",
+        help="request the proto=2 binary framing (text when the server "
+        "grants only version 1)",
     )
     p_send.add_argument(
         "--batch",

@@ -57,11 +57,22 @@ _CURRENT: contextvars.ContextVar["_Anchor | Span | None"] = contextvars.ContextV
 )
 
 _IDS = itertools.count(1)
+#: ``"<pid>-"``, formatted once per process; a forked child reformats it.
+_ID_PREFIX = f"{os.getpid():x}-"
+
+
+def _reset_id_prefix() -> None:
+    global _ID_PREFIX
+    _ID_PREFIX = f"{os.getpid():x}-"
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_reset_id_prefix)
 
 
 def _new_span_id() -> str:
     """A process-unique span id, distinct across engine workers too."""
-    return f"{os.getpid():x}-{next(_IDS):x}"
+    return f"{_ID_PREFIX}{next(_IDS):x}"
 
 
 @dataclass(slots=True)

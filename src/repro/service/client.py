@@ -8,12 +8,14 @@ synchronising verbs (``HELLO``/``SPEC``/``STATUS``/``RESET``/``BYE``)
 perform one request/reply round-trip.  One connection is one ordered
 stream, so a verb's reply accounts for every event written before it.
 
-Connection establishment retries with exponential backoff and full
-jitter; the delay schedule is a pure function (:func:`backoff_delays`) so
-tests can check it without sleeping.  If the link dies mid-stream, the
-client records the failure and later sends return without writing —
-producers never see a dead connection mid-trace — and the next
-synchronising verb raises ``ConnectionError``.
+Attaching a session is one handshake — open the connection, send one
+``HELLO``, then ``SPEC`` when a spec is bound — retried as a whole with
+exponential backoff and full jitter; the delay schedule is a pure
+function (:func:`backoff_delays`) so tests can check it without
+sleeping.  If the link dies mid-stream, the client records the failure
+and later sends return without writing — producers never see a dead
+connection mid-trace — and the next synchronising verb raises
+``ConnectionError``.
 
 A client constructed with ``proto=2`` asks the server to upgrade to the
 binary framing (:mod:`repro.service.wire`): after ``SPEC`` it stores the
@@ -23,20 +25,22 @@ into an ``array('i')`` batch, flushed as one ``EVENTS`` frame every
 verdicts are indistinguishable from the text path).  Events outside the
 table, and table lines that do not read back canonically (a fresh
 caller's ``#Obj0 -> o : CR`` is a comment on the text door), fall back
-to per-event ``EVENT`` frames in stream order.  When the
-server is older than the binary protocol the client degrades to text
-automatically — ``proto=2`` is a request, not a requirement.
+to per-event ``EVENT`` frames in stream order.  The session speaks the
+version the server grants, ``min(requested, server maximum)`` —
+``proto=2`` is a request, not a requirement.
 
 A client constructed with ``session="key"`` asks for a *durable* session
 (:mod:`repro.service.durability`): the HELLO carries the key, and when
 the server confirms ``durable=1`` the client keeps every sent event line
 in an in-memory resend log, trimmed as ``applied=`` watermarks come back
 on status-shaped replies.  If the connection dies, the next
-synchronising verb transparently reconnects, re-attaches the same spec,
-and resends exactly the suffix the server had not yet logged — the
+synchronising verb re-runs the attach handshake — whose ``SPEC`` resends
+exactly the suffix the server had not yet logged — and then the verb,
+all inside the one ``connect_retries`` budget: it returns a reply
+covering every event sent, or raises :class:`ServiceUnavailable`.  The
 watermark makes at-least-once delivery exactly-once.  Servers without a
-data directory (or predating the feature) simply never confirm, and the
-client behaves as a plain session.
+data directory simply never confirm, and the client behaves as a plain
+session.
 
 A client instance is designed to be driven from one task; it is not a
 connection pool.
@@ -54,7 +58,7 @@ from repro.core.events import Event
 from repro.obs.registry import get_registry
 from repro.runtime import tracefile
 from repro.service import wire
-from repro.service.protocol import Reply, SessionStatus, parse_reply
+from repro.service.protocol import Reply, SessionStatus, _parse_fields, parse_reply
 
 __all__ = ["MonitorClient", "ServiceUnavailable", "backoff_delays", "DEFAULT_BATCH"]
 
@@ -121,7 +125,6 @@ class MonitorClient:
         proto: int = 1,
         batch: int = DEFAULT_BATCH,
         session: str | None = None,
-        resume: bool = True,
     ) -> None:
         if batch < 1:
             raise ReproError("batch size must be positive")
@@ -129,18 +132,13 @@ class MonitorClient:
         self.port = port
         self.spec = spec
         #: Durable-session key (None = plain session).  :attr:`durable`
-        #: records whether the server actually confirmed the key;
-        #: ``resume=False`` keeps the resend log but disables the
-        #: transparent reconnect (tests drive the pieces separately).
+        #: records whether the server actually confirmed the key.
         self.session = session
-        self.resume = resume
         self.durable = False
         self._sent_log: list[str] = []
         self._base = 0  # inputs the server had before this client object
         self._trimmed = 0  # acked lines dropped from the front of the log
         self._bound_spec: str | None = None
-        self._resuming = False
-        self._closing = False
         self.connect_retries = connect_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -159,82 +157,88 @@ class MonitorClient:
         self._send_error: Exception | None = None
         self.server_specs: tuple[str, ...] = ()
         self.events_sent = 0
-        #: Connection attempts made by the last :meth:`connect` (≥ 1 on
-        #: success; retries beyond the first also feed the
-        #: ``repro_client_connect_retries_total`` counter).
+        #: Connection attempts made by the last attach — :meth:`connect`
+        #: or a durable resume (≥ 1 on success; retries beyond the first
+        #: also feed the ``repro_client_connect_retries_total`` counter).
         self.connect_attempts = 0
 
     # -- lifecycle -----------------------------------------------------------
 
     async def connect(self) -> None:
-        """Connect (with retry), say HELLO, and bind ``spec`` if given."""
+        """Connect, say HELLO and bind ``spec`` if given, retrying all three."""
+        await self._attach()
+
+    async def _attach(self, then=None):
+        """The attach loop: :meth:`_handshake`, then ``then()`` if given.
+
+        An attempt that fails on the link (``ConnectionError`` or
+        ``OSError``) drops it and sleeps the next :func:`backoff_delays`
+        value before the next attempt; once the ``connect_retries``
+        budget is spent, raises :class:`ServiceUnavailable` from the
+        last error.  Anything else — an ``ERR`` reply, a malformed one —
+        is the server's answer and propagates at once.
+        """
         delays = backoff_delays(
             self.connect_retries,
             base=self.backoff_base,
             cap=self.backoff_cap,
             rng=self._rng,
         )
-        last_error: Exception | None = None
-        self._send_error = None
         self.connect_attempts = 0
-        for attempt in range(self.connect_retries + 1):
-            self.connect_attempts = attempt + 1
-            try:
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                break
-            except OSError as exc:
-                last_error = exc
+        try:
+            while True:
+                self.connect_attempts += 1
                 try:
-                    delay = next(delays)
-                except StopIteration:
-                    break
-                await asyncio.sleep(delay)
-        else:  # pragma: no cover - loop always breaks
-            pass
-        if self.connect_attempts > 1:
-            get_registry().counter(
-                "repro_client_connect_retries_total",
-                help="client reconnect attempts beyond the first",
-            ).inc(self.connect_attempts - 1)
-        if self._writer is None:
-            raise ServiceUnavailable(
-                f"cannot reach {self.host}:{self.port} after "
-                f"{self.connect_retries + 1} attempts: {last_error}"
-            )
+                    await self._handshake()
+                    return await then() if then is not None else None
+                except (ConnectionError, OSError) as exc:
+                    # close() without wait_closed(): the transport is
+                    # dead, and its close waiter would re-raise the reset.
+                    if self._writer is not None:
+                        self._writer.close()
+                    self._reader = self._writer = None
+                    delay = next(delays, None)
+                    if delay is None:
+                        raise ServiceUnavailable(
+                            f"cannot reach {self.host}:{self.port} after "
+                            f"{self.connect_attempts} attempts: {exc}"
+                        ) from exc
+                    await asyncio.sleep(delay)
+        finally:
+            if self.connect_attempts > 1:
+                get_registry().counter(
+                    "repro_client_connect_retries_total",
+                    help="client reconnect attempts beyond the first",
+                ).inc(self.connect_attempts - 1)
+
+    async def _handshake(self) -> None:
+        """One attach attempt: open, one HELLO, and SPEC if a spec is bound.
+
+        On a durable re-attach the SPEC also resends the unacked suffix
+        of the resend log (:meth:`_bind`).
+        """
+        self._reader, self._writer = await asyncio.open_connection(
+            self.host, self.port
+        )
+        self._send_error = None
+        del self._pending[:]
         self.proto = 1  # negotiation itself is always text
         self.durable = False
         want = self.requested_proto
-        # Fallback ladder for older servers, which reject unknown HELLO
-        # arguments with a clean ERR: first the full form, then (when a
-        # session key was the novelty) proto-only, then the bare HELLO
-        # every server has always answered.
-        parts = []
-        if want > 1:
-            parts.append(f"proto={want}")
+        fields = [f"proto={want}"] if want > 1 else []
         if self.session is not None:
-            parts.append(f"session={self.session}")
-        attempts = ["HELLO " + " ".join(parts) if parts else "HELLO"]
-        if want > 1 and self.session is not None:
-            attempts.append(f"HELLO proto={want}")
-        if attempts[-1] != "HELLO":
-            attempts.append("HELLO")
-        hello = await self._sync(attempts[0])
-        for fallback in attempts[1:]:
-            if hello.kind == "ok":
-                break
-            hello = await self._sync(fallback)
+            fields.append(f"session={self.session}")
+        hello = await self._sync_once(" ".join(["HELLO", *fields]))
         if hello.kind != "ok":
             raise ReproError(f"server rejected HELLO: {hello.detail}")
-        # agreed = min(requested, server max); the min() here is only a
-        # guard against a server granting more than we asked for.
+        # The server answers min(requested, its maximum); the min() here
+        # also guards against a server granting more than we asked for.
         self.proto = min(self._agreed_proto(hello.detail), want) if want > 1 else 1
         self.durable = "durable=1" in hello.detail.split()
         specs_field = hello.detail.rpartition("specs=")[2]
         self.server_specs = tuple(n for n in specs_field.split(",") if n)
         if self.spec is not None:
-            await self.use_spec(self.spec)
+            await self._bind(self.spec)
 
     @staticmethod
     def _agreed_proto(detail: str) -> int:
@@ -248,26 +252,25 @@ class MonitorClient:
         return 1
 
     async def close(self) -> SessionStatus | None:
-        """Say BYE and close; returns nothing on a dead link."""
+        """Say BYE and close; returns nothing on a dead link.
+
+        The BYE is one round trip, never a resume: a durable session
+        does not reconnect just to say goodbye.
+        """
         if self._writer is None:
             return None
-        self._closing = True
+        writer = self._writer
         try:
-            await self._sync("BYE")
-        except (ReproError, ConnectionError):
+            await self._sync_once("BYE")
+        except (ReproError, OSError):
             pass
         finally:
-            # Re-read the attribute: a resume attempt racing the BYE can
-            # have torn down and nulled the writer underneath us.
-            writer = self._writer
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
             self._reader = self._writer = None
-            self._closing = False
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
         return None
 
     async def __aenter__(self) -> "MonitorClient":
@@ -280,10 +283,15 @@ class MonitorClient:
     # -- protocol ------------------------------------------------------------
 
     async def use_spec(self, name: str) -> None:
-        reply = await self._sync(f"SPEC {name}")
+        """Bind the session to spec ``name`` (a resumable round trip)."""
+        await self._retried(lambda: self._bind(name))
+
+    async def _bind(self, name: str) -> None:
+        """SPEC ``name``; on a durable re-attach, resend the unacked suffix."""
+        reply = await self._sync_once(f"SPEC {name}")
         if reply.kind != "ok":
             raise ReproError(f"server rejected spec {name!r}: {reply.detail}")
-        applied = self._applied_field(reply.detail)
+        applied = self._int_field(reply.detail, "applied")
         self.spec = name
         self.letters = ()
         self._line_ids = {}
@@ -291,12 +299,7 @@ class MonitorClient:
         if self.proto >= 2:
             # ``letters=<k>`` with k > 0 promises exactly one OP_LETTERS
             # frame back to back with the OK reply.
-            field = reply.detail.rpartition("letters=")[2]
-            try:
-                count = int(field) if field else 0
-            except ValueError:
-                count = 0
-            if count:
+            if self._int_field(reply.detail, "letters"):
                 opcode, payload = await self._read_frame()
                 if opcode != wire.OP_LETTERS:
                     raise ReproError(
@@ -330,14 +333,12 @@ class MonitorClient:
                 self._bound_spec = name
 
     @staticmethod
-    def _applied_field(detail: str) -> int | None:
-        """The ``applied=<n>`` watermark of a reply detail, if present."""
+    def _int_field(detail: str, key: str) -> int | None:
+        """The integer ``<key>=<n>`` field of a reply detail, if present."""
         for token in detail.split():
-            if token.startswith("applied="):
-                try:
-                    return int(token[len("applied="):])
-                except ValueError:
-                    return None
+            name, eq, value = token.partition("=")
+            if eq and name == key:
+                return int(value) if value.isdigit() else None
         return None
 
     def _note_applied(self, applied: int | None) -> None:
@@ -376,24 +377,25 @@ class MonitorClient:
                 "update_document needs exactly one of text= or scenario="
             )
         suffix = " force=1" if force else ""
-        if scenario is not None:
-            # one header line in both framings (the binary payload is
-            # byte-for-byte the text argument).
-            reply = await self._sync(f"UPDATE scenario={scenario}{suffix}")
-        elif self.proto >= 2:
-            payload = f"doc{suffix}\n{text}".encode("utf-8")
-            reply = await self._frame_round_trip(wire.OP_UPDATE, payload)
-        else:
+
+        async def request() -> Reply:
+            if scenario is not None:
+                # one header line in both framings (the binary payload
+                # is byte-for-byte the text argument).
+                return await self._sync_once(f"UPDATE scenario={scenario}{suffix}")
+            if self.proto >= 2:
+                payload = f"doc{suffix}\n{text}".encode("utf-8")
+                return await self._frame_round_trip(wire.OP_UPDATE, payload)
             # The text protocol's one multi-line request: header + body.
             lines = (text or "").split("\n")
             header = f"UPDATE lines={len(lines)}{suffix}"
-            reply = await self._text_round_trip(
+            return await self._text_round_trip(
                 "".join(f"{line}\n" for line in (header, *lines))
             )
+
+        reply = await self._retried(request)
         if reply.kind != "ok" or not reply.detail.startswith("update "):
             raise ReproError(f"server rejected UPDATE: {reply.detail}")
-        from repro.service.protocol import _parse_fields
-
         fields, _ = _parse_fields(reply.detail[len("update "):])
         return fields
 
@@ -444,7 +446,7 @@ class MonitorClient:
 
     async def status(self) -> SessionStatus:
         """Synchronise and fetch the session verdict."""
-        reply = await self._sync("STATUS")
+        reply = await self._retried(lambda: self._sync_once("STATUS"))
         if reply.status is None:
             raise ReproError(f"malformed status reply: {reply.detail}")
         if self.durable:
@@ -452,7 +454,7 @@ class MonitorClient:
         return reply.status
 
     async def reset(self) -> None:
-        reply = await self._sync("RESET")
+        reply = await self._retried(lambda: self._sync_once("RESET"))
         if reply.kind != "ok":
             raise ReproError(f"server rejected RESET: {reply.detail}")
 
@@ -465,13 +467,17 @@ class MonitorClient:
         framing.  A binary session gets the whole dump in one frame —
         payload ``metrics\\n`` + exposition — with no counting at all.
         """
+        return await self._retried(self._metrics_once)
+
+    async def _metrics_once(self) -> str:
         if self.proto >= 2:
-            opcode, payload = await self._request_frame(wire.OP_METRICS)
+            await self._request(wire.encode_frame(wire.OP_METRICS))
+            opcode, payload = await self._read_frame()
             text = payload.decode("utf-8", errors="replace")
             if opcode != wire.OP_OK or not text.startswith("metrics"):
                 raise ReproError(f"server rejected METRICS: {text}")
             return text.partition("\n")[2]
-        reply = await self._sync("METRICS")
+        reply = await self._sync_once("METRICS")
         if reply.kind != "ok" or not reply.detail.startswith("metrics "):
             raise ReproError(f"server rejected METRICS: {reply.detail}")
         try:
@@ -552,16 +558,10 @@ class MonitorClient:
             raise ConnectionError("server closed the connection")
         return raw.decode("utf-8", errors="replace")
 
-    async def _request_frame(
-        self, opcode: int, payload: bytes = b""
-    ) -> tuple[int, bytes]:
-        """One framed request/reply round-trip."""
-        await self._request(wire.encode_frame(opcode, payload))
-        return await self._read_frame()
-
     async def _frame_round_trip(self, opcode: int, payload: bytes) -> Reply:
         """A framed request whose reply payload reuses a text keyword's grammar."""
-        opcode, raw = await self._request_frame(opcode, payload)
+        await self._request(wire.encode_frame(opcode, payload))
+        opcode, raw = await self._read_frame()
         keyword = _REPLY_KEYWORDS.get(opcode)
         if keyword is None:
             raise ReproError(f"unexpected reply frame 0x{opcode:02x}")
@@ -573,47 +573,26 @@ class MonitorClient:
         await self._request(request.encode("utf-8"))
         return parse_reply(await self._readline())
 
-    async def _sync(self, line: str) -> Reply:
-        """One synchronising round-trip, resuming a durable session once.
+    async def _retried(self, step):
+        """Run the round trip ``step()``; a durable session resumes.
 
         A dead link on a plain session raises ``ConnectionError`` as
-        ever.  On a confirmed-durable session (with ``resume`` enabled)
-        the client instead reconnects, re-attaches the bound spec —
-        which resends the unacked log suffix — and retries the verb
-        once.  The guard flag keeps a failure *during* the resume from
-        recursing.
+        ever.  On a confirmed-durable session the client instead counts a
+        resume and re-runs :meth:`_attach` — reconnect, HELLO, SPEC with
+        the resend — with ``step`` as its last step, so the resume and
+        the retried verb share one ``connect_retries`` budget and end in
+        a reply or :class:`ServiceUnavailable`.
         """
         try:
-            return await self._sync_once(line)
-        except ConnectionError:
-            if not (
-                self.durable
-                and self.resume
-                and not self._resuming
-                and not self._closing
-            ):
+            return await step()
+        except (ConnectionError, OSError):
+            if not self.durable:
                 raise
-            await self._resume()
-            return await self._sync_once(line)
-
-    async def _resume(self) -> None:
-        """Tear down the dead link and rebuild the durable session."""
-        self._resuming = True
-        try:
-            if self._writer is not None:
-                # close() without wait_closed(): the old transport is
-                # already dead, and its close waiter can surface the
-                # reset (or a spurious cancel) instead of completing.
-                self._writer.close()
-            self._reader = self._writer = None
-            self._pending = array("i")
-            get_registry().counter(
-                "repro_client_resumes_total",
-                help="Durable-session reconnect-and-resend recoveries.",
-            ).inc()
-            await self.connect()
-        finally:
-            self._resuming = False
+        get_registry().counter(
+            "repro_client_resumes_total",
+            help="Durable-session reconnect-and-resend recoveries.",
+        ).inc()
+        return await self._attach(step)
 
     async def _sync_once(self, line: str) -> Reply:
         """One request/reply round-trip for a synchronising verb line.

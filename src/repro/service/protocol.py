@@ -122,11 +122,9 @@ def parse_hello(arg: str) -> tuple[int, str | None]:
     """Parse a full ``HELLO`` argument: ``(proto, session key or None)``.
 
     Accepts space-separated ``proto=N`` and ``session=K`` fields in any
-    order (a repeated field keeps its last value).
-    :func:`parse_hello_proto` is the
-    single-field subset kept for compatibility — servers from before
-    durable sessions reject ``session=`` through it, which is exactly
-    the signal a new client needs to fall back to a plain ``HELLO``.
+    order (a repeated field keeps its last value); each ``proto=N``
+    is read by :func:`parse_hello_proto`.  Anything else is a
+    :class:`ProtocolError`, which the server answers with ``ERR``.
     """
     proto = 1
     session: str | None = None

@@ -178,7 +178,6 @@ class MonitorServer:
         host: str = "127.0.0.1",
         port: int = 0,
         direct_port: int | None = None,
-        max_proto: int = wire.WIRE_VERSION,
         data_dir: str | Path | None = None,
         worker_id: int = 0,
         fsync_every: int = durability.DEFAULT_FSYNC_EVERY,
@@ -215,9 +214,6 @@ class MonitorServer:
         #: ``sock``: serve an externally prepared listening socket (the
         #: SO_REUSEPORT workers of :mod:`~repro.service.topology`).
         self._sock = sock
-        #: Highest protocol version this server negotiates up to.
-        #: ``max_proto=1`` emulates a pre-binary server (interop tests).
-        self.max_proto = max_proto
         #: Pre-packed OP_LETTERS frames keyed by (spec name, version):
         #: a hot swap bumps the version, so rebinding sessions always
         #: sync the *current* table while the stale frame is purged.
@@ -446,7 +442,7 @@ class MonitorServer:
     ) -> Session:
         """Negotiate; a durable key swaps in the session its log recovers."""
         proto, key = parse_hello(arg)
-        agreed = min(proto, self.max_proto)
+        agreed = min(proto, wire.WIRE_VERSION)
         durable = ""
         if key is not None and self._store is not None:
             # Recover before the reply: ``durable=1`` promises the log is

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.obs.registry import Histogram, get_registry
 from repro.obs.trace import span
-from repro.service.client import MonitorClient
+from repro.service.client import MonitorClient, ServiceUnavailable
 from repro.workload.generator import FaultSpec, StreamSession
 from repro.workload.results import latency_summary
 from repro.workload.scenarios import Scenario, get_scenario
@@ -53,10 +53,13 @@ class SessionOutcome:
     observed: int | None
     faults: dict[str, int]
     errors: int
+    #: The client raised ``ServiceUnavailable``: no attach or resume.
+    unreachable: bool = False
 
     @property
     def agreed(self) -> bool:
-        return self.errors == 0 and self.expected == self.observed
+        ok = self.errors == 0 and self.expected == self.observed
+        return ok and not self.unreachable
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +145,8 @@ class WorkloadReport:
             f"{self.observed_violations}; oracle agreement "
             f"{self.agreement:.0%}",
         ]
+        if unreachable := sum(s.unreachable for s in self.sessions):
+            lines.append(f"  {unreachable} session(s) unreachable past every retry")
         if self.kills:
             lines.append(
                 f"  chaos: killed {self.kills} worker(s), "
@@ -291,6 +296,8 @@ async def _drive_session(
 ) -> SessionOutcome:
     stream = StreamSession(compiled, faults, seed=f"{seed}:{index}")
     errors = 0
+    observed = None
+    unreachable = False
     with span(
         "workload.session",
         scenario=scenario.name,
@@ -305,10 +312,10 @@ async def _drive_session(
             session=session_key,
             **({"batch": batch} if batch is not None else {}),
         )
-        await client.connect()
         if client_sink is not None:
             client_sink.append(client)
         try:
+            await client.connect()
             deadline = (
                 time.monotonic() + duration if duration is not None else None
             )
@@ -323,6 +330,8 @@ async def _drive_session(
             status = await client.status()
             errors = status.errors
             observed = status.violation_index
+        except ServiceUnavailable:
+            unreachable = True
         finally:
             await client.close()
     counters["sessions"].inc()
@@ -342,6 +351,7 @@ async def _drive_session(
         observed=observed,
         faults=dict(stream.fault_counts),
         errors=errors,
+        unreachable=unreachable,
     )
     if not outcome.agreed:
         counters["disagreements"].inc()

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import re
+import socket
+import struct
+import threading
 
 from repro.api import Gateway
+from repro.gateway import GatewayServer
 from repro.obs.registry import use_registry
 from repro.service import SpecRegistry
 
@@ -12,9 +17,39 @@ from tests.gateway.conftest import (
     DOC,
     EVENT,
     EXTRA_DOC,
+    HttpApi,
     live_gateway,
     live_server,
 )
+
+
+@contextlib.contextmanager
+def _resetting_listener(port: int):
+    """Listen on ``port`` and reset every accepted connection at once."""
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    listener.bind(("127.0.0.1", port))
+    listener.listen()
+
+    def serve() -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # the listener was closed
+                return
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
+        thread.join(timeout=30)
 
 
 class TestHealthAndDocuments:
@@ -134,6 +169,32 @@ class TestSessions:
                 "POST", "/v1/sessions/d1/events", {"event": EVENT}
             )
             assert body["applied"] == 4
+
+    def test_durable_session_whose_backend_stays_down_gets_503(self, tmp_path):
+        # The backend dies and its port then resets every connection (a
+        # crash-looping worker): the resume runs out of retries and the
+        # front answers 503 ServiceUnavailable, not 502 for a raw reset.
+        server = live_server(SpecRegistry.from_text(DOC), data_dir=tmp_path)
+        port = server.__enter__()
+        with Gateway("127.0.0.1", port, connect_retries=2) as gateway:
+            with GatewayServer(gateway, host="127.0.0.1", port=0) as front:
+                api = HttpApi(front.port)
+                try:
+                    status, body = api.request(
+                        "POST",
+                        "/v1/sessions/d/events",
+                        {"spec": "A", "event": EVENT, "durable": True},
+                    )
+                    assert status == 200 and body["durable"] is True
+                    server.__exit__(None, None, None)
+                    with _resetting_listener(port):
+                        status, body = api.request(
+                            "POST", "/v1/sessions/d/events", {"event": EVENT}
+                        )
+                finally:
+                    api.close()
+        assert status == 503
+        assert body["error"]["kind"] == "ServiceUnavailable"
 
     def test_plain_session_has_null_applied(self):
         with live_gateway(SpecRegistry.from_text(DOC)) as (api, _gw):

@@ -1,5 +1,6 @@
 """Span primitives: the disabled fast path, nesting, cross-process replay."""
 
+import os
 import pickle
 
 import pytest
@@ -117,6 +118,28 @@ class TestCrossProcess:
                 with span("solo"):
                     pass
         assert collector.records[0].parent_id is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_ids_carry_the_child_pid(self):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: one span, its id up the pipe, no cleanup
+            try:
+                with use_sink(InMemoryCollector()) as sink:
+                    with span("child"):
+                        pass
+                os.write(write_end, sink.records[0].span_id.encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            child_id = pipe.read()
+        os.waitpid(pid, 0)
+        with use_sink(InMemoryCollector()) as sink:
+            with span("parent"):
+                pass
+        assert child_id.startswith(f"{pid:x}-")
+        assert sink.records[0].span_id.startswith(f"{os.getpid():x}-")
 
     def test_span_record_pickles_intact(self):
         rec = SpanRecord("n", "1-2", "1-1", 0.5, 1.5, {"k": "v"})

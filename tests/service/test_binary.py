@@ -84,21 +84,6 @@ class TestNegotiation:
         assert proto == 2  # min(requested 3, server max 2)
         assert status.ok and status.events == len(HAPPY)
 
-    def test_max_proto1_server_keeps_session_text(self, registry):
-        async def go():
-            async with MonitorServer(registry, max_proto=1) as server:
-                client = await _binary_client(server.port)
-                try:
-                    for line in HAPPY:
-                        await client.send_event(line)
-                    return client.proto, client.letters, await client.status()
-                finally:
-                    await client.close()
-
-        proto, letters, status = _run(go())
-        assert proto == 1 and letters == ()  # degraded, no table sync
-        assert status.ok and status.events == len(HAPPY)
-
     def test_text_client_against_proto2_server(self, registry):
         async def go():
             async with MonitorServer(registry) as server:
@@ -114,24 +99,21 @@ class TestNegotiation:
         assert status.violation_index == len(HAPPY)
 
     def test_pre_negotiation_server_triggers_text_fallback(self, registry):
-        """A server that rejects HELLO-with-argument still gets a session."""
+        """A server that grants version 1 keeps a binary client on text."""
+        received = []
 
         async def stub(reader, writer):
-            while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
-                line = raw.decode().strip()
-                if line.startswith("HELLO "):
-                    writer.write(b"ERR HELLO takes no argument\n")
-                elif line == "HELLO":
+            while raw := await reader.readline():
+                line = raw.decode().rstrip("\n")
+                received.append(line)
+                if line.startswith("HELLO"):
                     writer.write(b"OK repro-service 1 specs=Old\n")
+                elif line.startswith("SPEC "):
+                    writer.write(b"OK spec Old\n")
                 elif line == "BYE":
                     writer.write(b"OK bye events=0\n")
                     await writer.drain()
                     break
-                else:
-                    writer.write(b"ERR nope\n")
                 await writer.drain()
             writer.close()
 
@@ -139,15 +121,25 @@ class TestNegotiation:
             server = await asyncio.start_server(stub, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             async with server:
-                client = MonitorClient("127.0.0.1", port, proto=2)
+                client = MonitorClient("127.0.0.1", port, spec="Old", proto=2)
                 await client.connect()
                 try:
-                    return client.proto, client.server_specs
+                    for line in HAPPY:
+                        await client.send_event(line)
+                    return client.proto, client.letters, client.server_specs
                 finally:
                     await client.close()
 
-        proto, specs = _run(go())
-        assert proto == 1 and specs == ("Old",)
+        proto, letters, specs = _run(go())
+        assert proto == 1 and letters == ()  # degraded, no table sync
+        assert specs == ("Old",)
+        # min(requested 2, granted 1): every line after HELLO is text.
+        assert received == [
+            "HELLO proto=2",
+            "SPEC Old",
+            *(f"EVENT {line}" for line in HAPPY),
+            "BYE",
+        ]
 
 
 class TestBinarySession:

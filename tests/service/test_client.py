@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.events import Event
 from repro.core.values import DataVal, ObjectId
+from repro.obs.registry import use_registry
 from repro.service import (
     MonitorClient,
     MonitorServer,
@@ -73,19 +74,27 @@ class TestConnect:
             )
 
             async def late_server():
-                await asyncio.sleep(0.1)
+                while client.connect_attempts < 2:
+                    await asyncio.sleep(0)
                 server = MonitorServer(registry, port=port)
                 await server.start()
                 return server
 
-            server_task = asyncio.create_task(late_server())
-            await client.connect()
-            status = await client.status()
-            await client.close()
-            await (await server_task).stop()
-            return status
+            with use_registry() as metrics:
+                server_task = asyncio.create_task(late_server())
+                await client.connect()
+                status = await client.status()
+                await client.close()
+                await (await server_task).stop()
+                retried = metrics.snapshot()[
+                    "repro_client_connect_retries_total"
+                ][""]
+            return status, client.connect_attempts, retried
 
-        assert asyncio.run(run()).ok
+        status, attempts, retried = asyncio.run(run())
+        assert status.ok
+        assert attempts > 1
+        assert retried == attempts - 1
 
     def test_sync_before_connect_rejected(self):
         async def run():

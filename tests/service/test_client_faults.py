@@ -10,6 +10,7 @@ silently desynchronising.
 import asyncio
 import random
 import socket
+import struct
 
 import pytest
 
@@ -69,7 +70,8 @@ class TestRetryAccounting:
                 )
 
                 async def late_server():
-                    await asyncio.sleep(0.1)
+                    while client.connect_attempts < 2:
+                        await asyncio.sleep(0)
                     server = MonitorServer(registry_specs, port=port)
                     await server.start()
                     return server
@@ -151,6 +153,163 @@ class TestDisconnects:
             await server.wait_closed()
 
         asyncio.run(run())
+
+
+def _reset(writer) -> None:
+    """Drop the link with a TCP RST (``SO_LINGER`` 0), not a FIN."""
+    writer.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+    )
+    writer.transport.abort()
+
+
+class _DurablePeer:
+    """A scripted peer for one durable session, resetting at chosen cuts.
+
+    Like the server, it applies every ``EVENT`` line it reads and answers
+    ``SPEC`` and ``STATUS`` with ``applied=`` (inputs applied so far); a
+    ``HELLO`` that carries ``session=`` is confirmed ``durable=1``.
+    ``cuts[n]`` says where connection ``n`` (0 = the first) is reset: a
+    verb (``"HELLO"``, ``"SPEC"``, ``"STATUS"``) is reset on arrival,
+    before its reply; an integer ``k`` right after the connection's
+    ``k``-th ``EVENT`` line; ``cuts[None]`` holds for any other
+    connection, which otherwise runs clean.
+    """
+
+    def __init__(self, cuts=None):
+        self.cuts = cuts or {}
+        self.requests: list[list[str]] = []  # request lines, per connection
+        self.applied: list[str] = []
+
+    async def __call__(self, reader, writer):
+        conn = len(self.requests)
+        seen = []
+        self.requests.append(seen)
+        cut = self.cuts.get(conn, self.cuts.get(None))
+        events = 0
+        while raw := await reader.readline():
+            line = raw.decode().rstrip("\n")
+            seen.append(line)
+            verb, _, arg = line.partition(" ")
+            if verb == "EVENT":
+                self.applied.append(arg)
+                events += 1
+                if cut == events:
+                    return _reset(writer)
+                continue
+            if cut == verb:
+                return _reset(writer)
+            applied = len(self.applied)
+            if verb == "HELLO":
+                durable = " durable=1" if "session=" in arg else ""
+                reply = f"OK repro-service 1{durable} specs=Write"
+            elif verb == "SPEC":
+                reply = f"OK spec {arg} applied={applied}"
+            elif verb == "STATUS":
+                reply = (
+                    f"OK status spec=Write events={applied} skipped=0 "
+                    f"errors=0 applied={applied}"
+                )
+            else:  # BYE
+                reply = f"OK bye events={applied}"
+            writer.write(f"{reply}\n".encode())
+            await writer.drain()
+        writer.close()
+
+
+_LINES = [f"x{i} -> o : PING" for i in range(4)]
+
+
+async def _drive_durable(peer: _DurablePeer, **kwargs):
+    """Stream ``_LINES`` to ``peer`` on a durable session, then STATUS."""
+    server, port = await _stub_server(peer)
+    client = MonitorClient(
+        "127.0.0.1",
+        port,
+        spec="Write",
+        session="k",
+        backoff_base=0.001,
+        backoff_cap=0.002,
+        rng=random.Random(0),
+        **kwargs,
+    )
+    try:
+        await client.connect()
+        assert client.durable
+        for line in _LINES:
+            await client.send_event(line)
+        return client, await client.status()
+    finally:
+        await client.close()
+        server.close()
+        await server.wait_closed()
+
+
+class TestResetCuts:
+    """A reset at each point of a durable resume: resume once, or give up.
+
+    Connection 0 is reset after two events, so the ``STATUS`` that
+    follows must resume; the resume's first attempt is then reset at
+    one cut.  Whatever the cut, each input is applied exactly once, or
+    the client raises ``ServiceUnavailable`` — never a raw socket error.
+    """
+
+    @pytest.mark.parametrize(
+        "cut",
+        ["HELLO", "SPEC", 1, "STATUS"],
+        ids=[
+            "before-hello-reply",
+            "between-hello-and-spec",
+            "during-resend",
+            "before-verb-reply",
+        ],
+    )
+    def test_one_cut_resumes_exactly_once(self, cut):
+        peer = _DurablePeer({0: 2, 1: cut})
+
+        async def run():
+            with use_registry() as registry:
+                client, status = await _drive_durable(peer)
+                return client.connect_attempts, status, registry.snapshot()
+
+        attempts, status, snapshot = asyncio.run(run())
+        assert peer.applied == _LINES
+        assert status.events == status.applied == len(_LINES)
+        assert snapshot["repro_client_resumes_total"][""] == 1
+        assert attempts == 2 and len(peer.requests) == 3
+        assert snapshot["repro_client_connect_retries_total"][""] == 1
+
+    def test_a_cut_on_every_attempt_spends_the_budget(self):
+        peer = _DurablePeer({0: 2, None: "HELLO"})
+
+        async def run():
+            with pytest.raises(ServiceUnavailable, match="4 attempts"):
+                await _drive_durable(peer, connect_retries=3)
+
+        asyncio.run(run())
+        assert peer.applied == _LINES[:2]
+        assert len(peer.requests) == 1 + 4
+
+    @pytest.mark.parametrize("session", [None, "k"], ids=["plain", "durable"])
+    def test_connect_sends_one_hello_then_spec(self, session):
+        peer = _DurablePeer()
+
+        async def run():
+            server, port = await _stub_server(peer)
+            client = MonitorClient(
+                "127.0.0.1", port, spec="Write", session=session
+            )
+            await client.connect()
+            sent = list(peer.requests[0])
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            return client.durable, sent
+
+        durable, sent = asyncio.run(run())
+        hello = "HELLO" if session is None else f"HELLO session={session}"
+        assert sent == [hello, "SPEC Write"]
+        assert durable == (session is not None)
 
 
 class TestDuplicatedReplies:

@@ -7,6 +7,7 @@ and without faults.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -14,7 +15,13 @@ from repro.core.errors import ReproError
 from repro.obs.registry import Histogram, use_registry
 from repro.service import MonitorServer
 from repro.workload.generator import FaultSpec
-from repro.workload.runner import _histogram_from_prometheus, run_workload
+from repro.workload.runner import (
+    WorkloadReport,
+    _drive_session,
+    _histogram_from_prometheus,
+    _workload_counters,
+    run_workload,
+)
 from repro.workload.scenarios import get_scenario
 
 from .conftest import SCENARIO_NAMES
@@ -124,6 +131,49 @@ class TestErrors:
     def test_unknown_scenario(self):
         with pytest.raises(ReproError, match="no scenario named"):
             run_workload("ghost")
+
+    def test_unreachable_session_is_reported_not_raised(self):
+        # A session whose client raises ServiceUnavailable (here: nothing
+        # serves the port) is a failed outcome in the report.
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        scenario = get_scenario("two_phase_dynamic")
+        compiled = scenario.registry().get(scenario.monitored)
+
+        async def run():
+            with use_registry():
+                return await _drive_session(
+                    0,
+                    "127.0.0.1",
+                    port,
+                    scenario,
+                    compiled,
+                    seed=1,
+                    faults=FaultSpec(),
+                    events=20,
+                    duration=None,
+                    binary=False,
+                    batch=None,
+                    counters=_workload_counters(),
+                    session_key="k",
+                )
+
+        outcome = asyncio.run(run())
+        assert outcome.unreachable and not outcome.agreed
+        report = WorkloadReport(
+            scenario=scenario.name,
+            spec=scenario.monitored,
+            seed=1,
+            faults=FaultSpec(),
+            sessions=(outcome,),
+            seconds=1.0,
+            latency=None,
+        )
+        text = report.describe()
+        assert report.agreement == 0.0
+        assert "oracle agreement 0%" in text
+        assert "1 session(s) unreachable" in text
 
 
 class TestPrometheusRoundTrip:
