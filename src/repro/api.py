@@ -146,27 +146,7 @@ def serve(
     metrics-only front (:class:`~repro.gateway.MetricsServer`); ``0``
     picks a port.  Returns when interrupted.
     """
-    import asyncio
-
-    from repro.service import MonitorServer, SpecRegistry
-
-    registry = SpecRegistry.from_file(document)
-
-    async def run() -> None:
-        server = MonitorServer(registry, host=host, port=port)
-        await server.start()
-        try:
-            async with _http_fronts(
-                host, server.port, host=host, metrics_port=metrics_port
-            ):
-                await server.serve_forever()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+    _serve(document, host, port, host=host, metrics_port=metrics_port)
 
 
 def serve_http(
@@ -185,6 +165,15 @@ def serve_http(
     :mod:`repro.gateway` on ``http_host:http_port``.  See
     ``docs/http-api.md`` for the endpoint reference.
     """
+    _serve(document, host, port, host=http_host, http_port=http_port)
+
+
+def _serve(document: str | Path, host: str, port: int, /, **fronts) -> None:
+    """Serve ``document`` on ``host:port`` with ``_http_fronts(**fronts)``.
+
+    The one body of :func:`serve` and :func:`serve_http`; blocks until
+    interrupted.
+    """
     import asyncio
 
     from repro.service import MonitorServer, SpecRegistry
@@ -195,9 +184,7 @@ def serve_http(
         server = MonitorServer(registry, host=host, port=port)
         await server.start()
         try:
-            async with _http_fronts(
-                host, server.port, host=http_host, http_port=http_port
-            ):
+            async with _http_fronts(host, server.port, **fronts):
                 await server.serve_forever()
         finally:
             await server.stop()

@@ -41,14 +41,14 @@ the watermark — at-least-once delivery becomes exactly-once.
 Event bodies are logged *verbatim*, malformed ones included: replay
 calls the same validation, so error counters recover exactly too.
 
-Snapshots are small JSON files (atomic rename) recording the session's
-counters, watermark, and the monitor's dense state id, in the format
-:mod:`repro.service.session` writes and reads.  A deoptimised monitor
-(alive but off the dense array) is deliberately *not* snapshotted — its
-machine state has no stable serialisation — so recovery just replays
-more log; correctness never depends on a snapshot existing.  A snapshot's file name is a hash of its key, so recovery
-opens ``worker-*/snapshots/<name>`` directly rather than parsing every
-snapshot.
+Snapshots are small JSON files (atomic rename, every ``snapshot_every``
+inputs) recording the session's counters, watermark, and the monitor's
+dense state id, in the format :mod:`repro.service.session` writes and
+reads.  A deoptimised monitor (alive but off the dense array) is
+deliberately *not* snapshotted — its machine state has no stable
+serialisation — so recovery just replays more log; correctness never
+depends on a snapshot existing.  A snapshot's file name is a hash of its
+key, so recovery opens ``worker-*/snapshots/<name>`` directly.
 
 Recovery finds a key's records through a :class:`LogIndex`: an
 incremental key → record-location map over every worker's logs.  Logs
@@ -486,10 +486,8 @@ def recover(
     if snap is not None and not session.restore(snap):
         # A state the spec's dense image does not have: as if torn.
         session, snap = Session(registry, key=key), None
-    if snap is not None:
-        session.snapshot_lsn = session.next_lsn  # on disk already
     records = (index or LogIndex(data_dir)).records(key)
-    covered = session.next_lsn
+    covered, base = session.next_lsn, session.received
     with span(
         "durability.replay", key=key, snapshot=snap is not None
     ) as sp:
@@ -538,4 +536,6 @@ def recover(
                     f"unknown record opcode 0x{record.opcode:02x}"
                 )
         sp.set(records=replayed, received=session.received)
+    # Replayed inputs count toward the next snapshot: the schedule carries.
+    session.since_snapshot = session.received - base
     return session

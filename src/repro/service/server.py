@@ -294,9 +294,8 @@ class MonitorServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # Sever live connections and let their handlers finish (they
-        # drain through the still-running pool, durable sessions write a
-        # farewell snapshot) *before* the queue worker goes away.
+        # Sever live connections and let their handlers finish *before*
+        # the queue worker goes away.
         for conn_writer in list(self._conn_writers):
             conn_writer.close()
         if self._conn_tasks:
@@ -374,18 +373,13 @@ class MonitorServer:
                 self._bound_conns.discard(task)
                 self.metrics.session_closed()
             self._conn_writers.discard(writer)
-            if session.key is not None:
-                try:
-                    await self._snapshot_session(session)
-                except Exception:
-                    pass  # the log already has everything; replay covers it
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
-            # Last: stop() waits on this task for the farewell snapshot
-            # and the close above, not just for the read loop.
+            # Last: stop() waits on this task for the close above, not
+            # just for the read loop.
             if task is not None:
                 self._conn_tasks.discard(task)
 
@@ -485,18 +479,13 @@ class MonitorServer:
         Order matters: flush the queue (the monitor must have applied
         everything the snapshot claims), fsync the log (a snapshot must
         never cover records that could still be lost), then write.
-        Nothing is written when this session already wrote one at the
-        current lsn — the farewell after a ``BYE`` would repeat it.
         """
-        if session.snapshot_lsn == session.next_lsn:
-            return
         session.since_snapshot = 0
         await self.pool.flush()
         self._store.sync()
         payload = session.snapshot()
         if payload is not None:
             self._store.write_snapshot(payload)
-            session.snapshot_lsn = session.next_lsn
 
     async def _bind_session(
         self, session: Session, compiled: CompiledSpec
@@ -575,8 +564,6 @@ class MonitorServer:
             session.reset()
             return "OK", "reset"
         if verb == "BYE":
-            if session.key is not None:
-                await self._snapshot_session(session)
             return "OK", f"bye events={session.events}"
         raise AssertionError(f"unhandled verb {verb}")  # pragma: no cover
 

@@ -61,7 +61,6 @@ class Session:
         "received",
         "next_lsn",
         "since_snapshot",
-        "snapshot_lsn",
     )
 
     def __init__(self, registry, *, key: str | None = None) -> None:
@@ -86,12 +85,9 @@ class Session:
         self.received = 0
         #: The next log sequence number of a durable session.
         self.next_lsn = 0
-        #: Inputs logged since the last snapshot (the live path's trigger).
+        #: Inputs logged since the last snapshot, recovery's replay
+        #: included (the live path's trigger).
         self.since_snapshot = 0
-        #: ``next_lsn`` when this session last wrote a snapshot (None
-        #: before the first): every input and bind or reset logs a
-        #: record, so an unchanged lsn means an unchanged state.
-        self.snapshot_lsn: int | None = None
 
     # -- binding -------------------------------------------------------------
 

@@ -41,6 +41,9 @@ from repro.core.errors import ReproError
 
 __all__ = ["ScaleOutServer", "WorkerConfig", "reuseport_available"]
 
+#: How long a spawned worker may take to report ready.
+_SPAWN_TIMEOUT_S = 60.0
+
 
 def reuseport_available() -> bool:
     return hasattr(socket, "SO_REUSEPORT")
@@ -172,6 +175,7 @@ class ScaleOutServer:
         self.host = host
         self.port = port
         self.restarts = 0
+        self._respawned = asyncio.Condition()
         self._template = WorkerConfig(
             worker_index=0,
             host=host,
@@ -235,7 +239,7 @@ class ScaleOutServer:
         loop = asyncio.get_running_loop()
         try:
             ready = await asyncio.wait_for(
-                loop.run_in_executor(None, parent_conn.recv), timeout=60.0
+                loop.run_in_executor(None, parent_conn.recv), _SPAWN_TIMEOUT_S
             )
         except BaseException as exc:  # timeout, death on boot, or cancel
             await _reap([proc])
@@ -283,6 +287,16 @@ class ScaleOutServer:
         os.kill(pid, signal.SIGKILL)
         return pid
 
+    async def wait_restarts(self, count: int) -> int:
+        """:attr:`restarts` once it reaches ``count``, or at the spawn timeout."""
+        async with self._respawned:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    self._respawned.wait_for(lambda: self.restarts >= count),
+                    _SPAWN_TIMEOUT_S,
+                )
+        return self.restarts
+
     async def _supervise(self) -> None:
         """Respawn dead workers with their original index forever."""
         while True:
@@ -293,6 +307,8 @@ class ScaleOutServer:
                 conn.close()
                 try:
                     self._workers[index] = await self._spawn(index)
-                    self.restarts += 1
                 except ReproError:
-                    pass  # the dead worker keeps its slot: next poll retries
+                    continue  # the slot stays dead: the next poll retries
+                async with self._respawned:
+                    self.restarts += 1
+                    self._respawned.notify_all()

@@ -437,7 +437,11 @@ async def _run(
             hist = _since(await _check_latency(target_host, target_port), before)
             summary = latency_summary(hist) if hist is not None else None
         if chaos_server is not None:
-            chaos["restarts"] = chaos_server.restarts
+            # The supervisor respawns on its own tick, often after the
+            # sessions have ended: wait for it before reporting.
+            chaos["restarts"] = await chaos_server.wait_restarts(
+                chaos["kills"]
+            )
         return WorkloadReport(
             scenario=scenario.name,
             spec=scenario.monitored,

@@ -863,49 +863,58 @@ class TestDurableServing:
             "shard-2.log",
         ]
 
-    def test_bye_then_close_writes_one_farewell_snapshot(self, tmp_path, cast):
-        # BYE snapshots the session; the connection's close must not write
-        # the same unchanged state again, and neither must a later
-        # connection that recovers it and sends nothing.
-        lsns = []
+    def test_closes_below_the_schedule_leave_only_the_log(self, tmp_path, cast):
+        # BYE and the close write no snapshot: a key fed, BYEd and closed
+        # N times below snapshot_every keeps one log and no snapshot, and
+        # each re-attach recovers the STATUS and applied= it left live.
+        lines = WRITE_LINES + VIOLATING_LINES
+        chunks = [lines[i : i + 3] for i in range(0, len(lines), 3)]
 
         async def run():
-            server = MonitorServer(
+            async with MonitorServer(
                 SpecRegistry([cast.write()]), data_dir=tmp_path
-            )
-            await server.start()
-            write_snapshot = server._store.write_snapshot
+            ) as server:
+                live, recovered = [], []
+                applied = 0
+                for chunk in chunks:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
 
-            def counted(payload):
-                lsns.append(payload["lsn"])
-                write_snapshot(payload)
+                    async def ask(request: bytes) -> bytes:
+                        writer.write(request)
+                        await writer.drain()
+                        return await reader.readline()
 
-            server._store.write_snapshot = counted
-            # The second connection re-attaches and leaves without input:
-            # the state it recovered is already on disk.
-            for events in (5, 0):
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                for request in (b"HELLO session=k1\n", b"SPEC Write\n"):
-                    writer.write(request)
-                    await reader.readline()
-                writer.write(b"EVENT w1 -> o : OW\n" * events + b"BYE\n")
-                await writer.drain()
-                assert (await reader.readline()).startswith(b"OK bye events=5")
-                writer.close()
-                await writer.wait_closed()
-            await server.stop()
+                    await ask(b"HELLO session=k1\n")
+                    spec = await ask(b"SPEC Write\n")
+                    assert spec == b"OK spec Write applied=%d\n" % applied
+                    recovered.append(await ask(b"STATUS\n"))
+                    writer.write(
+                        b"".join(b"EVENT %s\n" % line.encode() for line in chunk)
+                    )
+                    live.append(await ask(b"STATUS\n"))
+                    assert (await ask(b"BYE\n")).startswith(b"OK bye events=")
+                    writer.close()
+                    await writer.wait_closed()
+                    applied += len(chunk)
+            return live, recovered
 
-        asyncio.run(run())
-        # one REC_BIND and five REC_LINE records: lsn 6 covers them all
-        assert lsns == [6]
+        live, recovered = asyncio.run(run())
+        assert recovered[1:] == live[:-1]
+        assert b"index=%d" % (len(WRITE_LINES) + VIOLATION_INDEX) in live[-1]
+        assert list((tmp_path / "worker-0" / "snapshots").iterdir()) == []
+        assert [p.name for p in (tmp_path / "worker-0").glob("*.log")] == [
+            "shard-0.log"
+        ]
+        assert sum(r.inputs for r in scan_records(tmp_path, "k1")) == len(lines)
 
     @pytest.mark.parametrize("yields", range(11))
     def test_stop_waits_for_a_closing_connection(self, tmp_path, cast, yields):
         # stop() racing a client that just closed must still wait for the
-        # connection's farewell snapshot and close, leaving no task behind.
+        # connection's close, leaving no task behind and every input logged.
         errors = []
+        lines = ["w1 -> o : OW"] * 50
 
         async def run():
             loop = asyncio.get_running_loop()
@@ -918,20 +927,151 @@ class TestDurableServing:
             for request in (b"HELLO session=k1\n", b"SPEC Write\n"):
                 writer.write(request)
                 await reader.readline()
-            writer.write(b"EVENT w1 -> o : OW\n" * 50)
+            writer.write(b"".join(b"EVENT %s\n" % line.encode() for line in lines))
             await writer.drain()
             writer.close()
             await writer.wait_closed()
             for _ in range(yields):
                 await asyncio.sleep(0)
             await server.stop()
-            return [
+            leftover = [
                 task
                 for task in asyncio.all_tasks()
                 if task is not asyncio.current_task() and not task.done()
             ]
+            async with MonitorServer(SpecRegistry([cast.write()])) as plain:
+                baseline = await _drive(plain.port, "Write", lines, None)
+            return leftover, baseline
 
-        assert asyncio.run(run()) == []
+        leftover, baseline = asyncio.run(run())
+        assert leftover == []
         assert errors == []
-        snapshot = durability._snapshot_name("k1")
-        assert (tmp_path / "worker-0" / "snapshots" / snapshot).exists()
+        state = recover(tmp_path, "k1", SpecRegistry([cast.write()]))
+        assert state.received == len(lines)
+        assert _verdict(state.status()) == _verdict(baseline)
+
+
+# -- recovery-level laws -----------------------------------------------------
+
+
+def _unsnapshotted_inputs(root, key):
+    """The inputs a recovery of ``key`` must replay: past its freshest snapshot."""
+    snap = load_best_snapshot(root, key)
+    covered = snap["lsn"] if snap is not None else 0
+    return sum(r.inputs for r in scan_records(root, key) if r.lsn >= covered)
+
+
+class TestReplayBound:
+    @pytest.mark.parametrize("proto", [1, 2])
+    @pytest.mark.parametrize("shape", ["close", "crash"])
+    def test_replay_stays_under_the_schedule(self, tmp_path, shape, proto):
+        """K attaches of m < snapshot_every inputs each, K·m ≫ snapshot_every.
+
+        ``close`` re-attaches after a BYE and a clean stop; ``crash``
+        re-attaches to a copy of the data dir taken while the previous
+        server was still live, which is what a killed process leaves.
+        Either way recovery carries the schedule's count, so every
+        recovery replays fewer than ``snapshot_every + m`` inputs.
+        """
+        every, m = 8, 3
+        scenario, _, lines = _scenario_lines("pubsub_fanout", 0, n=48)
+        chunks = [lines[i : i + m] for i in range(0, len(lines) - m + 1, m)]
+        assert len(chunks) * m >= 5 * every
+        key, spec = f"bound:{shape}", scenario.monitored
+
+        async def run():
+            replays = []
+            data_dir = tmp_path / "d0"
+            for i, chunk in enumerate(chunks):
+                replays.append(_unsnapshotted_inputs(data_dir, key))
+                async with MonitorServer(
+                    scenario.registry(), data_dir=data_dir, snapshot_every=every
+                ) as server:
+                    client = MonitorClient(
+                        "127.0.0.1", server.port, spec=spec, session=key,
+                        proto=proto, batch=m,
+                    )
+                    await client.connect()
+                    try:
+                        for line in chunk:
+                            await client.send_event(line)
+                        status = await client.status()
+                        if shape == "crash":
+                            killed = tmp_path / f"d{i + 1}"
+                            shutil.copytree(data_dir, killed)
+                            data_dir = killed
+                    finally:
+                        await client.close()
+            async with MonitorServer(scenario.registry()) as plain:
+                sent = [line for chunk in chunks for line in chunk]
+                baseline = await _drive(plain.port, spec, sent, None, proto=proto)
+            return replays, status, baseline
+
+        replays, status, baseline = asyncio.run(run())
+        assert max(replays) < every + m, replays
+        assert _verdict(status) == _verdict(baseline)
+
+
+class TestTornTailRecovery:
+    @pytest.mark.parametrize("proto", [1, 2])
+    @pytest.mark.parametrize("snapshot_every", [2, 1024])
+    def test_every_cut_of_the_last_record_recovers_the_whole_prefix(
+        self, tmp_path, proto, snapshot_every
+    ):
+        """Cut a live server's log inside its last record, at every byte.
+
+        A server restarted over each cut re-attaches the key with the
+        ``STATUS`` and ``applied=`` of the state after the last whole
+        record, and its next append starts where that record ended.
+        """
+        scenario, registry, lines = _scenario_lines("two_phase_dynamic", 0, n=8)
+        key, spec = "torn", scenario.monitored
+        durable = dict(data_dir=tmp_path / "live", snapshot_every=snapshot_every)
+        client_args = dict(spec=spec, session=key, proto=proto, batch=1)
+
+        async def live():
+            async with MonitorServer(registry, **durable) as server:
+                async with MonitorClient(
+                    "127.0.0.1", server.port, **client_args
+                ) as client:
+                    for line in lines[:-1]:
+                        await client.send_event(line)
+                    before = await client.status()
+                    await client.send_event(lines[-1])
+                    await client.status()
+                    shutil.copytree(tmp_path / "live", tmp_path / "killed")
+            return before
+
+        before = asyncio.run(live())
+        log = tmp_path / "killed" / "worker-0" / "shard-0.log"
+        blob = log.read_bytes()
+        start, end, last = list(durability._walk_records(blob))[-1]
+        assert end == len(blob) and last.received == len(lines) - 1
+
+        async def reattach(data_dir):
+            async with MonitorServer(
+                scenario.registry(), data_dir=data_dir,
+                snapshot_every=snapshot_every,
+            ) as server:
+                async with MonitorClient(
+                    "127.0.0.1", server.port, **client_args
+                ) as client:
+                    recovered = await client.status()
+                    await client.send_event(lines[-1])
+                    await client.status()
+            return recovered
+
+        for cut in range(start, end):
+            data_dir = tmp_path / f"cut-{cut}"
+            shutil.copytree(tmp_path / "killed", data_dir)
+            torn = data_dir / "worker-0" / "shard-0.log"
+            torn.write_bytes(blob[:cut])
+            recovered = asyncio.run(reattach(data_dir))
+            assert _verdict(recovered) == _verdict(before), cut
+            assert recovered.applied == before.applied == len(lines) - 1
+            after = torn.read_bytes()
+            assert after[:start] == blob[:start]
+            (first, stop, appended), = durability._walk_records(after[start:])
+            assert (first, stop) == (0, len(after) - start)
+            assert (appended.lsn, appended.received) == (last.lsn, last.received)
+            assert appended.inputs == 1

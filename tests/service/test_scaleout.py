@@ -79,11 +79,8 @@ class TestLifecycleFailures:
             server._spawn = flaky_spawn
             try:
                 server.kill_worker(0)
-                for _ in range(600):  # wait for the retried respawn
-                    if server.restarts >= 1:
-                        break
-                    await asyncio.sleep(0.1)
-                restarts, respawns = server.restarts, len(calls)
+                restarts = await server.wait_restarts(1)  # the retried respawn
+                respawns = len(calls)
             finally:
                 await server.stop()
             return restarts, respawns, server
@@ -213,11 +210,7 @@ class TestScaleOut:
                 pids = server.worker_pids
                 for index in range(server.procs):
                     server.kill_worker(index)
-                for _ in range(600):  # wait for the supervisor respawns
-                    if server.restarts >= server.procs:
-                        break
-                    await asyncio.sleep(0.1)
-                assert server.restarts >= server.procs
+                assert await server.wait_restarts(server.procs) == server.procs
                 assert set(server.worker_pids).isdisjoint(pids)
                 statuses = []
                 for client, lines in zip(clients, self.SESSIONS):

@@ -131,52 +131,81 @@ class TestRoundTrip:
         assert monitor.ok
 
 
+def _serve_and_ask(tmp_path, call: str, requests):
+    """Run ``api.<call>`` over DOC in a child process; its HTTP replies.
+
+    ``call`` names the document as ``{doc}`` and the free port the front
+    binds as ``{port}``; each request is ``(method, path, body)`` and each reply ``(status, body)``.
+    SIGINT then ends the child the way ^C ends ``repro serve``.
+    """
+    import http.client
+    import os
+    import signal
+    import socket
+    import subprocess
+    import sys
+    import time
+
+    doc = tmp_path / "rw.oun"
+    doc.write_text(DOC)
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from repro import api; "
+         f"api.{call.format(doc='sys.argv[1]', port=port)}",
+         str(doc)],
+        env=env,
+    )
+    replies = []
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+                conn.connect()
+                break
+            except ConnectionRefusedError:
+                assert proc.poll() is None, f"api.{call} exited"
+                assert time.monotonic() < deadline, f"api.{call} never bound"
+                time.sleep(0.1)
+        for method, path, body in requests:
+            conn.request(method, path, body=body)
+            reply = conn.getresponse()
+            replies.append((reply.status, reply.read()))
+        conn.close()
+    finally:
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=30)
+    return replies
+
+
 class TestServe:
     def test_metrics_port_is_the_metrics_only_front(self, tmp_path):
-        import http.client
-        import os
-        import signal
-        import socket
-        import subprocess
-        import sys
-        import time
-
-        doc = tmp_path / "rw.oun"
-        doc.write_text(DOC)
-        with socket.socket() as sock:
-            sock.bind(("127.0.0.1", 0))
-            port = sock.getsockname()[1]
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        proc = subprocess.Popen(
-            [sys.executable, "-c",
-             "import sys; from repro import api; "
-             "api.serve(sys.argv[1], port=0, metrics_port=int(sys.argv[2]))",
-             str(doc), str(port)],
-            env=env,
+        scrape, refused = _serve_and_ask(
+            tmp_path,
+            "serve({doc}, port=0, metrics_port={port})",
+            [
+                ("GET", "/metrics", None),
+                ("POST", "/v1/sessions/k/events", b'{"event": "x"}'),
+            ],
         )
-        try:
-            deadline = time.monotonic() + 60
-            while True:
-                try:
-                    conn = http.client.HTTPConnection(
-                        "127.0.0.1", port, timeout=30
-                    )
-                    conn.request("GET", "/metrics")
-                    break
-                except ConnectionRefusedError:
-                    assert time.monotonic() < deadline, "api.serve never bound"
-                    time.sleep(0.1)
-            scrape = conn.getresponse()
-            text = scrape.read()
-            conn.request(
-                "POST", "/v1/sessions/k/events", body=b'{"event": "x"}'
-            )
-            refused = conn.getresponse()
-            refused.read()
-            conn.close()
-        finally:
-            proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=30)
-        assert scrape.status == 200
-        assert b"\nrepro_monitor_events_total " in text
-        assert refused.status == 404
+        assert scrape[0] == 200
+        assert b"\nrepro_monitor_events_total " in scrape[1]
+        assert refused[0] == 404
+
+    def test_serve_http_fronts_the_rest_gateway(self, tmp_path):
+        events = b'{"spec": "Read2", "events": ["c -> o : OR", "c -> o : CR"]}'
+        health, posted = _serve_and_ask(
+            tmp_path,
+            "serve_http({doc}, http_port={port})",
+            [
+                ("GET", "/v1/healthz", None),
+                ("POST", "/v1/sessions/k/events", events),
+            ],
+        )
+        assert health[0] == 200
+        assert posted[0] == 200, posted
+        assert b'"violation": null' in posted[1]

@@ -176,6 +176,26 @@ class TestErrors:
         assert "1 session(s) unreachable" in text
 
 
+class TestChaos:
+    def test_report_counts_every_respawn(self):
+        # The sessions end long before the supervisor's next tick, so
+        # the report must wait for each killed worker's respawn.
+        report = run_workload(
+            "two_phase_dynamic",
+            seed=3,
+            faults=FaultSpec(dup=0.02, drop=0.02),
+            sessions=4,
+            events=150,
+            procs=2,
+            durable=True,
+            kill_at=(200,),
+        )
+        assert report.kills == 1
+        assert report.restarts == report.kills
+        assert report.all_agree, report.describe()
+        assert f"restarts={report.kills}" in report.describe()
+
+
 class TestPrometheusRoundTrip:
     def test_histogram_survives_exposition(self):
         with use_registry() as registry:
