@@ -28,8 +28,8 @@ import time
 
 import pytest
 
-from repro.pipeline import reset_shared_pipeline, stage_counts
-from repro.service.registry import SpecRegistry, _reset_shared_state
+from repro.pipeline import stage_counts
+from repro.service.registry import SpecRegistry
 
 #: Per-spec ``prs`` chain lengths: two heavy neighbours, one light spec
 #: (S1) that the reload edits.
@@ -68,15 +68,8 @@ OLD_DOC = _document()
 NEW_DOC = _document(edit=1)
 
 
-def _fresh() -> None:
-    """Empty every process-wide memo (the cold-path precondition)."""
-    reset_shared_pipeline()
-    _reset_shared_state()
-
-
 def _cold() -> float:
-    """Seconds to build the edited document from empty memos."""
-    _fresh()
+    """Seconds to build the edited document in a new registry."""
     t0 = time.perf_counter()
     SpecRegistry.from_text(NEW_DOC)
     return time.perf_counter() - t0
@@ -84,7 +77,6 @@ def _cold() -> float:
 
 def _incremental() -> float:
     """Seconds to hot-reload the edited document over warm memos."""
-    _fresh()
     registry = SpecRegistry.from_text(OLD_DOC)
     t0 = time.perf_counter()
     report = registry.update_from_text(NEW_DOC)
@@ -95,7 +87,6 @@ def _incremental() -> float:
 
 def check_incrementality() -> None:
     """Only the edited spec's stages re-run on the warm reload."""
-    _fresh()
     registry = SpecRegistry.from_text(OLD_DOC)
     before = stage_counts()
     registry.update_from_text(NEW_DOC)

@@ -7,11 +7,12 @@ identity comes from :mod:`repro.oun.identity` (AST fingerprints, not
 machine content, because elaborated machines wrap closures), and each
 stage keeps a memo table hit before any work is done.
 
-The compile stage lives in :mod:`repro.service.registry` (machine
-interning + dense images) and :mod:`repro.checker.compile` (the
-on-disk DFA cache of PR 2); both report their reuse through
-:func:`record_stage` so the whole graph shares one counter family,
-``repro_pipeline_stage_{hits,misses}_total{stage=…}``.
+The compile stage lives in :mod:`repro.service.registry` (each
+registry's machines and dense images, reused by node and content key)
+and :mod:`repro.checker.compile` (the on-disk DFA cache); both report
+their reuse through :func:`record_stage` so the whole graph shares one
+counter family, ``repro_pipeline_stage_{hits,misses}_total{stage=…}``.
+A pipeline's memo holds only its previous successful build.
 
 See ``docs/architecture.md`` for where the layer sits.
 """
@@ -22,8 +23,6 @@ from repro.pipeline.build import (
     SpecPipeline,
     normalize_component,
     record_stage,
-    reset_shared_pipeline,
-    shared_pipeline,
     stage_counts,
 )
 
@@ -33,7 +32,5 @@ __all__ = [
     "SpecPipeline",
     "normalize_component",
     "record_stage",
-    "reset_shared_pipeline",
-    "shared_pipeline",
     "stage_counts",
 ]

@@ -11,6 +11,11 @@ normalize  ``(node key, normalization toggle)``          canonical spec
 compile    node key (recorded by the registry/cache)     machine/image
 ========== ============================================= ==============
 
+Each memo holds only the previous successful build: a load stages its
+entries in fresh tables and swaps them in when the whole document has
+built, so a failed load keeps the old memo and a long run of reloads
+retains one document's worth of parsed and elaborated state.
+
 Compositions are folded by the elaborate stage, keyed through their
 parts' keys (``composition_node_key``), so an edit to one spec in a
 three-spec document re-runs exactly that spec's elaborate/normalize —
@@ -55,13 +60,11 @@ __all__ = [
     "SpecPipeline",
     "normalize_component",
     "record_stage",
-    "reset_shared_pipeline",
-    "shared_pipeline",
     "stage_counts",
 ]
 
 #: The build graph's stages, in dependency order.  ``compile`` is
-#: recorded by the service registry (interned machines, dense images);
+#: recorded by the service registry (its machines and dense images);
 #: the first three are recorded here.
 STAGES = ("parse", "elaborate", "normalize", "compile")
 
@@ -135,8 +138,8 @@ class DocumentBuild:
 
 
 class SpecPipeline:
-    """Memoizing pipeline instance.  Not thread-safe; share per process
-    via :func:`shared_pipeline` (the service and CLI do)."""
+    """Memoizing pipeline instance.  Not thread-safe; each
+    :class:`~repro.service.registry.SpecRegistry` owns one."""
 
     def __init__(self) -> None:
         self._parsed: dict[str, Document] = {}
@@ -155,13 +158,21 @@ class SpecPipeline:
                 record_stage("parse", hit=False)
                 with span("pipeline.parse"):
                     doc = parse_document(text)
-                self._parsed[key] = doc
             else:
                 record_stage("parse", hit=True)
-            return self.build(doc)
+            build = self.build(doc)
+            self._parsed = {key: doc}
+            return build
 
     def build(self, doc: Document) -> DocumentBuild:
-        """Elaborate + normalize every node, reusing unchanged stages."""
+        """Elaborate + normalize every node, reusing unchanged stages.
+
+        The memo tables are replaced by this build's entries only once
+        every node has built; an error leaves them as they were.
+        """
+        elaborated: dict[str, Specification] = {}
+        normalized: dict[tuple[str, bool], Specification] = {}
+        composed: dict[tuple[str, bool], Specification] = {}
         signature = scope_signature(doc)
         scope = document_scope(doc)
         norm = normalization_enabled()
@@ -181,7 +192,7 @@ class SpecPipeline:
             if raw is None:
                 with span("pipeline.elaborate", name=decl.name):
                     raw = elaborate_spec_decl(scope, decl, normalize=False)
-                self._elaborated[key] = raw
+            elaborated[key] = raw
             norm_key = (key, norm)
             spec = self._normalized.get(norm_key)
             normalize_hit = spec is not None
@@ -189,7 +200,7 @@ class SpecPipeline:
             if spec is None:
                 with span("pipeline.normalize", name=decl.name):
                     spec = normalize_component(raw)
-                self._normalized[norm_key] = spec
+            normalized[norm_key] = spec
             out[decl.name] = spec
             keys[decl.name] = key
             builds.append(
@@ -220,11 +231,14 @@ class SpecPipeline:
             if spec is None:
                 with span("pipeline.compose", name=comp.name):
                     spec = elaborate_composition(out, comp)
-                self._composed[comp_key] = spec
+            composed[comp_key] = spec
             out[comp.name] = spec
             keys[comp.name] = ckey
             builds.append(SpecBuild(comp.name, ckey, spec, hit))
 
+        self._elaborated = elaborated
+        self._normalized = normalized
+        self._composed = composed
         return DocumentBuild(doc, tuple(builds))
 
     # -- maintenance -----------------------------------------------------
@@ -244,20 +258,3 @@ class SpecPipeline:
             "normalize": len(self._normalized),
             "compose": len(self._composed),
         }
-
-
-_SHARED: SpecPipeline | None = None
-
-
-def shared_pipeline() -> SpecPipeline:
-    """The process-wide pipeline (what the registry and CLI use)."""
-    global _SHARED
-    if _SHARED is None:
-        _SHARED = SpecPipeline()
-    return _SHARED
-
-
-def reset_shared_pipeline() -> None:
-    """Forget the shared pipeline (test/bench isolation)."""
-    global _SHARED
-    _SHARED = None

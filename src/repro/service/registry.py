@@ -1,4 +1,4 @@
-"""Spec registry: compile specifications once, share machines everywhere.
+"""Spec registry: compile specifications once, share machines across sessions.
 
 Trace machines are pure (``step`` never mutates — see
 :mod:`repro.machines.base`), so one compiled machine can drive every
@@ -11,26 +11,19 @@ involve existential hiding) are recorded as *unmonitorable* with the
 reason, so a session binding to one gets a precise error instead of a
 missing name.
 
-Machines are additionally *interned* process-wide by content fingerprint
-(:mod:`repro.checker.fingerprint`): two registries — or two specs within
-one registry — whose trace sets have identical definitional content
-share one machine object, so repeated document loads (service restarts
-mid-process, tests, the engine's workers) reuse prior builds.  Machines
-hold closures and cannot live in the on-disk DFA cache; interning is the
-in-process analogue keyed by the same fingerprints (DESIGN.md §8), and
-it doubles as the **compile stage** of the incremental build graph
-(:mod:`repro.pipeline`): when a registry is built from document text,
-per-node memo hits are reported as ``repro_pipeline_stage_*{stage=
-"compile"}``.
-
-Interned entries are *refcounted* by the registries that pin them:
-:meth:`SpecRegistry.update` releases a replaced spec's machine and
-dense image, and the last release evicts the entry so hot-swapping a
-spec under the same name cannot leak the old build.  (A registry that
-is simply garbage-collected keeps its pins — eviction triggers on
-re-registration, which is the only path that previously leaked without
-bound; the ``repro_interned_*`` gauges always reflect live table
-sizes.)
+A registry is the only owner of what it compiled.  It loads document
+text through its own :class:`~repro.pipeline.SpecPipeline`, whose memo
+holds only the previous successful build, and it remembers what each
+entry was built from: the document node key (with the normalization
+toggle) and the content fingerprint (:mod:`repro.checker.fingerprint`)
+— the dense image's key when the spec tabulates, the machine's
+otherwise.  An update whose spec matches the current entry on either
+leaves that entry untouched; a node-key match is the **compile stage**
+hit of the incremental build graph (``repro_pipeline_stage_*{stage=
+"compile"}``).  Identical content among one registry's entries shares
+one machine and one image.  A replaced build stays referenced only by
+the sessions still draining on it, so a hot swap retains nothing once
+they finish.
 """
 
 from __future__ import annotations
@@ -45,16 +38,14 @@ from repro.core.errors import FingerprintError, ReproError, RuntimeModelError
 from repro.core.specification import Specification
 from repro.core.tracesets import FullTraceSet, MachineTraceSet
 from repro.machines.base import TraceMachine
-from repro.obs.registry import get_registry
 from repro.runtime.monitor import DEFAULT_HISTORY_LIMIT, SpecMonitor
 from repro.runtime.tracefile import format_event, wire_safe_lines
+from repro.service import wire
 
 __all__ = [
     "CompiledSpec",
     "SpecRegistry",
     "UpdateReport",
-    "shared_machine_count",
-    "shared_image_count",
     "DEFAULT_DENSE_STATE_LIMIT",
 ]
 
@@ -63,44 +54,11 @@ __all__ = [
 #: large is cheaper to monitor by machine stepping than to tabulate.
 DEFAULT_DENSE_STATE_LIMIT = 20_000
 
-#: Process-wide machine interning table: trace-set fingerprint → machine.
-_SHARED_MACHINES: dict[str, TraceMachine] = {}
-
-#: Process-wide dense-image interning table, keyed by the fingerprint of
-#: (normalized trace set, universe, state limit) — the full input of
-#: :func:`~repro.automata.build.machine_to_dense`.
-_SHARED_IMAGES: dict[str, MachineImage] = {}
-
-#: Pin counts per interned key: how many registry entries currently
-#: reference the machine/image.  An entry whose count reaches zero on
-#: release is evicted from the table above.
-_MACHINE_REFS: dict[str, int] = {}
-_IMAGE_REFS: dict[str, int] = {}
-
-#: Compile-stage memo of the incremental build graph: node key (from
-#: :mod:`repro.oun.identity`) + build options → the compiled parts.
-#: Lets a document reload skip fingerprinting entirely for unchanged
-#: specs; entries are purged when their machine/image is evicted.
-_COMPILED_BY_NODE: dict[tuple, "_CompiledParts"] = {}
-
-
-def _sync_intern_gauges() -> None:
-    """Mirror the intern-table sizes into the unified metrics registry."""
-    registry = get_registry()
-    registry.gauge(
-        "repro_interned_machines",
-        help="Distinct machines in the process-wide intern table.",
-    ).set(len(_SHARED_MACHINES))
-    registry.gauge(
-        "repro_interned_images",
-        help="Distinct dense images in the process-wide intern table.",
-    ).set(len(_SHARED_IMAGES))
-
 
 def _normalized(traces):
     """The trace set in canonical (spec-scope) normalized form.
 
-    Interning after normalization means syntactic variants of one spec
+    Keying after normalization means syntactic variants of one spec
     — an unfused rename, a redundant ``True`` conjunct — land on one
     fingerprint and share one machine.  Spec-scope passes are monitor-safe:
     monitors project events to the specification alphabet before stepping.
@@ -111,140 +69,31 @@ def _normalized(traces):
     return normalize_traceset(traces, SPEC_SCOPE)
 
 
-def shared_machine_count() -> int:
-    """How many distinct machines the process-wide intern table holds."""
-    return len(_SHARED_MACHINES)
-
-
-def shared_image_count() -> int:
-    """How many distinct dense images the process-wide table holds."""
-    return len(_SHARED_IMAGES)
-
-
-def _acquire(machine_key: str | None, image_key: str | None) -> None:
-    """Pin interned entries for one registry slot."""
-    if machine_key is not None:
-        _MACHINE_REFS[machine_key] = _MACHINE_REFS.get(machine_key, 0) + 1
-    if image_key is not None:
-        _IMAGE_REFS[image_key] = _IMAGE_REFS.get(image_key, 0) + 1
-
-
-def _release(machine_key: str | None, image_key: str | None) -> None:
-    """Unpin interned entries; the last pin out evicts them.
-
-    Draining sessions keep the evicted objects alive through their own
-    references — eviction only forgets the *table* entry, so a future
-    build of identical content compiles afresh instead of resurrecting
-    a retired machine.
-    """
-    evicted = False
-    for key, refs, table in (
-        (machine_key, _MACHINE_REFS, _SHARED_MACHINES),
-        (image_key, _IMAGE_REFS, _SHARED_IMAGES),
-    ):
-        if key is None or key not in refs:
-            continue
-        refs[key] -= 1
-        if refs[key] <= 0:
-            del refs[key]
-            table.pop(key, None)
-            evicted = True
-    if evicted:
-        stale = [
-            node_key
-            for node_key, parts in _COMPILED_BY_NODE.items()
-            if parts.machine_key == machine_key
-            or (image_key is not None and parts.image_key == image_key)
-        ]
-        for node_key in stale:
-            del _COMPILED_BY_NODE[node_key]
-        _sync_intern_gauges()
-
-
-def _reset_shared_state() -> None:
-    """Forget every process-wide table (bench/test isolation only)."""
-    _SHARED_MACHINES.clear()
-    _SHARED_IMAGES.clear()
-    _MACHINE_REFS.clear()
-    _IMAGE_REFS.clear()
-    _COMPILED_BY_NODE.clear()
-    _sync_intern_gauges()
+def _content_key(value) -> str | None:
+    """``value``'s fingerprint, or ``None`` when it has no stable identity."""
+    try:
+        return fingerprint(value)
+    except FingerprintError:
+        return None
 
 
 @dataclass(frozen=True, slots=True)
-class _CompiledParts:
-    """The shareable output of one compile: machine + optional image."""
+class _Identity:
+    """What one registry entry was built from.
 
-    machine: TraceMachine
-    image: MachineImage | None
-    machine_key: str | None
-    image_key: str | None
-
-
-def _build_machine_part(
-    traces, *, share: bool
-) -> tuple[TraceMachine, str | None]:
-    """The (possibly shared) machine for a trace set, plus its pin key."""
-    traces = _normalized(traces)
-    key = None
-    if share:
-        try:
-            key = fingerprint(traces)
-        except FingerprintError:
-            key = None  # no stable identity: private machine
-    if key is not None:
-        machine = _SHARED_MACHINES.get(key)
-        if machine is None:
-            machine = _SHARED_MACHINES[key] = traces.machine()
-            _sync_intern_gauges()
-        return machine, key
-    return traces.machine(), None
-
-
-def _build_image_part(
-    spec: Specification,
-    machine: TraceMachine,
-    state_limit: int,
-    *,
-    share: bool,
-) -> tuple[MachineImage | None, str | None]:
-    """Pre-compile a spec's machine to a dense image, or ``None``.
-
-    ``None`` means "monitor by machine stepping": the spec's universe
-    cannot be derived, the reachable space exceeds ``state_limit``, or the
-    compilation fails for any model-level reason.  Dense monitoring is an
-    optimisation, never a requirement.
+    ``node`` is the ``(node key, normalization toggle)`` of a text load;
+    ``machine`` and ``image`` are content fingerprints (``image`` only
+    when the entry has a dense image).  A forced build records none of
+    them: it is private, shared with nothing and matched by nothing.
     """
-    # Lazy imports: the checker layer reaches back into passes/service
-    # metrics, so module-level imports would cycle.
-    from repro.checker.compile import instantiated_letters
-    from repro.checker.universe import FiniteUniverse
 
-    try:
-        universe = FiniteUniverse.for_specs(spec)
-        table = instantiated_letters(universe, spec.alphabet)
-    except ReproError:
-        return None, None
-    key = None
-    if share:
-        try:
-            key = fingerprint((_normalized(spec.traces), universe, state_limit))
-        except FingerprintError:
-            key = None
-        if key is not None:
-            cached = _SHARED_IMAGES.get(key)
-            if cached is not None:
-                return cached, key
-    try:
-        image = machine_to_dense(
-            machine, table.letters, state_limit=state_limit, table=table
-        )
-    except ReproError:
-        return None, None
-    if key is not None:
-        _SHARED_IMAGES[key] = image
-        _sync_intern_gauges()
-    return image, key
+    node: tuple[str, bool] | None = None
+    machine: str | None = None
+    image: str | None = None
+
+    @property
+    def content(self) -> str | None:
+        return self.image if self.image is not None else self.machine
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,6 +115,9 @@ class CompiledSpec:
     every *wire-safe* letter — one whose line parses back to that very
     letter (:func:`~repro.runtime.tracefile.wire_safe_lines`) — to its
     id, so a text ``EVENT`` carrying such a line steps without parsing.
+    ``letters_frame`` is ``letter_lines`` pre-encoded as the one
+    ``OP_LETTERS`` frame every binary session that binds this build
+    receives (empty without letters).
     """
 
     name: str
@@ -275,6 +127,7 @@ class CompiledSpec:
     version: int = 0
     letter_lines: tuple[str, ...] = ()
     line_ids: Mapping[str, int] = field(default_factory=dict)
+    letters_frame: bytes = b""
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,7 +151,8 @@ class SpecRegistry:
     Construction compiles every spec; afterwards the only mutation path
     is :meth:`update` (the service's hot-swap), which atomically
     replaces whole :class:`CompiledSpec` entries — readers holding a
-    ``CompiledSpec`` never observe a half-updated spec.
+    ``CompiledSpec`` never observe a half-updated spec.  ``pipeline``
+    is the registry's own incremental build graph for document text.
     """
 
     def __init__(
@@ -306,38 +160,26 @@ class SpecRegistry:
         specs: Iterable[Specification],
         *,
         history_limit: int | None = DEFAULT_HISTORY_LIMIT,
-        share_machines: bool = True,
-        dense: bool = True,
         dense_state_limit: int = DEFAULT_DENSE_STATE_LIMIT,
-        keys: Mapping[str, str] | None = None,
     ) -> None:
+        # Lazy: the pipeline pulls in the OUN front end, which
+        # ``import repro.service`` alone does not need.
+        from repro.pipeline import SpecPipeline
+
         self.history_limit = history_limit
-        self._share = share_machines
-        self._dense = dense
         self._dense_state_limit = dense_state_limit
         self._compiled: dict[str, CompiledSpec] = {}
+        self._identity: dict[str, _Identity] = {}
         self._unmonitorable: dict[str, str] = {}
-        #: name → interned keys currently pinned by that name's entry.
-        self._pins: dict[str, tuple[str | None, str | None]] = {}
-        self.update(specs, keys=keys)
-        # Refresh even when everything hit the intern tables: a scrape
-        # after a registry build should always see current table sizes.
-        _sync_intern_gauges()
+        self.pipeline = SpecPipeline()
+        self.update(specs)
 
     @classmethod
     def from_text(cls, text: str, **kwargs) -> "SpecRegistry":
-        """Build a registry from OUN document text.
-
-        Loads through the shared incremental pipeline
-        (:func:`repro.pipeline.shared_pipeline`) and passes the node
-        keys down so the compile stage is memoized per document node.
-        """
-        from repro.pipeline import shared_pipeline
-
-        build = shared_pipeline().load(text)
-        return cls(
-            build.specifications().values(), keys=build.keys(), **kwargs
-        )
+        """Build a registry from OUN document text."""
+        registry = cls((), **kwargs)
+        registry.update_from_text(text)
+        return registry
 
     @classmethod
     def from_file(cls, path: str | Path, **kwargs) -> "SpecRegistry":
@@ -350,48 +192,76 @@ class SpecRegistry:
 
     # -- compile stage ---------------------------------------------------
 
-    def _compile_parts(
-        self, spec: Specification, node_key: str | None, force: bool
-    ) -> _CompiledParts:
-        """Compile one spec's machine/image, through the node memo.
+    def _compile(
+        self,
+        spec: Specification,
+        node: tuple[str, bool] | None,
+        machines: dict[str, TraceMachine],
+        images: dict[str, MachineImage],
+        force: bool,
+    ) -> tuple[TraceMachine, MachineImage | None, _Identity]:
+        """One spec's machine, dense image and identity, reusing equal content.
 
-        The memo is only consulted for shared, node-keyed builds (i.e.
-        document loads); those record ``stage="compile"`` hit/miss in
-        the pipeline counter family.  ``force=True`` bypasses both the
-        memo and the intern tables, producing fresh private objects —
-        the hot-reload path uses it to swap in a rebuilt machine even
-        when the document text is unchanged.
+        ``machines`` and ``images`` map content keys to what this
+        registry already holds; fresh builds are added to them.
+        ``force=True`` skips them and builds private objects.
         """
-        from repro.passes import normalization_enabled
-        from repro.pipeline import record_stage
-
-        memo_key = None
-        if node_key is not None and self._share and not force:
-            memo_key = (
-                node_key,
-                normalization_enabled(),
-                self._dense,
-                self._dense_state_limit,
-            )
-            parts = _COMPILED_BY_NODE.get(memo_key)
-            if parts is not None:
-                record_stage("compile", hit=True)
-                return parts
-        share = self._share and not force
-        machine, machine_key = _build_machine_part(spec.traces, share=share)
-        image, image_key = (
-            _build_image_part(
-                spec, machine, self._dense_state_limit, share=share
-            )
-            if self._dense
-            else (None, None)
+        traces = _normalized(spec.traces)
+        machine_key = None if force else _content_key(traces)
+        machine = machines.get(machine_key)
+        if machine is None:
+            machine = traces.machine()
+            if machine_key is not None:
+                machines[machine_key] = machine
+        image, image_key = self._compile_image(
+            spec, machine, machine_key, images
         )
-        parts = _CompiledParts(machine, image, machine_key, image_key)
-        if node_key is not None:
-            record_stage("compile", hit=False)
-        if memo_key is not None:
-            _COMPILED_BY_NODE[memo_key] = parts
-        return parts
+        identity = _Identity(None if force else node, machine_key, image_key)
+        return machine, image, identity
+
+    def _compile_image(
+        self,
+        spec: Specification,
+        machine: TraceMachine,
+        machine_key: str | None,
+        images: dict[str, MachineImage],
+    ) -> tuple[MachineImage | None, str | None]:
+        """Pre-compile a spec's machine to a dense image, or ``None``.
+
+        ``None`` means "monitor by machine stepping": the spec's universe
+        cannot be derived, the reachable space exceeds the registry's
+        state budget, or the compilation fails for any model-level
+        reason.  Dense monitoring is an optimisation, never a requirement.
+        """
+        # Lazy imports: the checker layer reaches back into passes/service
+        # metrics, so module-level imports would cycle.
+        from repro.checker.compile import instantiated_letters
+        from repro.checker.universe import FiniteUniverse
+
+        try:
+            universe = FiniteUniverse.for_specs(spec)
+        except ReproError:
+            return None, None
+        # the machine key stands in for the trace set it fingerprints
+        key = None if machine_key is None else _content_key(
+            (machine_key, universe)
+        )
+        image = images.get(key)
+        if image is not None:
+            return image, key
+        try:
+            table = instantiated_letters(universe, spec.alphabet)
+            image = machine_to_dense(
+                machine,
+                table.letters,
+                state_limit=self._dense_state_limit,
+                table=table,
+            )
+        except ReproError:
+            return None, None
+        if key is not None:
+            images[key] = image
+        return image, key
 
     def update(
         self,
@@ -402,17 +272,31 @@ class SpecRegistry:
     ) -> UpdateReport:
         """Register or hot-swap specs; report what actually changed.
 
-        A spec is *unchanged* when compilation lands on the very same
-        machine and dense image objects (interning guarantees this for
-        definitionally identical content) — its existing entry, version,
-        and letter table stay untouched, so bound sessions see nothing.
-        A *changed* spec atomically gets a new :class:`CompiledSpec`
-        with a bumped ``version`` and its own letter tables; the replaced
-        entry's interned pins are released (evicting them when this was
-        the last pin).  Sessions already bound to the old
-        ``CompiledSpec`` drain on it undisturbed.
+        A spec is *unchanged* when its node key (``keys``, from a text
+        load) or, failing that, its content key equals the current
+        entry's — its existing entry, version, and letter table stay
+        untouched, so bound sessions see nothing.  A *changed* spec
+        atomically gets a new :class:`CompiledSpec` with a bumped
+        ``version`` and its own letter tables; sessions already bound to
+        the old ``CompiledSpec`` drain on it undisturbed, and nothing
+        else keeps it.  ``force=True`` installs freshly compiled private
+        builds even when nothing changed.
         """
+        from repro.passes import normalization_enabled
+        from repro.pipeline import record_stage
+
         keys = keys or {}
+        norm = normalization_enabled()
+        machines = {
+            identity.machine: self._compiled[name].machine
+            for name, identity in self._identity.items()
+            if identity.machine is not None
+        }
+        images = {
+            identity.image: self._compiled[name].dense
+            for name, identity in self._identity.items()
+            if identity.image is not None
+        }
         changed: list[str] = []
         unchanged: list[str] = []
         added: list[str] = []
@@ -427,46 +311,58 @@ class SpecRegistry:
                 if old is not None:
                     # the name stopped being monitorable: retire it
                     del self._compiled[name]
-                    pins = self._pins.pop(name, None)
-                    if pins is not None:
-                        _release(*pins)
+                    del self._identity[name]
                     changed.append(name)
                 continue
-            parts = self._compile_parts(spec, keys.get(name), force)
+            node_key = keys.get(name)
+            node = None if node_key is None else (node_key, norm)
+            current = self._identity.get(name)
+            if node is not None:
+                hit = (
+                    not force and current is not None and current.node == node
+                )
+                record_stage("compile", hit=hit)
+                if hit:
+                    unchanged.append(name)
+                    continue
+            machine, image, identity = self._compile(
+                spec, node, machines, images, force
+            )
             if (
-                old is not None
-                and old.machine is parts.machine
-                and old.dense is parts.image
+                current is not None
+                and identity.content is not None
+                and identity.content == current.content
             ):
+                # same content: ``machines``/``images`` handed back the
+                # current entry's very objects
+                self._identity[name] = identity
                 unchanged.append(name)
                 continue
             version = 0 if old is None else old.version + 1
-            letters = parts.image.dfa.table.letters if parts.image else ()
+            letters = image.dfa.table.letters if image else ()
+            lines = tuple(format_event(letter) for letter in letters)
             self._compiled[name] = CompiledSpec(
                 name,
                 spec,
-                parts.machine,
-                parts.image,
+                machine,
+                image,
                 version,
-                tuple(format_event(letter) for letter in letters),
+                lines,
                 wire_safe_lines(letters),
+                wire.encode_frame(wire.OP_LETTERS, wire.pack_letters(lines))
+                if lines
+                else b"",
             )
+            self._identity[name] = identity
             self._unmonitorable.pop(name, None)
-            old_pins = self._pins.get(name)
-            self._pins[name] = (parts.machine_key, parts.image_key)
-            _acquire(parts.machine_key, parts.image_key)
-            if old_pins is not None:
-                _release(*old_pins)
             (added if old is None else changed).append(name)
         return UpdateReport(tuple(changed), tuple(unchanged), tuple(added))
 
     def update_from_text(
         self, text: str, *, force: bool = False
     ) -> UpdateReport:
-        """Hot-swap from OUN document text via the incremental pipeline."""
-        from repro.pipeline import shared_pipeline
-
-        build = shared_pipeline().load(text)
+        """Hot-swap from OUN document text via the registry's pipeline."""
+        build = self.pipeline.load(text)
         return self.update(
             build.specifications().values(), keys=build.keys(), force=force
         )

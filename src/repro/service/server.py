@@ -10,6 +10,11 @@ monitor, and its whole stream steps in arrival order on the server's
 one FIFO queue (:mod:`repro.service.shards`).  The monitor's first
 violation is what ``STATUS`` reports.
 
+The server keeps no compiled state of its own: a session binds one
+:class:`~repro.service.registry.CompiledSpec` of the registry, which
+carries the machine, the dense image and the pre-encoded ``LETTERS``
+frame a binary ``SPEC`` replies with.
+
 The server is single-loop: the queue worker is a task, not a thread, so
 monitor state and metrics need no locks; parallelism comes from
 ``--procs`` (:mod:`repro.service.topology`).
@@ -210,14 +215,17 @@ class MonitorServer:
         self.snapshot_every = snapshot_every
         self._watch = Path(watch) if watch is not None else None
         self._watch_interval = watch_interval
+        #: The watched file's stamp that the registry's build reflects,
+        #: taken before ``start()`` so no later edit is missed.  A
+        #: scale-out worker replaces it with its topology's start-time
+        #: stamp, so a respawned worker catches up with every edit since.
+        self._watch_last = (
+            self._watch_stamp(self._watch) if self._watch is not None else None
+        )
         self._watch_task: asyncio.Task | None = None
         #: ``sock``: serve an externally prepared listening socket (the
         #: SO_REUSEPORT workers of :mod:`~repro.service.topology`).
         self._sock = sock
-        #: Pre-packed OP_LETTERS frames keyed by (spec name, version):
-        #: a hot swap bumps the version, so rebinding sessions always
-        #: sync the *current* table while the stale frame is purged.
-        self._letters_frames: dict[tuple[str, int], bytes] = {}
         self.metrics = ServiceMetrics()
         self.host = host
         self.port = port
@@ -269,9 +277,9 @@ class MonitorServer:
                 self._direct_server.sockets[0].getsockname()[1]
             )
         if self._watch is not None:
-            # Stamped now, so an edit right after start() is not missed.
-            stamp = self._watch_stamp(self._watch)
-            self._watch_task = asyncio.create_task(self._watch_loop(stamp))
+            self._watch_task = asyncio.create_task(
+                self._watch_loop(self._watch_last)
+            )
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -593,11 +601,10 @@ class MonitorServer:
 
         Existing sessions keep draining on the ``CompiledSpec`` they
         bound (monitors are pinned — see :meth:`_accept_event`); new
-        binds pick up the swapped machines, and the purge below makes a
-        binary rebind sync the new letter table instead of a stale
-        frame.  Raises :class:`ReproError` on unknown scenarios or
-        documents that fail to parse/elaborate — the registry is left
-        untouched in that case.
+        binds pick up the swapped builds, each with its own pre-encoded
+        letter table, so a binary rebind syncs the new table.  Raises
+        :class:`ReproError` on unknown scenarios or documents that fail
+        to parse/elaborate — the registry is left untouched in that case.
         """
         if scenario is not None:
             from repro.workload.scenarios import get_scenario
@@ -607,8 +614,6 @@ class MonitorServer:
         else:
             report = self.registry.update_from_text(text or "", force=force)
         touched = set(report.changed) | set(report.added)
-        for key in [k for k in self._letters_frames if k[0] in touched]:
-            del self._letters_frames[key]
         names = ",".join(sorted(touched)) or "-"
         return (
             f"update changed={len(report.changed)} "
@@ -665,24 +670,6 @@ class MonitorServer:
     ) -> None:
         writer.write(wire.encode_frame(opcode, payload))
         await writer.drain()
-
-    def _letters_frame(self, compiled: CompiledSpec) -> bytes:
-        """The spec's pre-packed ``OP_LETTERS`` frame (cached per version).
-
-        A compiled spec's table is immutable, so one encoding serves
-        every session that binds it; the cache key carries the spec's
-        hot-swap ``version`` because an update may change the interned
-        alphabet, and a rebind after the swap must sync the new table,
-        not a stale frame.
-        """
-        key = (compiled.name, compiled.version)
-        frame = self._letters_frames.get(key)
-        if frame is None:
-            frame = wire.encode_frame(
-                wire.OP_LETTERS, wire.pack_letters(compiled.letter_lines)
-            )
-            self._letters_frames[key] = frame
-        return frame
 
     async def _binary_loop(
         self,
@@ -754,7 +741,7 @@ class MonitorServer:
             detail += f" letters={count}"
             writer.write(wire.encode_frame(wire.OP_OK, detail.encode()))
             if count:
-                writer.write(self._letters_frame(compiled))
+                writer.write(compiled.letters_frame)
             await writer.drain()
             return False
         await self._send_frame(writer, _REPLY_OPS[keyword], detail.encode())

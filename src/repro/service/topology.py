@@ -68,6 +68,9 @@ class WorkerConfig:
     fsync_every: int = 64
     snapshot_every: int = 1024
     watch: str | None = None
+    #: The watched file's stamp when the topology started: every worker,
+    #: a respawned one too, reloads on any edit made since.
+    watch_stamp: tuple[int, int] | None = None
     #: Requested per-worker direct port (0 = ephemeral, None = off).
     #: The *resolved* port travels back in the worker's ready message so
     #: the parent can publish :attr:`ScaleOutServer.worker_ports` for
@@ -119,6 +122,7 @@ async def _worker_main(config: WorkerConfig, conn) -> None:
         direct_port=config.direct_port,
         sock=sock,
     )
+    server._watch_last = config.watch_stamp
     await server.start()
     conn.send(("ready", config.worker_index, os.getpid(), server.direct_port))
     await asyncio.Event().wait()  # parent terminates the process
@@ -211,12 +215,21 @@ class ScaleOutServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
+        from repro.service.server import MonitorServer
+
         # Bound but never listening: it reserves the port (resolving
         # port=0 to a real number the workers can share) without ever
         # winning an accept.
         self._reserve_sock = _reuseport_socket(self.host, self.port)
         self.port = self._reserve_sock.getsockname()[1]
-        self._template = replace(self._template, port=self.port)
+        watch = self._template.watch
+        self._template = replace(
+            self._template,
+            port=self.port,
+            watch_stamp=MonitorServer._watch_stamp(Path(watch))
+            if watch is not None
+            else None,
+        )
         try:
             for index in range(self.procs):
                 self._workers.append(await self._spawn(index))

@@ -5,12 +5,7 @@ import pytest
 from repro.core.errors import OUNElaborationError
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.oun import elaborate, parse_document
-from repro.pipeline import (
-    SpecPipeline,
-    reset_shared_pipeline,
-    shared_pipeline,
-    stage_counts,
-)
+from repro.pipeline import SpecPipeline, stage_counts
 
 THREE_SPECS = """
 object o
@@ -149,14 +144,3 @@ class TestErrorParity:
             with pytest.raises(OUNElaborationError, match="Nope"):
                 pipeline.load(doc)
 
-
-class TestSharedPipeline:
-    def test_shared_singleton_and_reset(self):
-        reset_shared_pipeline()
-        try:
-            assert shared_pipeline() is shared_pipeline()
-            first = shared_pipeline()
-            reset_shared_pipeline()
-            assert shared_pipeline() is not first
-        finally:
-            reset_shared_pipeline()

@@ -7,6 +7,7 @@ event, counters) must be identical to an uninterrupted run.
 """
 
 import asyncio
+import functools
 import json
 import random
 import shutil
@@ -58,7 +59,7 @@ VIOLATING_LINES = [
 VIOLATION_INDEX = 2
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def registry(cast) -> SpecRegistry:
     return SpecRegistry([cast.write()])
 
@@ -573,9 +574,20 @@ def _verdict(status):
     )
 
 
+@functools.cache
+def _registry_of(name):
+    """One registry per scenario for the whole module.
+
+    No test here updates a registry, and servers and recoveries only
+    read one, so sharing it stands in for a process restart's fresh
+    build at a fraction of the compile cost.
+    """
+    return get_scenario(name).registry()
+
+
 def _scenario_lines(name, seed, n=60):
     scenario = get_scenario(name)
-    registry = scenario.registry()
+    registry = _registry_of(name)
     compiled = registry.get(scenario.monitored)
     stream = StreamSession(
         compiled, faults=FaultSpec(dup=0.05, drop=0.05), seed=seed
@@ -631,7 +643,7 @@ class TestReplayLaw:
                 data_dir=tmp_path / "b", fsync_every=4, snapshot_every=16
             )
             async with MonitorServer(
-                scenario.registry(), **durable
+                _registry_of(scenario.name), **durable
             ) as server:
                 await _drive(
                     server.port, spec, lines[:cut], key, proto=proto, status_every=7
@@ -642,7 +654,7 @@ class TestReplayLaw:
                 for snap_dir in (tmp_path / "b").glob("worker-*/snapshots"):
                     shutil.rmtree(snap_dir)
             async with MonitorServer(
-                scenario.registry(), **durable
+                _registry_of(scenario.name), **durable
             ) as server:
                 resumed = await _drive(
                     server.port, spec, lines[cut:], key, proto=proto
@@ -707,10 +719,10 @@ class TestReplayLaw:
         )
         snapshot = load_best_snapshot(killed, key)
         assert 0 < snapshot["lsn"] < len(records)
-        assert recover(killed, key, scenario.registry()).status() == live
+        assert recover(killed, key, _registry_of(scenario.name)).status() == live
         for snap_dir in killed.glob("worker-*/snapshots"):
             shutil.rmtree(snap_dir)
-        assert recover(killed, key, scenario.registry()).status() == live
+        assert recover(killed, key, _registry_of(scenario.name)).status() == live
 
     @pytest.mark.parametrize("proto", [1, 2])
     def test_client_auto_resume_across_restart(self, tmp_path, proto, cast):
@@ -985,7 +997,7 @@ class TestReplayBound:
             for i, chunk in enumerate(chunks):
                 replays.append(_unsnapshotted_inputs(data_dir, key))
                 async with MonitorServer(
-                    scenario.registry(), data_dir=data_dir, snapshot_every=every
+                    _registry_of(scenario.name), data_dir=data_dir, snapshot_every=every
                 ) as server:
                     client = MonitorClient(
                         "127.0.0.1", server.port, spec=spec, session=key,
@@ -1002,7 +1014,7 @@ class TestReplayBound:
                             data_dir = killed
                     finally:
                         await client.close()
-            async with MonitorServer(scenario.registry()) as plain:
+            async with MonitorServer(_registry_of(scenario.name)) as plain:
                 sent = [line for chunk in chunks for line in chunk]
                 baseline = await _drive(plain.port, spec, sent, None, proto=proto)
             return replays, status, baseline
@@ -1050,7 +1062,7 @@ class TestTornTailRecovery:
 
         async def reattach(data_dir):
             async with MonitorServer(
-                scenario.registry(), data_dir=data_dir,
+                _registry_of(scenario.name), data_dir=data_dir,
                 snapshot_every=snapshot_every,
             ) as server:
                 async with MonitorClient(

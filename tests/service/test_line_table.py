@@ -86,8 +86,9 @@ class TestLineTableLaws:
 
 
 def test_a_spec_without_a_dense_image_has_empty_tables():
-    compiled = SpecRegistry([CAST.write()], dense=False).get("Write")
+    compiled = SpecRegistry([CAST.write()], dense_state_limit=1).get("Write")
     assert compiled.line_ids == {} and compiled.letter_lines == ()
+    assert compiled.letters_frame == b""
 
 
 def test_fresh_caller_letters_are_not_wire_safe():

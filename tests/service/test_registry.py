@@ -61,36 +61,55 @@ class TestSharedMachines:
         assert monitor.history_limit == 16
 
 
-class TestInterning:
-    """Registries intern machines process-wide by content fingerprint."""
+#: Two specs with identical content under different names.
+TWINS = """
+object o
+object c
+specification A {
+  objects o
+  method M(Data)
+  alphabet { <c, o, M(_)> ; }
+  traces prs "<c,o,M(_)>*"
+}
+specification B {
+  objects o
+  method M(Data)
+  alphabet { <c, o, M(_)> ; }
+  traces prs "<c,o,M(_)>*"
+}
+"""
 
-    def test_same_content_shares_across_registries(self, cast):
-        r1 = SpecRegistry([cast.write()])
-        r2 = SpecRegistry([cast.write()])
-        assert r1.get("Write").machine is r2.get("Write").machine
+
+class TestInterning:
+    """A registry interns builds among its own entries by content key."""
+
+    def test_same_content_shares_within_a_registry(self):
+        registry = SpecRegistry.from_text(TWINS)
+        assert registry.get("A").machine is registry.get("B").machine
 
     def test_repeated_document_load_adds_no_machines(self):
-        from repro.service.registry import shared_machine_count
-
         text = (EXAMPLES / "readers_writers.oun").read_text()
-        SpecRegistry.from_text(text)
-        before = shared_machine_count()
-        SpecRegistry.from_text(text)
-        assert shared_machine_count() == before
+        registry = SpecRegistry.from_text(text)
+        before = {name: registry.get(name) for name in registry.names()}
+        report = registry.update_from_text(text)
+        assert report.changed == () and report.added == ()
+        assert registry.names() == list(before)
+        assert all(registry.get(name) is before[name] for name in before)
 
-    def test_share_machines_false_builds_private(self, cast):
-        shared = SpecRegistry([cast.write()])
-        private = SpecRegistry([cast.write()], share_machines=False)
-        assert private.get("Write").machine is not shared.get("Write").machine
+    def test_registries_share_nothing(self, cast):
+        r1 = SpecRegistry([cast.write()])
+        r2 = SpecRegistry([cast.write()])
+        assert r1.get("Write").machine is not r2.get("Write").machine
 
     def test_shared_machine_behaviour_unchanged(self, cast, x1):
         from repro.core.events import Event as Ev
         from repro.core.values import DataVal as DV
 
-        shared = SpecRegistry([cast.write()]).new_monitor("Write")
-        private = SpecRegistry(
-            [cast.write()], share_machines=False
-        ).new_monitor("Write")
+        registry = SpecRegistry([cast.write()])
+        shared = registry.new_monitor("Write")
+        registry.update([cast.write()], force=True)
+        private = registry.new_monitor("Write")
+        assert private.machine is not shared.machine
         events = [
             Ev(x1, cast.o, "OW"),
             Ev(x1, cast.o, "W", (DV("Data", "d"),)),
@@ -109,14 +128,14 @@ class TestDenseImages:
         assert compiled.dense.dfa.n_states == len(compiled.dense.states) + 1
 
     def test_dense_off_leaves_machine_monitoring(self, cast):
-        reg = SpecRegistry([cast.write()], dense=False)
+        reg = SpecRegistry([cast.write()], dense_state_limit=1)
         assert reg.get("Write").dense is None
         monitor = reg.new_monitor("Write")
         assert monitor.dense is None
 
-    def test_images_shared_across_registries(self, cast):
-        a = SpecRegistry([cast.write()]).get("Write").dense
-        b = SpecRegistry([cast.write()]).get("Write").dense
+    def test_images_shared_within_a_registry(self):
+        registry = SpecRegistry.from_text(TWINS)
+        a, b = registry.get("A").dense, registry.get("B").dense
         assert a is not None and a is b
 
     def test_state_budget_falls_back_to_machine(self, cast):
@@ -130,7 +149,7 @@ class TestDenseImages:
 
     def test_dense_monitor_agrees_with_machine_monitor(self, cast, x1):
         dense_reg = SpecRegistry([cast.write()])
-        plain_reg = SpecRegistry([cast.write()], dense=False)
+        plain_reg = SpecRegistry([cast.write()], dense_state_limit=1)
         dm = dense_reg.new_monitor("Write")
         pm = plain_reg.new_monitor("Write")
         letters = dense_reg.get("Write").dense.dfa.letters
@@ -141,37 +160,17 @@ class TestDenseImages:
 
 
 class TestReRegistrationEviction:
-    """Regression: re-registering under a name must not leak interned
-    entries — the tables were once process-global and never evicted."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_intern_tables(self):
-        from repro.service.registry import _reset_shared_state
-
-        _reset_shared_state()
-        yield
-        _reset_shared_state()
+    """Re-registering under a name retains nothing of the old build."""
 
     def test_repeated_swaps_keep_the_tables_bounded(self, cast):
-        from repro.service.registry import (
-            shared_image_count,
-            shared_machine_count,
-        )
+        import gc
+        import weakref
 
         registry = SpecRegistry([cast.write()])
-        baseline = (shared_machine_count(), shared_image_count())
+        replaced = []
         for _ in range(5):
-            registry.update([cast.read2()], force=True)
+            replaced.append(weakref.ref(registry.get("Write").machine))
             registry.update([cast.write()], force=True)
-        # force builds are private, and each swap released the previous
-        # pins, so five round-trips leave the tables no larger
-        assert (shared_machine_count(), shared_image_count()) <= baseline
-
-    def test_gauges_track_eviction(self, cast):
-        from repro.obs.registry import get_registry
-        from repro.service.registry import shared_machine_count
-
-        registry = SpecRegistry([cast.write()])
-        registry.update([cast.write()], force=True)
-        gauge = get_registry().gauge("repro_interned_machines")
-        assert gauge.value == shared_machine_count()
+        gc.collect()
+        assert [ref for ref in replaced if ref() is not None] == []
+        assert registry.names() == ["Write"]

@@ -228,3 +228,51 @@ class TestScaleOut:
         assert [_verdict(s) for s in statuses] == [
             _verdict(s) for s in baseline
         ]
+
+
+#: DOC plus one more spec: what a ``--watch`` edit adds.
+EDITED_DOC = DOC + """
+specification Extra {
+  objects o
+  method M(Data)
+  alphabet { <c, o, M(_)> ; }
+  traces prs "<c,o,M(_)>*"
+}
+"""
+
+
+async def _lists_spec(server, index, name, *, tries=100, pause=0.05):
+    """Whether worker ``index``'s direct port comes to list ``name``."""
+    for _ in range(tries):
+        async with MonitorClient(
+            "127.0.0.1", server.worker_ports[index]
+        ) as client:
+            if name in client.server_specs:
+                return True
+        await asyncio.sleep(pause)
+    return False
+
+
+class TestWatchRespawn:
+    def test_respawned_worker_serves_every_edit_since_start(self, tmp_path):
+        """A ``--watch`` edit survives a worker's SIGKILL and respawn."""
+        doc = tmp_path / "spec.oun"
+        doc.write_text(DOC, encoding="utf-8")
+
+        async def run():
+            server = ScaleOutServer(document=DOC, procs=2, watch=doc)
+            await server.start()
+            try:
+                doc.write_text(EDITED_DOC, encoding="utf-8")
+                for index in range(server.procs):
+                    assert await _lists_spec(server, index, "Extra")
+                server.kill_worker(0)
+                assert await server.wait_restarts(1) == 1
+                return [
+                    await _lists_spec(server, index, "Extra")
+                    for index in range(server.procs)
+                ]
+            finally:
+                await server.stop()
+
+        assert asyncio.run(run()) == [True, True]

@@ -1,16 +1,18 @@
 """Tests for the live SPEC update path: registry hot-swap + UPDATE verb."""
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
 from repro.core.errors import ReproError
+from repro.pipeline import stage_counts
 from repro.service import (
     MonitorClient,
     MonitorServer,
     SpecRegistry,
 )
-from repro.service.registry import _reset_shared_state, shared_machine_count
 
 OLD_DOC = """
 object o
@@ -35,18 +37,6 @@ NEW_DOC = OLD_DOC.replace('"<c,o,M(_)> <c,o,M(_)>*"', '"<c,o,M(_)>*"')
 EVENT = "c -> o : M(Data:d)"
 
 
-@pytest.fixture(autouse=True)
-def fresh_intern_tables():
-    """Start each test from empty process-wide intern tables.
-
-    Registries built by *other* test modules keep their pins for the
-    life of the process; count assertions here need a clean slate.
-    """
-    _reset_shared_state()
-    yield
-    _reset_shared_state()
-
-
 class TestRegistryUpdate:
     def test_same_text_is_all_unchanged(self):
         registry = SpecRegistry.from_text(OLD_DOC)
@@ -69,12 +59,15 @@ class TestRegistryUpdate:
 
     def test_swap_evicts_the_replaced_interned_machine(self):
         registry = SpecRegistry.from_text(OLD_DOC)
-        assert shared_machine_count() == 2
+        old_b = weakref.ref(registry.get("B").machine)
+        assert old_b() is not registry.get("A").machine
         registry.update_from_text(NEW_DOC)
-        # B's old machine was evicted when its last pin was released;
-        # B's new content now shares A's interned machine.
-        assert shared_machine_count() == 1
+        gc.collect()
+        # nothing keeps B's old machine; B's new content equals A's, so
+        # one machine and one image serve both
+        assert old_b() is None
         assert registry.get("B").machine is registry.get("A").machine
+        assert registry.get("B").dense is registry.get("A").dense
 
     def test_force_installs_fresh_private_machines(self):
         registry = SpecRegistry.from_text(OLD_DOC)
@@ -84,15 +77,63 @@ class TestRegistryUpdate:
         fresh = registry.get("B")
         assert fresh is not old_b
         assert fresh.version == old_b.version + 1
-        # force bypasses the intern tables: the rebuilt dense image is a
-        # fresh private object, and the old pins are released
+        # force bypasses sharing: the rebuilt dense image is a fresh
+        # private object, not even shared with A's identical rebuild
         assert fresh.dense is not old_b.dense
-        assert shared_machine_count() == 0
+        assert fresh.machine is not registry.get("A").machine
 
     def test_str_report(self):
         registry = SpecRegistry.from_text(OLD_DOC)
         report = registry.update_from_text(NEW_DOC)
         assert str(report) == "changed=1 unchanged=1 added=0"
+
+
+#: Spec B's declaration in OLD_DOC, the part each reload edits.
+B_BODY = OLD_DOC[OLD_DOC.index("specification B") :]
+
+
+def _reload_document(i: int) -> str:
+    """OLD_DOC with spec B's method renamed: reload ``i`` edits B only."""
+    return OLD_DOC.replace(B_BODY, B_BODY.replace("M(", f"N{i}("))
+
+
+class TestReloadRetention:
+    """Hot swaps retain nothing: a replaced build lives only as long as
+    the sessions bound to it, and the pipeline memo holds one document."""
+
+    RELOADS = 200
+
+    def test_replaced_builds_are_unreachable_after_many_reloads(self):
+        registry = SpecRegistry.from_text(OLD_DOC)
+        replaced = []
+        for i in range(self.RELOADS):
+            replaced.append(weakref.ref(registry.get("B").machine))
+            report = registry.update_from_text(_reload_document(i))
+            assert report.changed == ("B",) and report.unchanged == ("A",)
+        gc.collect()
+        assert [ref for ref in replaced if ref() is not None] == []
+        assert registry.get("A").version == 0
+        assert registry.get("B").version == self.RELOADS
+        sizes = registry.pipeline.sizes()
+        assert sizes == {
+            "parse": 1,
+            "elaborate": 2,
+            "normalize": 2,
+            "compose": 0,
+        }
+
+    def test_a_failed_load_keeps_the_memo(self):
+        registry = SpecRegistry.from_text(OLD_DOC)
+        before = registry.pipeline.sizes()
+        with pytest.raises(ReproError):
+            registry.update_from_text(OLD_DOC + "specification B {}")
+        assert registry.pipeline.sizes() == before
+        # the memo still holds OLD_DOC's build: an edit of B elaborates
+        # B alone and reuses A's stage
+        hits = stage_counts()[("elaborate", "hit")]
+        report = registry.update_from_text(NEW_DOC)
+        assert stage_counts()[("elaborate", "hit")] == hits + 1
+        assert report.changed == ("B",) and report.unchanged == ("A",)
 
 
 class TestUpdateVerb:

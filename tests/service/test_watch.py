@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs.registry import use_registry
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
-from repro.service.registry import _reset_shared_state
 
 OLD_DOC = """
 object o
@@ -30,13 +29,6 @@ specification B {
 NEW_DOC = OLD_DOC.replace('"<c,o,M(_)> <c,o,M(_)>*"', '"<c,o,M(_)>*"')
 
 EVENT = "c -> o : M(Data:d)"
-
-
-@pytest.fixture(autouse=True)
-def fresh_intern_tables():
-    _reset_shared_state()
-    yield
-    _reset_shared_state()
 
 
 def _rewrite(path, text):
@@ -119,9 +111,18 @@ class TestWatch:
         assert registry.get("B").version == 1
         assert registry.get("A").version == 0
 
-    def test_unchanged_stamp_is_never_reapplied(self, tmp_path):
+    def test_unchanged_stamp_is_never_reapplied(self, tmp_path, monkeypatch):
         doc = tmp_path / "spec.oun"
         doc.write_text(OLD_DOC, encoding="utf-8")
+        stamp, polls = MonitorServer._watch_stamp, []
+
+        def counted_stamp(path):
+            polls.append(path)
+            return stamp(path)
+
+        monkeypatch.setattr(
+            MonitorServer, "_watch_stamp", staticmethod(counted_stamp)
+        )
 
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
@@ -129,7 +130,8 @@ class TestWatch:
                 registry, watch=doc, watch_interval=0.01
             ) as server:
                 del server
-                await asyncio.sleep(0.1)  # many poll rounds, no edit
+                # one stamp at construction, then one per poll, no edit
+                await _wait_for(lambda: len(polls) > 10)
             return registry
 
         registry = asyncio.run(run())
