@@ -1,8 +1,8 @@
 """HTTP gateway benchmark: single-event POSTs vs batch=64 POSTs.
 
 Drives the ``two_phase_dynamic`` workload scenario through the full
-HTTP stack — ``http.client`` keep-alive connection → stdlib
-``ThreadingHTTPServer`` front → :class:`repro.api.Gateway` → binary
+HTTP stack — ``http.client`` keep-alive connection → the asyncio
+HTTP front on the Gateway's loop → :class:`repro.api.Gateway` → binary
 wire → in-process :class:`MonitorServer` — two ways: one event per
 ``POST /v1/sessions/{key}/events``, and 64-line batches.  Two claims
 are checked on every run:

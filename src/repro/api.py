@@ -20,11 +20,12 @@ callers:
   specs from OUN document text;
 * :func:`metrics_text` — this process's metrics registry as Prometheus
   text;
-* :class:`Gateway` — a synchronous management facade over a running
-  service: register documents, open sessions, send events, query
-  status/violations, fan in per-worker metrics.  The HTTP gateway
-  (:mod:`repro.gateway`) is a thin routing layer over exactly this
-  class, which is what keeps it free of service internals.
+* :class:`Gateway` — a management facade over a running service:
+  register documents, open sessions, send events, query
+  status/violations, fan in per-worker metrics, each as a blocking
+  method and as a coroutine on the gateway's own loop.  The HTTP
+  gateway (:mod:`repro.gateway`) is a thin routing layer over exactly
+  this class, which is what keeps it free of service internals.
 
 These names are also importable from the top-level package
 (``from repro import verify_refinement``); the package ``__init__``
@@ -35,12 +36,16 @@ resolves them lazily so importing a single submodule stays cheap.
 ``update_from_text``, ``metrics_text``).  2.0.0 removed the ``shards=``
 keyword of :func:`serve` and :func:`serve_http`, since the server has
 one session queue; it is a major version because callers that pass the
-keyword break.
+keyword break.  2.1.0 added :attr:`Gateway.loop` and one coroutine per
+:class:`Gateway` operation (``asend_events``, ``asession_status``,
+``aend_session``, ``adocuments``, ``aupdate_from_text``, ``asessions``,
+``ametrics_text``, ``ahealth``), which the HTTP front awaits.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from pathlib import Path
 from typing import Iterable
 
@@ -71,7 +76,7 @@ __all__ = [
 
 #: The facade's compatibility version (semver); the module docstring
 #: says what each minor and major version changed.
-API_VERSION = "2.0.0"
+API_VERSION = "2.1.0"
 
 
 def parse(text: str):
@@ -346,22 +351,49 @@ def update_from_text(
     return asyncio.run(run())
 
 
+def _timed(method):
+    """Bound the :class:`Gateway` coroutine ``method`` by its ``timeout``.
+
+    The caller gets ``asyncio.TimeoutError`` once the timeout passes
+    (the HTTP front answers ``504``), while the operation, shielded from
+    that cancellation, runs on to its end, so a session is never left halfway through
+    an exchange with the service.
+    """
+
+    @functools.wraps(method)
+    async def timed(self, *args, **kwargs):
+        return await self._within(method(self, *args, **kwargs))
+
+    return timed
+
+
 class Gateway:
-    """Synchronous management facade over a running monitoring service.
+    """Management facade over a running monitoring service.
 
     One ``Gateway`` owns a private asyncio loop on a daemon thread and a
     pool of :class:`~repro.service.client.MonitorClient` connections into
     the TCP service (plain single-process servers and ``--procs N``
     scale-out topologies alike — it only ever speaks the public client
-    protocol).  Every method is a plain blocking call, safe to invoke
-    from any thread — which is exactly what the per-request threads of
-    the HTTP gateway (:mod:`repro.gateway`) need.
+    protocol).  Each operation is one coroutine on that loop —
+    :meth:`asend_events`, :meth:`asession_status`, :meth:`aend_session`,
+    :meth:`adocuments`, :meth:`aupdate_from_text`, :meth:`asessions`,
+    :meth:`ametrics_text` and :meth:`ahealth` — which code running on
+    :attr:`loop` awaits, as the HTTP gateway (:mod:`repro.gateway`)
+    does.  Each has a plain blocking twin without the ``a`` (
+    :meth:`send_events`, …) that runs the coroutine on the loop and
+    waits, safe to call from any *other* thread; called on the loop it
+    would deadlock, so it raises :class:`~repro.core.errors.ReproError`.
+    Every operation gives up after ``timeout`` seconds with
+    ``asyncio.TimeoutError`` (the built-in :class:`TimeoutError` from
+    Python 3.11), awaited or blocking alike.
 
     Sessions are keyed by caller-chosen names: the first
     :meth:`send_events` for a key opens a TCP session (durable when
     requested and the server has a data directory) and later calls
     reuse it, so HTTP's stateless requests still map onto the service's
-    per-connection sessions.  Typed errors
+    per-connection sessions.  Requests for one key are serialised by a
+    per-key lock, which is dropped again once no session and no other
+    request needs it.  Typed errors
     (:class:`~repro.core.errors.UnknownSpecificationError`,
     :class:`~repro.core.errors.UnknownSessionError`,
     :class:`~repro.core.errors.SessionStateError`) carry enough intent
@@ -394,9 +426,15 @@ class Gateway:
         self._loop = None
         self._thread = None
         self._clients: dict[str, object] = {}
-        self._locks: dict[str, object] = {}
+        #: key → [lock, requests holding or waiting on it]
+        self._locks: dict[str, list] = {}
 
     # -- lifecycle -------------------------------------------------------
+
+    @property
+    def loop(self):
+        """The private event loop the coroutines run on (None when closed)."""
+        return self._loop
 
     def open(self) -> "Gateway":
         """Start the loop thread and probe the backend (fail fast)."""
@@ -412,7 +450,7 @@ class Gateway:
         thread.start()
         self._loop, self._thread = loop, thread
         try:
-            self._spec_names()
+            self._call(self._within(self._spec_names()))
         except BaseException:
             self.close()
             raise
@@ -427,6 +465,12 @@ class Gateway:
             return
 
         async def shutdown() -> None:
+            # operations still waiting on the service (a timed-out one
+            # runs on) and their callers end here, not with the loop
+            others = asyncio.all_tasks() - {asyncio.current_task()}
+            for task in others:
+                task.cancel()
+            await asyncio.gather(*others, return_exceptions=True)
             for client in list(self._clients.values()):
                 try:
                     await client.close()
@@ -454,16 +498,28 @@ class Gateway:
     # -- plumbing --------------------------------------------------------
 
     def _call(self, coro):
+        """Run ``coro`` on the loop and wait for it (the blocking twins)."""
         import asyncio
+        import threading
 
         if self._loop is None:
             coro.close()
             raise ReproError(
                 "gateway is not open (call open() or use it as a context manager)"
             )
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
-            self._timeout
-        )
+        if self._thread.ident == threading.get_ident():
+            coro.close()
+            raise ReproError(
+                "a blocking Gateway call on the gateway's own loop would "
+                "deadlock; await its coroutine instead"
+            )
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
+    async def _within(self, coro):
+        """Await ``coro`` for at most ``timeout`` seconds (see :func:`_timed`)."""
+        import asyncio
+
+        return await asyncio.wait_for(asyncio.shield(coro), self._timeout)
 
     def _new_client(self, *, session: str | None = None):
         from repro.service.client import MonitorClient
@@ -494,28 +550,46 @@ class Gateway:
             help="Gateway management operations, by op.",
         ).inc()
 
-    def _lock(self, key: str):
+    @contextlib.asynccontextmanager
+    async def _locked(self, key: str):
+        """Hold ``key``'s lock; drop it when the key needs it no more.
+
+        The lock goes once this request leaves no session for ``key``
+        and no other request holds or waits on it, so failing requests
+        for ever-new keys leave nothing behind.  Everything runs on the
+        gateway loop, so the bookkeeping cannot race.
+        """
         import asyncio
 
-        # Only ever called from coroutines on the gateway loop, so the
-        # check-and-insert cannot race.
-        lock = self._locks.get(key)
-        if lock is None:
-            lock = self._locks[key] = asyncio.Lock()
-        return lock
+        entry = self._locks.get(key)
+        if entry is None:
+            entry = self._locks[key] = [asyncio.Lock(), 0]
+        entry[1] += 1
+        try:
+            async with entry[0]:
+                yield
+        finally:
+            entry[1] -= 1
+            if not entry[1] and key not in self._clients:
+                del self._locks[key]
 
     # -- documents -------------------------------------------------------
 
     def documents(self) -> list[str]:
         """Specification names the service currently serves."""
-        self._count("documents")
-        return self._spec_names()
+        return self._call(self.adocuments())
 
-    def _spec_names(self) -> list[str]:
+    @_timed
+    async def adocuments(self) -> list[str]:
+        """:meth:`documents` as a coroutine on :attr:`loop`."""
+        self._count("documents")
+        return await self._spec_names()
+
+    async def _spec_names(self) -> list[str]:
         async def names(client):
             return list(client.server_specs)
 
-        return self._call(self._round(names))
+        return await self._round(names)
 
     def update_from_text(
         self,
@@ -532,8 +606,29 @@ class Gateway:
         ``PUT /v1/documents/{name}`` contract.  Returns the swap report
         of :func:`update_from_text`.
         """
+        return self._call(
+            self.aupdate_from_text(text, force=force, declares=declares)
+        )
+
+    @_timed
+    async def aupdate_from_text(
+        self,
+        text: str,
+        *,
+        force: bool = False,
+        declares: str | None = None,
+    ) -> dict:
+        """:meth:`update_from_text` as a coroutine on :attr:`loop`.
+
+        The local validation runs in the loop's default executor, so a
+        large document does not stall other sessions' requests.
+        """
+        import asyncio
+
         self._count("update")
-        specs = load(text)
+        specs = await asyncio.get_running_loop().run_in_executor(
+            None, load, text
+        )
         if declares is not None and declares not in specs:
             names = ", ".join(sorted(specs)) or "none"
             raise SpecificationError(
@@ -546,12 +641,17 @@ class Gateway:
                 await client.update_document(text=text, force=force)
             )
 
-        return self._call(self._round(update))
+        return await self._round(update)
 
     # -- sessions --------------------------------------------------------
 
     def sessions(self) -> list[str]:
         """Keys of the sessions this gateway holds open, sorted."""
+        return self._call(self.asessions())
+
+    @_timed
+    async def asessions(self) -> list[str]:
+        """:meth:`sessions` as a coroutine on :attr:`loop`."""
         self._count("sessions")
         return sorted(self._clients)
 
@@ -573,21 +673,66 @@ class Gateway:
         repeat the same spec but cannot switch it
         (:class:`~repro.core.errors.SessionStateError`).
         """
+        return self._call(
+            self.asend_events(key, events, spec=spec, durable=durable)
+        )
+
+    @_timed
+    async def asend_events(
+        self,
+        key: str,
+        events,
+        *,
+        spec: str | None = None,
+        durable: bool = False,
+    ) -> dict:
+        """:meth:`send_events` as a coroutine on :attr:`loop`."""
         self._count("events")
         lines = (
             [events] if isinstance(events, str) else [str(e) for e in events]
         )
-        return self._call(self._ingest(key, lines, spec, durable))
+        async with self._locked(key):
+            client = self._clients.get(key)
+            if client is None:
+                client = await self._open_session(key, spec, durable)
+            elif spec is not None and spec != client.spec:
+                raise SessionStateError(
+                    f"session {key!r} is bound to {client.spec!r}; "
+                    f"end it (or pick a new key) to check {spec!r}"
+                )
+            await client.send_trace(lines)
+            return self._status_payload(key, client, await client.status())
 
     def session_status(self, key: str) -> dict:
         """STATUS of session ``key``: counters, verdict, violation."""
+        return self._call(self.asession_status(key))
+
+    @_timed
+    async def asession_status(self, key: str) -> dict:
+        """:meth:`session_status` as a coroutine on :attr:`loop`."""
         self._count("status")
-        return self._call(self._status_of(key))
+        async with self._locked(key):
+            client = self._clients.get(key)
+            if client is None:
+                raise UnknownSessionError(f"no open session {key!r}")
+            return self._status_payload(key, client, await client.status())
 
     def end_session(self, key: str) -> dict:
         """Close session ``key``; returns its final status dict."""
+        return self._call(self.aend_session(key))
+
+    @_timed
+    async def aend_session(self, key: str) -> dict:
+        """:meth:`end_session` as a coroutine on :attr:`loop`."""
         self._count("end")
-        return self._call(self._end(key))
+        async with self._locked(key):
+            client = self._clients.pop(key, None)
+            if client is None:
+                raise UnknownSessionError(f"no open session {key!r}")
+            payload = self._status_payload(key, client, await client.status())
+            await client.close()
+        payload["closed"] = True
+        return payload
 
     async def _open_session(self, key: str, spec: str | None, durable: bool):
         if spec is None:
@@ -610,38 +755,6 @@ class Gateway:
             raise
         self._clients[key] = client
         return client
-
-    async def _ingest(self, key, lines, spec, durable):
-        async with self._lock(key):
-            client = self._clients.get(key)
-            if client is None:
-                client = await self._open_session(key, spec, durable)
-            elif spec is not None and spec != client.spec:
-                raise SessionStateError(
-                    f"session {key!r} is bound to {client.spec!r}; "
-                    f"end it (or pick a new key) to check {spec!r}"
-                )
-            for line in lines:
-                await client.send_event(line)
-            return self._status_payload(key, client, await client.status())
-
-    async def _status_of(self, key):
-        async with self._lock(key):
-            client = self._clients.get(key)
-            if client is None:
-                raise UnknownSessionError(f"no open session {key!r}")
-            return self._status_payload(key, client, await client.status())
-
-    async def _end(self, key):
-        async with self._lock(key):
-            client = self._clients.pop(key, None)
-            if client is None:
-                raise UnknownSessionError(f"no open session {key!r}")
-            payload = self._status_payload(key, client, await client.status())
-            await client.close()
-        self._locks.pop(key, None)
-        payload["closed"] = True
-        return payload
 
     @staticmethod
     def _status_payload(key, client, status) -> dict:
@@ -667,13 +780,17 @@ class Gateway:
 
     def metrics_text(self) -> str:
         """Prometheus text across every metrics target (fan-in + merge)."""
-        self._count("metrics")
-        return self._call(self._metrics())
+        return self._call(self.ametrics_text())
 
     def health(self) -> dict:
         """Liveness probe: reaches the backend and reports the surface."""
+        return self._call(self.ahealth())
+
+    @_timed
+    async def ahealth(self) -> dict:
+        """:meth:`health` as a coroutine on :attr:`loop`."""
         self._count("health")
-        specs = self._spec_names()
+        specs = await self._spec_names()
         return {
             "status": "ok",
             "version": API_VERSION,
@@ -689,8 +806,12 @@ class Gateway:
             return [(self.host, self.port)]
         return [(host, port) for host, port in targets]
 
-    async def _metrics(self) -> str:
+    @_timed
+    async def ametrics_text(self) -> str:
+        """:meth:`metrics_text` as a coroutine on :attr:`loop`."""
         import asyncio
+
+        self._count("metrics")
 
         async def fetch(host: str, port: int) -> str:
             from repro.service.client import MonitorClient

@@ -1,10 +1,10 @@
 """HTTP/JSON gateway over the :mod:`repro.api` facade.
 
 REST endpoints for the online-monitoring service — register documents,
-stream events, query verdicts, scrape merged metrics — served by the
-stdlib ``http.server`` stack with zero new dependencies.  The package
-deliberately knows nothing about the TCP service: handlers call only the
-:class:`repro.api.Gateway` facade (tests/gateway/test_lint.py bans
+stream events, query verdicts, scrape merged metrics — served as asyncio
+streams on the :class:`repro.api.Gateway`'s own loop, with zero new
+dependencies.  The package deliberately knows nothing about the TCP
+service: handlers await only the :class:`repro.api.Gateway` facade (tests/gateway/test_lint.py bans
 ``repro.service`` imports here), so the wire protocol can keep evolving
 behind the stable API surface.
 

@@ -321,8 +321,7 @@ class MonitorClient:
                 # durably applied, resend the rest through the fresh
                 # letter table (ids may differ after a hot swap).
                 self._note_applied(applied)
-                for line in self._sent_log:
-                    await self._send(line)
+                await self._send(self._sent_log)
             else:
                 # New binding (or a brand-new client adopting recovered
                 # server state): the server's watermark becomes the base
@@ -410,39 +409,58 @@ class MonitorClient:
         ``EVENT`` frame, so stream order is preserved exactly.  Raises
         :class:`ReproError` when the client is not connected.
         """
+        await self.send_trace((event,))
+
+    async def send_trace(self, events) -> None:
+        """Send every event of an iterable (e.g. a loaded Trace), in order.
+
+        Writes exactly the frames or lines that :meth:`send_event` would
+        write one event at a time, in one pass: the durable resend log
+        grows once, :attr:`events_sent` once, and table hits join the
+        pending batch with no await until it fills.
+        """
         if self._writer is None:
             raise ReproError("client is not connected")
         if self.durable:
-            # Durable sessions render the line eagerly: the resend log
-            # must hold wire-identical text so a replayed suffix means
+            # Durable sessions render lines eagerly: the resend log must
+            # hold wire-identical text so a replayed suffix means
             # byte-for-byte what the lost original meant.
+            events = [
+                tracefile.format_event(e) if isinstance(e, Event) else e
+                for e in events
+            ]
+            self._sent_log.extend(events)
+        elif not isinstance(events, (list, tuple)):
+            events = list(events)
+        self.events_sent += len(events)
+        await self._send(events)
+
+    async def _send(self, events) -> None:
+        """Batch each event's letter id, or write it as a line or frame.
+
+        A table hit is appended to the pending ``array('i')``, awaiting
+        only when the batch is full; an out-of-table event on a binary
+        session flushes the batch first, then travels as an ``EVENT``
+        frame, so stream order is kept.
+        """
+        binary = self.proto >= 2
+        pending = self._pending
+        for event in events:
+            lid = self._letter_id(event) if binary else None
+            if lid is not None:
+                pending.append(lid)
+                if len(pending) >= self.batch:
+                    await self._flush_pending()
+                continue
             if isinstance(event, Event):
                 event = tracefile.format_event(event)
-            self._sent_log.append(event)
-        self.events_sent += 1
-        await self._send(event)
-
-    async def _send(self, event: Event | str) -> None:
-        """Batch the event's letter id, or write it as a line or frame."""
-        lid = self._letter_id(event) if self.proto >= 2 else None
-        if lid is not None:
-            self._pending.append(lid)
-            if len(self._pending) >= self.batch:
+            if binary:
                 await self._flush_pending()
-            return
-        line = tracefile.format_event(event) if isinstance(event, Event) else event
-        if self.proto >= 2:
-            await self._flush_pending()
-            await self._write(
-                wire.encode_frame(wire.OP_EVENT, line.encode("utf-8"))
-            )
-        else:
-            await self._write(f"EVENT {line}\n".encode("utf-8"))
-
-    async def send_trace(self, events) -> None:
-        """Send every event of an iterable (e.g. a loaded Trace)."""
-        for event in events:
-            await self.send_event(event)
+                await self._write(
+                    wire.encode_frame(wire.OP_EVENT, event.encode("utf-8"))
+                )
+            else:
+                await self._write(f"EVENT {event}\n".encode("utf-8"))
 
     async def status(self) -> SessionStatus:
         """Synchronise and fetch the session verdict."""

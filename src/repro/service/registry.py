@@ -83,8 +83,10 @@ class _Identity:
 
     ``node`` is the ``(node key, normalization toggle)`` of a text load;
     ``machine`` and ``image`` are content fingerprints (``image`` only
-    when the entry has a dense image).  A forced build records none of
-    them: it is private, shared with nothing and matched by nothing.
+    when the entry has a dense image).  A forced build records only its
+    node key: its machine and image stay private and shared with
+    nothing, while the next ordinary load of the same text still finds
+    the entry unchanged.
     """
 
     node: tuple[str, bool] | None = None
@@ -204,7 +206,8 @@ class SpecRegistry:
 
         ``machines`` and ``images`` map content keys to what this
         registry already holds; fresh builds are added to them.
-        ``force=True`` skips them and builds private objects.
+        ``force=True`` skips them and builds private objects, keyed by
+        ``node`` alone.
         """
         traces = _normalized(spec.traces)
         machine_key = None if force else _content_key(traces)
@@ -216,7 +219,7 @@ class SpecRegistry:
         image, image_key = self._compile_image(
             spec, machine, machine_key, images
         )
-        identity = _Identity(None if force else node, machine_key, image_key)
+        identity = _Identity(node, machine_key, image_key)
         return machine, image, identity
 
     def _compile_image(

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import re
 import socket
 import struct
 import threading
+from concurrent.futures import CancelledError
+
+import pytest
 
 from repro.api import Gateway
+from repro.core.errors import (
+    ReproError,
+    UnknownSessionError,
+    UnknownSpecificationError,
+)
 from repro.gateway import GatewayServer
 from repro.obs.registry import use_registry
 from repro.service import SpecRegistry
@@ -206,6 +215,112 @@ class TestSessions:
             # durable was *requested* but the server has no data dir:
             # the truth (not the wish) is passed through
             assert body["durable"] is False and body["applied"] is None
+
+
+class TestSessionLocks:
+    """Same-key requests share one lock, which lives only while needed."""
+
+    def test_failing_requests_leave_no_lock_and_no_session(self):
+        with live_server(SpecRegistry.from_text(DOC)) as port:
+            with Gateway("127.0.0.1", port) as gateway:
+                for i in range(500):
+                    with pytest.raises(UnknownSessionError):
+                        gateway.session_status(f"ghost-{i}")
+                for i in range(500):
+                    with pytest.raises(UnknownSpecificationError):
+                        gateway.send_events(f"stray-{i}", [EVENT], spec="Nope")
+                assert gateway._locks == {}
+                assert gateway.sessions() == []
+
+    def test_concurrent_same_key_requests_run_one_at_a_time(self):
+        with live_server(SpecRegistry.from_text(DOC)) as port:
+            with Gateway("127.0.0.1", port) as gateway:
+
+                async def burst():
+                    return await asyncio.gather(
+                        *(
+                            gateway.asend_events("k", [EVENT] * 5, spec="A")
+                            for _ in range(20)
+                        )
+                    )
+
+                replies = asyncio.run_coroutine_threadsafe(
+                    burst(), gateway.loop
+                ).result(60)
+                # each reply is the status right after its own batch
+                assert sorted(r["events"] for r in replies) == list(
+                    range(5, 105, 5)
+                )
+                assert list(gateway._locks) == ["k"]  # the session holds it
+                assert gateway.end_session("k")["events"] == 100
+                assert gateway._locks == {}
+
+    def test_blocking_call_on_the_gateway_loop_raises(self):
+        with live_server(SpecRegistry.from_text(DOC)) as port:
+            with Gateway("127.0.0.1", port) as gateway:
+
+                async def inside():
+                    return gateway.sessions()
+
+                with pytest.raises(ReproError, match="deadlock"):
+                    asyncio.run_coroutine_threadsafe(
+                        inside(), gateway.loop
+                    ).result(10)
+
+
+class TestBackendTimeout:
+    """A service that stops answering costs a request ``timeout``: 504."""
+
+    def test_silent_backend_is_504_and_the_front_stays_up(self):
+        with contextlib.ExitStack() as stack:
+            port = stack.enter_context(live_server(SpecRegistry.from_text(DOC)))
+            gateway = stack.enter_context(
+                Gateway("127.0.0.1", port, timeout=0.5)
+            )
+            front = stack.enter_context(
+                GatewayServer(gateway, host="127.0.0.1", port=0)
+            )
+            # From here on the service's address leads to a socket whose
+            # backlog accepts connections that nobody ever answers.
+            silent = stack.enter_context(socket.create_server(("127.0.0.1", 0)))
+            gateway.port = silent.getsockname()[1]
+            client = HttpApi(front.port)
+            stack.callback(client.close)
+            post = {"event": EVENT, "spec": "A"}
+            for _ in range(2):  # the second waits on the first's key lock
+                status, body = client.request(
+                    "POST", "/v1/sessions/k/events", post
+                )
+                assert status == 504
+                assert body["error"]["kind"] == "TimeoutError"
+            assert client.request("GET", "/v1/sessions") == (
+                200,
+                {"sessions": []},
+            )
+            with pytest.raises(asyncio.TimeoutError):
+                gateway.send_events("k", [EVENT], spec="A")
+
+    def test_close_ends_a_blocking_call_in_flight(self):
+        with live_server(SpecRegistry.from_text(DOC)) as port:
+            gateway = Gateway("127.0.0.1", port).open()
+            with socket.create_server(("127.0.0.1", 0)) as silent:
+                gateway.port = silent.getsockname()[1]
+                box = {}
+
+                def call() -> None:
+                    try:
+                        gateway.send_events("k", [EVENT], spec="A")
+                    except BaseException as exc:
+                        box["error"] = exc
+
+                caller = threading.Thread(target=call)
+                caller.start()
+                caller.join(0.5)  # the call is waiting on the silent socket
+                assert caller.is_alive()
+                gateway.close()
+                caller.join(10)
+                assert not caller.is_alive()
+                assert isinstance(box["error"], CancelledError)
 
 
 class TestMetrics:

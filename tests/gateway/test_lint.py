@@ -65,3 +65,22 @@ def test_the_checker_itself_catches_a_ban(tmp_path):
         "from repro import serve\n"
     )
     assert len(_violations(poisoned)) == 3
+
+
+#: Stdlib modules that would bring back a thread per connection.
+THREADED = ("http.server", "socketserver", "threading")
+
+
+def test_gateway_starts_no_threads_of_its_own():
+    """The front runs on the Gateway's loop: no threaded server stack."""
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n in THREADED]
+    assert not found, "\n".join(found)

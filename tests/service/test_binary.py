@@ -198,6 +198,58 @@ class TestBinarySession:
         assert status.events == len(HAPPY) + 1
         assert status.skipped == 1  # the out-of-alphabet event
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    @pytest.mark.parametrize("proto", [1, 2])
+    def test_send_trace_writes_what_send_event_writes(
+        self, registry, tmp_path, proto, durable
+    ):
+        """One ``send_trace`` writes the per-event path's very frames.
+
+        The stream mixes table hits (``EVENTS`` batches of 4), an
+        out-of-table line (an ``EVENT`` frame that flushes the batch
+        first) and a tail that stays pending until ``STATUS``.
+        """
+        trace = [*HAPPY[:5], "zz -> co : UNRELATED", *HAPPY, *HAPPY[:3]]
+
+        async def record(per_event: bool, data_dir):
+            async with MonitorServer(registry, data_dir=data_dir) as server:
+                client = MonitorClient(
+                    "127.0.0.1",
+                    server.port,
+                    spec=SPEC,
+                    proto=proto,
+                    batch=4,
+                    session="k" if durable else None,
+                )
+                await client.connect()
+                writes = []
+                write = client._writer.write
+                client._writer.write = lambda data: (
+                    writes.append(bytes(data)),
+                    write(data),
+                )
+                try:
+                    if per_event:
+                        for line in trace:
+                            await client.send_event(line)
+                    else:
+                        await client.send_trace(iter(trace))
+                    status = await client.status()
+                    return list(writes), status, client.events_sent, client.durable
+                finally:
+                    await client.close()
+
+        per_event = _run(record(True, tmp_path / "a" if durable else None))
+        batched = _run(record(False, tmp_path / "b" if durable else None))
+        assert batched == per_event
+        writes, status, sent, was_durable = batched
+        assert was_durable is durable and sent == len(trace)
+        assert status.events == len(trace) and status.skipped == 1
+        if proto == 2:
+            opcodes = [w[0] for w in writes]  # a frame opens with its opcode
+            assert opcodes.count(wire.OP_EVENT) == 1
+            assert opcodes[-1] == wire.OP_STATUS
+
     def test_reset_clears_verdict(self, registry):
         async def go():
             async with MonitorServer(registry) as server:

@@ -82,6 +82,21 @@ class TestRegistryUpdate:
         assert fresh.dense is not old_b.dense
         assert fresh.machine is not registry.get("A").machine
 
+    def test_plain_load_after_force_is_unchanged(self):
+        """A forced build keeps its node key: the same text matches it."""
+        registry = SpecRegistry.from_text(OLD_DOC)
+        registry.update_from_text(OLD_DOC, force=True)
+        forced = {name: registry.get(name) for name in ("A", "B")}
+        report = registry.update_from_text(OLD_DOC)
+        assert report.changed == () and set(report.unchanged) == {"A", "B"}
+        assert all(registry.get(n) is forced[n] for n in forced)
+        # an edit still swaps exactly the edited spec
+        report = registry.update_from_text(NEW_DOC)
+        assert report.changed == ("B",) and report.unchanged == ("A",)
+        assert registry.get("B").version == forced["B"].version + 1
+        # a forced build stays private: nothing shares its machine
+        assert registry.get("B").machine is not forced["A"].machine
+
     def test_str_report(self):
         registry = SpecRegistry.from_text(OLD_DOC)
         report = registry.update_from_text(NEW_DOC)
@@ -159,6 +174,23 @@ class TestUpdateVerb:
         assert fields["added"] == "0"
         assert fields["specs"] == "B"
         assert registry.get("B").version == 1
+
+    def test_plain_put_after_forced_put_keeps_versions(self):
+        from tests.gateway.conftest import live_gateway
+
+        registry = self._registry()
+        with live_gateway(registry) as (api, _gw):
+            status, body = api.request("PUT", "/v1/documents/B?force=1", OLD_DOC)
+            assert status == 200 and body["changed"] == 2
+            versions = {n: registry.get(n).version for n in ("A", "B")}
+            status, body = api.request("PUT", "/v1/documents/B", OLD_DOC)
+            assert status == 200
+            assert (body["changed"], body["unchanged"]) == (0, 2)
+            assert {n: registry.get(n).version for n in versions} == versions
+            status, body = api.request("PUT", "/v1/documents/B", NEW_DOC)
+            assert status == 200
+            assert (body["changed"], body["unchanged"]) == (1, 1)
+            assert registry.get("B").version == versions["B"] + 1
 
     def test_bound_session_drains_on_the_old_machine(self):
         """A mid-session swap never changes the session's machine."""
