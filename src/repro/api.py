@@ -833,18 +833,26 @@ class Gateway:
             from repro.obs.merge import merge_prometheus
 
             merged = merge_prometheus(list(enumerate(texts)))
-        # The gateway's own request counters live in *this* process, not
-        # the scraped backends; append them unless the backend shares our
-        # registry (in-process test servers) and already reported them.
-        if "# TYPE repro_gateway_" not in merged:
-            local = _gateway_families(metrics_text())
-            if local:
-                merged += local
+        # Some families live in *this* process, not the scraped backends;
+        # append them unless the backend shares our registry (one process)
+        # and already reported them.
+        prefixes = tuple(
+            prefix
+            for prefix in _LOCAL_PREFIXES
+            if f"# TYPE {prefix}" not in merged
+        )
+        if prefixes:
+            merged += _families(metrics_text(), prefixes)
         return merged
 
 
-def _gateway_families(text: str) -> str:
-    """Just the ``repro_gateway_*`` families of an exposition dump."""
+#: The families of the process that runs the gateway: its own request
+#: counters and the ``serve --watch`` poller's reload counters.
+_LOCAL_PREFIXES = ("repro_gateway_", "repro_watch_")
+
+
+def _families(text: str, prefixes: tuple[str, ...]) -> str:
+    """Just the families of an exposition dump named with ``prefixes``."""
     lines = []
     for line in text.splitlines():
         if line.startswith("# HELP ") or line.startswith("# TYPE "):
@@ -852,6 +860,6 @@ def _gateway_families(text: str) -> str:
             name = parts[2] if len(parts) > 2 else ""
         else:
             name = line.split("{", 1)[0].split(" ", 1)[0]
-        if name.startswith("repro_gateway_"):
+        if name.startswith(prefixes):
             lines.append(line)
     return "\n".join(lines) + "\n" if lines else ""

@@ -686,11 +686,70 @@ def _cmd_monitor(args, out) -> int:
     return 1
 
 
+#: How often ``serve --watch`` polls the served document's stamp.
+_WATCH_INTERVAL_S = 0.5
+
+
+def _stamp(path: Path) -> tuple[int, int] | None:
+    """A watched file's ``(mtime, size)``, or None when it cannot be read."""
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return (st.st_mtime_ns, st.st_size)
+
+
+async def _watch_document(
+    path: Path,
+    host: str,
+    port: int,
+    last: tuple[int, int] | None,
+) -> None:
+    """``serve --watch``: send each edit of ``path`` as an ``UPDATE``.
+
+    Polls the file's stamp every :data:`_WATCH_INTERVAL_S`, starting from
+    ``last``, the stamp the served build reflects.  An edit goes to the
+    service's own port as ``UPDATE lines=<n>``, so it takes the path
+    every update takes: at ``--procs N`` the parent applies it on every
+    worker and records it in the document chain.  A failed reload (the
+    classic half-saved document) counts an error and leaves the service
+    on its last good build.  Each edit counts once, in this process.
+    """
+    import asyncio
+
+    from repro.obs.registry import get_registry
+    from repro.service import MonitorClient
+
+    registry = get_registry()
+    reloads = registry.counter(
+        "repro_watch_reloads_total",
+        help="Successful --watch document hot-swaps.",
+    )
+    failures = registry.counter(
+        "repro_watch_errors_total",
+        help="--watch reloads rejected (unreadable or invalid document).",
+    )
+    while True:
+        await asyncio.sleep(_WATCH_INTERVAL_S)
+        stamp = _stamp(path)
+        if stamp is None or stamp == last:
+            continue
+        last = stamp
+        try:
+            text = path.read_text(encoding="utf-8")
+            async with MonitorClient(host, port) as client:
+                await client.update_document(text=text)
+        except (OSError, ReproError):
+            failures.inc()
+            continue
+        reloads.inc()
+
+
 def _cmd_serve(args, out) -> int:
     import asyncio
 
     from repro.api import _backend_host, _http_fronts
-    from repro.service import MonitorServer, SpecRegistry
+    from repro.service import MonitorClient, MonitorServer, SpecRegistry
 
     if (args.file is None) == (args.scenario is None):
         raise ReproError(
@@ -701,6 +760,8 @@ def _cmd_serve(args, out) -> int:
         if args.file is None:
             raise ReproError("bare --watch needs a served FILE.oun")
         watch = args.file
+    # Taken before the served build is read: no edit after it is missed.
+    stamp = _stamp(Path(watch)) if watch is not None else None
     if args.scenario is not None:
         from repro.workload.scenarios import get_scenario
 
@@ -713,7 +774,7 @@ def _cmd_serve(args, out) -> int:
         )
     if not registry.names():
         raise ReproError(f"{args.file}: no monitorable specifications")
-    names = ", ".join(registry.names())
+    backend = _backend_host(args.host)
 
     async def run() -> None:
         if args.procs > 1:
@@ -731,13 +792,11 @@ def _cmd_serve(args, out) -> int:
                 port=args.port,
                 data_dir=args.data_dir,
                 history_limit=args.history_limit,
-                watch=watch,
             )
-            host = _backend_host(args.host)
             # Re-evaluated per scrape: respawned workers come back on
             # fresh direct ports.
             targets = lambda: [  # noqa: E731
-                (host, port) for port in server.worker_ports if port
+                (backend, port) for port in server.worker_ports if port
             ]
             mode = f"{args.procs} procs; "
         else:
@@ -746,11 +805,19 @@ def _cmd_serve(args, out) -> int:
                 host=args.host,
                 port=args.port,
                 data_dir=args.data_dir,
-                watch=watch,
             )
             targets, mode = None, ""
         await server.start()
+        watcher = None
         try:
+            # What is served: the data directory's document chain may
+            # extend the start-up document.
+            async with MonitorClient(backend, server.port) as probe:
+                names = ", ".join(sorted(probe.server_specs))
+            if watch is not None:
+                watcher = asyncio.create_task(
+                    _watch_document(Path(watch), backend, server.port, stamp)
+                )
             async with _http_fronts(
                 args.host,
                 server.port,
@@ -773,6 +840,8 @@ def _cmd_serve(args, out) -> int:
                 )
                 await asyncio.Event().wait()
         finally:
+            if watcher is not None:
+                watcher.cancel()
             await server.stop()
 
     try:

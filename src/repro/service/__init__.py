@@ -17,6 +17,7 @@ Modules:
   by the live handlers and crash replay;
 * :mod:`~repro.service.shards`   — the server's one FIFO session queue;
 * :mod:`~repro.service.durability` — per-worker event log + snapshots;
+* :mod:`~repro.service.chain`    — the document in force: source + updates;
 * :mod:`~repro.service.topology` — multi-process serving (scale-out);
 * :mod:`~repro.service.server`   — the asyncio TCP server;
 * :mod:`~repro.service.client`   — retrying, backpressured client.

@@ -395,6 +395,14 @@ class SpecRegistry:
         known = ", ".join(self.names()) or "none"
         raise ReproError(f"no specification named {name!r} (have: {known})")
 
+    def build_key(self) -> str:
+        """Each served spec's name and the node and content keys it came from.
+
+        One document or one scenario gives one key, in any process.
+        """
+        entries = sorted(self._identity.items())
+        return fingerprint(tuple((n, i.node, i.machine, i.image) for n, i in entries))
+
     def new_monitor_for(self, compiled: CompiledSpec) -> SpecMonitor:
         """A fresh monitor pinned to one *specific* compiled spec.
 

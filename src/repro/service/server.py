@@ -33,6 +33,7 @@ from repro.obs.metrics import ServiceMetrics, declare_cache_counters
 from repro.obs.registry import get_registry
 from repro.obs.trace import span
 from repro.service import durability, wire
+from repro.service.chain import ChainStore, Entry, apply_update, publish_versions
 from repro.service.protocol import (
     ProtocolError,
     format_status,
@@ -187,8 +188,6 @@ class MonitorServer:
         worker_id: int = 0,
         fsync_every: int = durability.DEFAULT_FSYNC_EVERY,
         snapshot_every: int = durability.DEFAULT_SNAPSHOT_EVERY,
-        watch: str | Path | None = None,
-        watch_interval: float = 0.5,
         sock=None,
     ) -> None:
         self.registry = registry
@@ -213,16 +212,10 @@ class MonitorServer:
             else None
         )
         self.snapshot_every = snapshot_every
-        self._watch = Path(watch) if watch is not None else None
-        self._watch_interval = watch_interval
-        #: The watched file's stamp that the registry's build reflects,
-        #: taken before ``start()`` so no later edit is missed.  A
-        #: scale-out worker replaces it with its topology's start-time
-        #: stamp, so a respawned worker catches up with every edit since.
-        self._watch_last = (
-            self._watch_stamp(self._watch) if self._watch is not None else None
-        )
-        self._watch_task: asyncio.Task | None = None
+        #: The document chain of the registry as given (with a data dir).
+        self._chain = None
+        if self.data_dir is not None:
+            self._chain = ChainStore(self.data_dir, registry.build_key())
         #: ``sock``: serve an externally prepared listening socket (the
         #: SO_REUSEPORT workers of :mod:`~repro.service.topology`).
         self._sock = sock
@@ -258,6 +251,10 @@ class MonitorServer:
         With ``port=0`` the OS picks an ephemeral port; :attr:`port` holds
         the actual one afterwards (tests and benchmarks rely on this).
         """
+        if self._chain is not None:
+            for entry in self._chain.load():
+                apply_update(self.registry, *entry)
+        publish_versions(self.registry)
         await self.pool.start()
         if self._sock is not None:
             self._server = await asyncio.start_server(
@@ -276,10 +273,6 @@ class MonitorServer:
             self.direct_port = (
                 self._direct_server.sockets[0].getsockname()[1]
             )
-        if self._watch is not None:
-            self._watch_task = asyncio.create_task(
-                self._watch_loop(self._watch_last)
-            )
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -287,13 +280,6 @@ class MonitorServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        if self._watch_task is not None:
-            self._watch_task.cancel()
-            try:
-                await self._watch_task
-            except asyncio.CancelledError:
-                pass
-            self._watch_task = None
         if self._direct_server is not None:
             self._direct_server.close()
             await self._direct_server.wait_closed()
@@ -395,48 +381,6 @@ class MonitorServer:
         writer.write(line.encode("utf-8") + b"\n")
         await writer.drain()
 
-    # -- document watching (--watch) -----------------------------------------
-
-    @staticmethod
-    def _watch_stamp(path: Path) -> tuple[int, int] | None:
-        try:
-            st = path.stat()
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size)
-
-    async def _watch_loop(self, last: tuple[int, int] | None) -> None:
-        """Poll the watched document and hot-swap on change.
-
-        Polling (mtime + size) keeps this dependency-free; a failed
-        reload — the classic half-saved document — counts an error and
-        leaves the registry on the last good build, exactly like a
-        rejected ``UPDATE``.  Bound sessions drain on their pinned
-        machines either way.
-        """
-        reg = get_registry()
-        reloads = reg.counter(
-            "repro_watch_reloads_total",
-            help="Successful --watch document hot-swaps.",
-        )
-        failures = reg.counter(
-            "repro_watch_errors_total",
-            help="--watch reloads rejected (unreadable or invalid document).",
-        )
-        while True:
-            await asyncio.sleep(self._watch_interval)
-            stamp = self._watch_stamp(self._watch)
-            if stamp is None or stamp == last:
-                continue
-            last = stamp
-            try:
-                text = self._watch.read_text(encoding="utf-8")
-                self._apply_update(text=text)
-            except (OSError, ReproError):
-                failures.inc()
-                continue
-            reloads.inc()
-
     # -- durable sessions ----------------------------------------------------
 
     async def _hello(
@@ -537,13 +481,7 @@ class MonitorServer:
         ``(scenario, text, force)`` request for UPDATE.
         """
         if verb == "UPDATE":
-            scenario, text, force = arg
-            try:
-                return "OK", self._apply_update(
-                    scenario=scenario, text=text, force=force
-                )
-            except ReproError as exc:
-                return "ERR", str(exc)
+            return await self._update(arg)
         if verb == "SPEC":
             try:
                 compiled = self.registry.get(arg)
@@ -590,36 +528,12 @@ class MonitorServer:
 
     # -- hot updates ---------------------------------------------------------
 
-    def _apply_update(
-        self,
-        *,
-        scenario: str | None = None,
-        text: str | None = None,
-        force: bool = False,
-    ) -> str:
-        """Hot-swap the registry from a scenario or document; OK detail.
-
-        Existing sessions keep draining on the ``CompiledSpec`` they
-        bound (monitors are pinned — see :meth:`_accept_event`); new
-        binds pick up the swapped builds, each with its own pre-encoded
-        letter table, so a binary rebind syncs the new table.  Raises
-        :class:`ReproError` on unknown scenarios or documents that fail
-        to parse/elaborate — the registry is left untouched in that case.
-        """
-        if scenario is not None:
-            from repro.workload.scenarios import get_scenario
-
-            specs = get_scenario(scenario).specifications()
-            report = self.registry.update(specs, force=force)
-        else:
-            report = self.registry.update_from_text(text or "", force=force)
-        touched = set(report.changed) | set(report.added)
-        names = ",".join(sorted(touched)) or "-"
-        return (
-            f"update changed={len(report.changed)} "
-            f"unchanged={len(report.unchanged)} added={len(report.added)} "
-            f"specs={names}"
-        )
+    async def _update(self, entry: Entry) -> tuple[str, str]:
+        """Apply one ``UPDATE``; a good one is in the chain before it applies."""
+        try:
+            return "OK", apply_update(self.registry, *entry, chain=self._chain)
+        except ReproError as exc:
+            return "ERR", str(exc)
 
     @staticmethod
     async def _read_update(

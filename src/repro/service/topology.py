@@ -24,13 +24,19 @@ worker the reconnect lands on.
 A supervisor task respawns dead workers with their original index —
 same ``worker-<i>/`` directory — which is what makes SIGKILL an event
 the durability log absorbs rather than an outage.
+
+The parent owns the document chain (:mod:`repro.service.chain`) that
+builds every worker and applies each ``UPDATE`` on every worker before
+it answers, so all list the same ``(name, version)`` pairs.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import os
+from collections import deque
 import signal
 import socket
 import multiprocessing
@@ -38,6 +44,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.core.errors import ReproError
+from repro.service.chain import ChainStore, Entry, apply_update
+from repro.service.chain import build_registry, load_update
+from repro.service.server import MonitorServer
 
 __all__ = ["ScaleOutServer", "WorkerConfig", "reuseport_available"]
 
@@ -67,30 +76,14 @@ class WorkerConfig:
     data_dir: str | None = None
     fsync_every: int = 64
     snapshot_every: int = 1024
-    watch: str | None = None
-    #: The watched file's stamp when the topology started: every worker,
-    #: a respawned one too, reloads on any edit made since.
-    watch_stamp: tuple[int, int] | None = None
+    #: The chain's updates when the worker is spawned, in order.
+    updates: tuple[Entry, ...] = ()
     #: Requested per-worker direct port (0 = ephemeral, None = off).
     #: The *resolved* port travels back in the worker's ready message so
     #: the parent can publish :attr:`ScaleOutServer.worker_ports` for
     #: metrics fan-in (workers share the advertised port, so they are
     #: not individually addressable through it).
     direct_port: int | None = 0
-
-
-def _build_registry(config: WorkerConfig):
-    from repro.service.registry import SpecRegistry
-
-    if config.scenario is not None:
-        from repro.workload.scenarios import get_scenario
-
-        return get_scenario(config.scenario).registry(
-            history_limit=config.history_limit
-        )
-    return SpecRegistry.from_text(
-        config.document or "", history_limit=config.history_limit
-    )
 
 
 def _reuseport_socket(host: str, port: int) -> socket.socket:
@@ -104,28 +97,69 @@ def _reuseport_socket(host: str, port: int) -> socket.socket:
     return sock
 
 
-async def _worker_main(config: WorkerConfig, conn) -> None:
-    from repro.service.server import MonitorServer
+class _WorkerServer(MonitorServer):
+    """A worker's server: it sends a good ``UPDATE`` up to the parent.
 
-    registry = _build_registry(config)
+    The parent keeps the chain and sends every worker ``("apply", entry)``,
+    then the sender ``("done", reply)``, in the order of its ``("update",
+    entry)`` messages.
+    """
+
+    def __init__(self, registry, conn, **kwargs) -> None:
+        super().__init__(registry, **kwargs)
+        self._chain, self._conn = None, conn
+        self._replies: deque[asyncio.Future] = deque()
+        self.orphaned = asyncio.Event()  # the parent stopped, or died
+
+    async def _update(self, entry: Entry) -> tuple[str, str]:
+        try:  # rejected as at one process, before anything changes
+            load_update(self.registry, *entry[:2])
+        except ReproError as exc:
+            return "ERR", str(exc)
+        reply = asyncio.get_running_loop().create_future()
+        self._replies.append(reply)
+        self._conn.send(("update", entry))
+        return await reply
+
+    def _on_message(self) -> None:
+        try:
+            kind, body = self._conn.recv()
+        except (EOFError, OSError):
+            asyncio.get_running_loop().remove_reader(self._conn.fileno())
+            return self.orphaned.set()
+        if kind == "apply":
+            try:
+                self._conn.send(("OK", apply_update(self.registry, *body)))
+            except Exception as exc:  # the parent rebuilds this worker
+                self._conn.send(("ERR", str(exc)))
+        elif not (reply := self._replies.popleft()).done():  # "done"
+            reply.set_result(body)
+
+
+async def _worker_main(config: WorkerConfig, conn) -> None:
+    registry = build_registry(
+        config.scenario, config.document, config.updates,
+        history_limit=config.history_limit,
+    )
     sock = _reuseport_socket(config.host, config.port)
     sock.listen(128)
     sock.setblocking(False)
-    server = MonitorServer(
+    server = _WorkerServer(
         registry,
+        conn,
         host=config.host,
         data_dir=config.data_dir,
         worker_id=config.worker_index,
         fsync_every=config.fsync_every,
         snapshot_every=config.snapshot_every,
-        watch=config.watch,
         direct_port=config.direct_port,
         sock=sock,
     )
-    server._watch_last = config.watch_stamp
     await server.start()
-    conn.send(("ready", config.worker_index, os.getpid(), server.direct_port))
-    await asyncio.Event().wait()  # parent terminates the process
+    asyncio.get_running_loop().add_reader(conn.fileno(), server._on_message)
+    conn.send(server.direct_port)  # ready
+    await server.orphaned.wait()  # or the parent terminates the process
+    await server.stop()
 
 
 def _worker_entry(config: WorkerConfig, conn) -> None:  # pragma: no cover
@@ -165,7 +199,6 @@ class ScaleOutServer:
         history_limit: int | None = 4096,
         fsync_every: int = 64,
         snapshot_every: int = 1024,
-        watch: str | Path | None = None,
     ) -> None:
         if (scenario is None) == (document is None):
             raise ReproError(
@@ -179,7 +212,9 @@ class ScaleOutServer:
         self.host = host
         self.port = port
         self.restarts = 0
-        self._respawned = asyncio.Condition()
+        #: Held while a worker spawns or an update goes round, so every
+        #: worker sees each update once, in order; notified at respawns.
+        self._ordering = asyncio.Condition()
         self._template = WorkerConfig(
             worker_index=0,
             host=host,
@@ -190,8 +225,10 @@ class ScaleOutServer:
             data_dir=str(data_dir) if data_dir is not None else None,
             fsync_every=fsync_every,
             snapshot_every=snapshot_every,
-            watch=str(watch) if watch is not None else None,
         )
+        self._chain: ChainStore | None = None  # made at start
+        self._acks: dict[object, asyncio.Future] = {}  # awaited, by pipe
+        self._orders: set[asyncio.Task] = set()  # in flight: kept alive
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: list[tuple] = []  # (process, parent_conn) per index
         self._reserve_sock: socket.socket | None = None
@@ -215,31 +252,28 @@ class ScaleOutServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        from repro.service.server import MonitorServer
-
         # Bound but never listening: it reserves the port (resolving
         # port=0 to a real number the workers can share) without ever
         # winning an accept.
         self._reserve_sock = _reuseport_socket(self.host, self.port)
         self.port = self._reserve_sock.getsockname()[1]
-        watch = self._template.watch
-        self._template = replace(
-            self._template,
-            port=self.port,
-            watch_stamp=MonitorServer._watch_stamp(Path(watch))
-            if watch is not None
-            else None,
-        )
+        self._template = replace(self._template, port=self.port)
         try:
-            for index in range(self.procs):
-                self._workers.append(await self._spawn(index))
+            t = self._template
+            base = build_registry(t.scenario, t.document, history_limit=t.history_limit)
+            self._chain = ChainStore(t.data_dir, base.build_key())
+            self._chain.load()
+            async with self._ordering:
+                for index in range(self.procs):
+                    self._workers.append(await self._spawn(index))
         except BaseException:
             await self.stop()  # no half-started topology survives
             raise
         self._supervisor_task = asyncio.create_task(self._supervise())
 
     async def _spawn(self, index: int):
-        config = replace(self._template, worker_index=index)
+        updates = tuple(self._chain.updates)
+        config = replace(self._template, worker_index=index, updates=updates)
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_entry,
@@ -251,7 +285,7 @@ class ScaleOutServer:
         child_conn.close()
         loop = asyncio.get_running_loop()
         try:
-            ready = await asyncio.wait_for(
+            self._worker_ports[index] = await asyncio.wait_for(
                 loop.run_in_executor(None, parent_conn.recv), _SPAWN_TIMEOUT_S
             )
         except BaseException as exc:  # timeout, death on boot, or cancel
@@ -262,10 +296,69 @@ class ScaleOutServer:
                     f"worker {index} failed to start: {exc!r}"
                 ) from exc
             raise
-        if ready[0] != "ready":  # pragma: no cover - defensive
-            raise ReproError(f"worker {index} sent unexpected {ready!r}")
-        self._worker_ports[index] = ready[3] if len(ready) > 3 else None
+        loop.add_reader(parent_conn.fileno(), self._on_message, parent_conn)
         return proc, parent_conn
+
+    # -- the document chain --------------------------------------------------
+
+    def _on_message(self, conn) -> None:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):  # the worker died: the supervisor's turn
+            return self._forget(conn)
+        if message[0] == "update":
+            task = asyncio.create_task(self._order(conn, message[1]))
+            self._orders.add(task)
+            task.add_done_callback(self._orders.discard)
+        elif (ack := self._acks.pop(conn, None)) is not None:
+            ack.set_result(message)
+
+    def _forget(self, conn) -> None:
+        """Stop reading a worker's pipe; its awaited reply is None."""
+        if not conn.closed:
+            asyncio.get_running_loop().remove_reader(conn.fileno())
+        if (ack := self._acks.pop(conn, None)) is not None:
+            ack.set_result(None)
+
+    def _sent(self, conn, send: asyncio.Future) -> None:
+        if send.cancelled() or send.exception() is not None:
+            self._forget(conn)
+
+    async def _order(self, origin, entry: Entry) -> None:
+        """Record a worker's good ``UPDATE``, apply it everywhere, answer.
+
+        A chain that cannot record it is the answer, and nothing changes.
+        A worker that fails to apply it, or has not answered by the spawn
+        timeout, is killed: the supervisor rebuilds it from the chain.
+        """
+        loop = asyncio.get_running_loop()
+        async with self._ordering:
+            try:
+                self._chain.append(entry)
+            except ReproError as exc:
+                reply = ("ERR", str(exc))
+            else:
+                acks = {}
+                for _, conn in self._workers:
+                    acks[conn] = self._acks[conn] = loop.create_future()
+                    # Off the loop: a large document fills the pipe until
+                    # the worker reads it, and the loop must keep reading.
+                    send = loop.run_in_executor(None, conn.send, ("apply", entry))
+                    send.add_done_callback(functools.partial(self._sent, conn))
+                if acks:
+                    await asyncio.wait(acks.values(), timeout=_SPAWN_TIMEOUT_S)
+                applied = {}
+                for proc, conn in self._workers:
+                    ack = acks[conn]
+                    if ack.done() and (ack.result() or ("",))[0] == "OK":
+                        applied[conn] = ack.result()
+                    else:
+                        proc.kill()
+                        self._forget(conn)
+                reply = applied.get(origin)  # none: the sender was killed
+            if reply is not None:
+                with contextlib.suppress(OSError):
+                    await loop.run_in_executor(None, origin.send, ("done", reply))
 
     async def stop(self) -> None:
         task, self._supervisor_task = self._supervisor_task, None
@@ -277,6 +370,7 @@ class ScaleOutServer:
         finally:  # a failed supervisor must not keep workers alive
             workers, self._workers = self._workers, []
             for _, conn in workers:
+                self._forget(conn)
                 conn.close()
             await _reap([proc for proc, _ in workers])
             self._worker_ports = {}
@@ -302,12 +396,13 @@ class ScaleOutServer:
 
     async def wait_restarts(self, count: int) -> int:
         """:attr:`restarts` once it reaches ``count``, or at the spawn timeout."""
-        async with self._respawned:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    self._respawned.wait_for(lambda: self.restarts >= count),
-                    _SPAWN_TIMEOUT_S,
-                )
+
+        async def reached() -> None:
+            async with self._ordering:
+                await self._ordering.wait_for(lambda: self.restarts >= count)
+
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(reached(), _SPAWN_TIMEOUT_S)
         return self.restarts
 
     async def _supervise(self) -> None:
@@ -317,11 +412,12 @@ class ScaleOutServer:
             for index, (proc, conn) in enumerate(list(self._workers)):
                 if proc.is_alive():
                     continue
-                conn.close()
-                try:
-                    self._workers[index] = await self._spawn(index)
-                except ReproError:
-                    continue  # the slot stays dead: the next poll retries
-                async with self._respawned:
+                async with self._ordering:
+                    self._forget(conn)
+                    conn.close()
+                    try:
+                        self._workers[index] = await self._spawn(index)
+                    except ReproError:
+                        continue  # the slot stays dead: the next poll retries
                     self.restarts += 1
-                    self._respawned.notify_all()
+                    self._ordering.notify_all()

@@ -13,12 +13,19 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 import re
 import threading
+import urllib.request
 
-from repro.api import Gateway
+import pytest
 
-from tests.gateway.conftest import DOC, EVENT
+from repro import cli
+from repro.api import Gateway, _http_fronts
+from repro.obs.registry import use_registry
+from repro.service import MonitorClient, MonitorServer, SpecRegistry
+
+from tests.gateway.conftest import DOC, EVENT, EXTRA_DOC
 
 
 @contextlib.contextmanager
@@ -95,3 +102,78 @@ def test_gateway_aggregates_worker_metrics(tmp_path):
 
     # the gateway stamps its own request counters onto the merged dump
     assert "repro_gateway_requests_total" in text
+
+
+async def _lists(port, name):
+    async with MonitorClient("127.0.0.1", port) as client:
+        return name in client.server_specs
+
+
+def _scrape(port):
+    url = f"http://127.0.0.1:{port}/metrics"
+    with urllib.request.urlopen(url, timeout=30) as response:
+        return response.read().decode("utf-8")
+
+
+@pytest.mark.parametrize("procs", [1, 2])
+def test_watch_counts_each_edit_once(tmp_path, monkeypatch, procs):
+    """``--watch`` counters reach a ``--metrics-port`` scrape, once per edit.
+
+    Wired as ``serve`` wires it: one poller beside the server, in the
+    process that serves the metrics, so an edit that reaches two workers
+    still counts once.
+    """
+    from repro.service.topology import ScaleOutServer
+
+    monkeypatch.setattr(cli, "_WATCH_INTERVAL_S", 0.02)
+    doc = tmp_path / "spec.oun"
+    doc.write_text(DOC, encoding="utf-8")
+    edited = DOC + EXTRA_DOC.split("object c", 1)[1]
+
+    async def run():
+        if procs == 1:
+            server, targets = MonitorServer(SpecRegistry.from_text(DOC)), None
+        else:
+            server = ScaleOutServer(document=DOC, procs=procs)
+            targets = lambda: [  # noqa: E731
+                ("127.0.0.1", port) for port in server.worker_ports if port
+            ]
+        await server.start()
+        watching = asyncio.create_task(
+            cli._watch_document(
+                doc, "127.0.0.1", server.port, cli._stamp(doc)
+            )
+        )
+        try:
+            async with _http_fronts(
+                "127.0.0.1",
+                server.port,
+                host="127.0.0.1",
+                metrics_port=0,
+                metrics_targets=targets,
+            ) as (_, front):
+                bumped = doc.stat().st_mtime_ns + 1_000_000_000
+                doc.write_text(edited, encoding="utf-8")
+                os.utime(doc, ns=(bumped, bumped))
+                ports = server.worker_ports if procs > 1 else (server.port,)
+                for _ in range(200):
+                    listed = [await _lists(port, "Extra") for port in ports]
+                    if all(listed):
+                        break
+                    await asyncio.sleep(0.02)
+                loop = asyncio.get_running_loop()
+                return listed, await loop.run_in_executor(
+                    None, _scrape, front.port
+                )
+        finally:
+            watching.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await watching
+            await server.stop()
+
+    with use_registry():
+        listed, text = asyncio.run(run())
+    assert all(listed)
+    assert re.search(r"^repro_watch_reloads_total 1$", text, re.M), text
+    assert re.search(r"^repro_watch_errors_total 0$", text, re.M), text
+    assert text.count("# TYPE repro_watch_reloads_total counter") == 1

@@ -9,13 +9,21 @@ baseline rather than hand-computed.
 
 import asyncio
 import multiprocessing
+import os
+import re
+import signal
+import urllib.request
 from dataclasses import replace
 
 import pytest
 
+from repro import cli
+from repro.api import _http_fronts
 from repro.core.errors import ReproError
+from repro.obs.registry import use_registry
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 from repro.service import topology
+from repro.service.chain import CHAIN_FILE, decode_chain
 from repro.service.topology import ScaleOutServer, WorkerConfig
 
 DOC = """
@@ -126,14 +134,14 @@ class TestLifecycleFailures:
         assert _live_workers() == []
 
 
-async def _baseline(lines_per_session):
-    """The same sessions against one in-process server."""
-    registry = SpecRegistry.from_text(DOC)
+async def _baseline(lines_per_session, doc=DOC, spec="Cap"):
+    """The same sessions, uninterrupted, against one in-process server."""
+    registry = SpecRegistry.from_text(doc)
     out = []
     async with MonitorServer(registry) as server:
         for lines in lines_per_session:
             async with MonitorClient(
-                "127.0.0.1", server.port, spec="Cap"
+                "127.0.0.1", server.port, spec=spec
             ) as client:
                 for line in lines:
                     await client.send_event(line)
@@ -230,7 +238,7 @@ class TestScaleOut:
         ]
 
 
-#: DOC plus one more spec: what a ``--watch`` edit adds.
+#: DOC plus one more spec: what an update adds.
 EDITED_DOC = DOC + """
 specification Extra {
   objects o
@@ -239,6 +247,18 @@ specification Extra {
   traces prs "<c,o,M(_)>*"
 }
 """
+
+#: Two more versions of Cap: each step of the law's sequence changes it,
+#: whichever order the racing pair lands in.
+CAP_ONE = EDITED_DOC.replace('"<c,o,M(_)> <c,o,M(_)>"', '"<c,o,M(_)>"')
+CAP_THREE = EDITED_DOC.replace(
+    '"<c,o,M(_)> <c,o,M(_)>"', '"<c,o,M(_)> <c,o,M(_)> <c,o,M(_)>"'
+)
+
+#: A document whose constraint nests past the parser's recursion limit.
+DEEP_DOC = DOC.replace(
+    'traces prs "<c,o,M(_)> <c,o,M(_)>"', "traces " + "not " * 2000 + "true"
+)
 
 
 async def _lists_spec(server, index, name, *, tries=100, pause=0.05):
@@ -253,26 +273,261 @@ async def _lists_spec(server, index, name, *, tries=100, pause=0.05):
     return False
 
 
+async def _pairs(port):
+    """The ``(name, version)`` pairs a server lists on ``port``."""
+    async with MonitorClient("127.0.0.1", port) as client:
+        text = await client.metrics()
+        names = sorted(client.server_specs)
+    pairs = sorted(
+        (name, int(version))
+        for name, version in re.findall(
+            r'^repro_spec_version\{spec="([^"]+)"\} (\d+)', text, re.M
+        )
+    )
+    assert [name for name, _ in pairs] == names, (pairs, names)
+    return pairs
+
+
+async def _update(port, *, proto=1, **request):
+    """One ``UPDATE`` over ``port``: ``("OK", fields)`` or ``("ERR", why)``."""
+    async with MonitorClient("127.0.0.1", port, proto=proto) as client:
+        try:
+            return "OK", await client.update_document(**request)
+        except ReproError as exc:
+            return "ERR", str(exc)
+
+
+def _put(port, name, text):
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v1/documents/{name}",
+        data=text.encode("utf-8"),
+        method="PUT",
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return response.status
+
+
+class TestCrossWorkerLaw:
+    """After an ``UPDATE``'s OK, every worker lists the same versions.
+
+    Each step's pairs also equal one process's after the same updates,
+    and a rejected update gives one process's reason and changes nothing:
+    no worker's pairs, no byte of the chain file.
+    """
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_every_worker_lists_the_same_versions(self, procs, tmp_path):
+        chain = tmp_path / CHAIN_FILE
+        sequential = [
+            (1, {"text": EDITED_DOC}),  # the text door
+            (2, {"text": CAP_ONE}),  # the binary door
+            (1, {"text": CAP_ONE, "force": True}),
+        ]
+        rejected = [{"text": "specification {"}, {"scenario": "no_such"}]
+
+        async def run():
+            server = ScaleOutServer(document=DOC, procs=procs, data_dir=tmp_path)
+            await server.start()
+            steps, reasons = [], []
+
+            async def agreed():
+                pairs = [await _pairs(port) for port in server.worker_ports]
+                assert all(p == pairs[0] for p in pairs), pairs
+                steps.append(pairs[0])
+
+            try:
+                for proto, request in sequential:
+                    assert (await _update(server.port, proto=proto, **request))[0] == "OK"
+                    # on disk before the OK reached the client
+                    entry = decode_chain(chain.read_bytes())[1][-1]
+                    assert entry == (None, request["text"], bool(request.get("force")))
+                    await agreed()
+                # two at once, to two workers' direct ports
+                both = await asyncio.gather(
+                    _update(server.worker_ports[0], text=CAP_THREE),
+                    _update(server.worker_ports[1], text=EDITED_DOC),
+                )
+                assert [keyword for keyword, _ in both] == ["OK", "OK"]
+                await agreed()
+                # PUT /v1/documents/{name} through a Gateway on the topology
+                async with _http_fronts(
+                    "127.0.0.1", server.port, host="127.0.0.1", http_port=0
+                ) as (http, _):
+                    status = await asyncio.get_running_loop().run_in_executor(
+                        None, _put, http.port, "Cap", CAP_ONE
+                    )
+                assert status == 200
+                await agreed()
+                before, stored = steps[-1], chain.read_bytes()
+                for request in rejected:
+                    reasons.append(await _update(server.port, **request))
+                    await agreed()
+                    assert steps.pop() == before
+                    assert chain.read_bytes() == stored
+                assert len(decode_chain(stored)[1]) == 6
+            finally:
+                await server.stop()
+            return steps, reasons
+
+        async def one_process():
+            steps, reasons = [], []
+            async with MonitorServer(SpecRegistry.from_text(DOC)) as server:
+                for _, request in [
+                    *sequential,
+                    (1, {"text": CAP_THREE}),
+                    (1, {"text": EDITED_DOC}),
+                    (1, {"text": CAP_ONE}),  # the PUT
+                ]:
+                    await _update(server.port, **request)
+                    steps.append(await _pairs(server.port))
+                for request in rejected:
+                    reasons.append(await _update(server.port, **request))
+            del steps[3]  # the racing pair is checked once, after both
+            return steps, reasons
+
+        with use_registry():
+            got = asyncio.run(run())
+        with use_registry():
+            assert got == asyncio.run(one_process())
+        assert [keyword for keyword, _ in got[1]] == ["ERR", "ERR"]
+
+    def test_a_bad_or_stuck_update_holds_up_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A rejected, unrecorded or unanswered update stops no later one.
+
+        Too deep a document is one process's ``ERR``; a chain that cannot
+        be written refuses the update on every worker; a worker that does
+        not answer is killed and rebuilt from the chain, and respawns and
+        updates go on.
+        """
+        blocker = tmp_path / (CHAIN_FILE + ".tmp")
+
+        async def one_process():
+            async with MonitorServer(SpecRegistry.from_text(DOC)) as server:
+                return await _update(server.port, text=DEEP_DOC)
+
+        async def run():
+            server = ScaleOutServer(document=DOC, procs=2, data_dir=tmp_path)
+            await server.start()
+
+            async def agreed():
+                pairs = [await _pairs(port) for port in server.worker_ports]
+                assert all(p == pairs[0] for p in pairs), pairs
+                return pairs[0]
+
+            try:
+                before = await agreed()
+                deep = await _update(server.port, text=DEEP_DOC)
+                assert await agreed() == before
+                blocker.mkdir()
+                unrecorded = await _update(server.port, text=EDITED_DOC)
+                assert await agreed() == before
+                assert not (tmp_path / CHAIN_FILE).exists()
+                blocker.rmdir()
+                # worker 0 stops answering; worker 1 takes the update
+                os.kill(server.worker_pids[0], signal.SIGSTOP)
+                monkeypatch.setattr(topology, "_SPAWN_TIMEOUT_S", 1.0)
+                stuck = await _update(server.worker_ports[1], text=EDITED_DOC)
+                monkeypatch.undo()
+                assert await server.wait_restarts(1) == 1
+                after_stuck = await agreed()
+                server.kill_worker(1)
+                assert await server.wait_restarts(2) == 2
+                assert await agreed() == after_stuck
+                last = await _update(server.port, text=CAP_ONE)
+                return deep, unrecorded, stuck, after_stuck, last
+            finally:
+                await server.stop()
+
+        with use_registry():
+            expected = asyncio.run(one_process())
+        with use_registry():
+            deep, unrecorded, stuck, after_stuck, last = asyncio.run(run())
+        assert deep == expected
+        assert deep[0] == "ERR" and "nests too deeply" in deep[1]
+        assert unrecorded[0] == "ERR" and "cannot record" in unrecorded[1]
+        assert stuck[0] == "OK"
+        assert ("Extra", 0) in after_stuck
+        assert last[0] == "OK"
+        assert len(decode_chain((tmp_path / CHAIN_FILE).read_bytes())[1]) == 2
+
+
 class TestWatchRespawn:
-    def test_respawned_worker_serves_every_edit_since_start(self, tmp_path):
+    def test_respawned_worker_serves_every_edit_since_start(
+        self, tmp_path, monkeypatch
+    ):
         """A ``--watch`` edit survives a worker's SIGKILL and respawn."""
+        monkeypatch.setattr(cli, "_WATCH_INTERVAL_S", 0.02)
         doc = tmp_path / "spec.oun"
         doc.write_text(DOC, encoding="utf-8")
 
         async def run():
-            server = ScaleOutServer(document=DOC, procs=2, watch=doc)
+            server = ScaleOutServer(document=DOC, procs=2)
             await server.start()
+            watching = asyncio.create_task(
+                cli._watch_document(
+                    doc, "127.0.0.1", server.port, cli._stamp(doc)
+                )
+            )
             try:
+                bumped = doc.stat().st_mtime_ns + 1_000_000_000
                 doc.write_text(EDITED_DOC, encoding="utf-8")
+                os.utime(doc, ns=(bumped, bumped))
                 for index in range(server.procs):
                     assert await _lists_spec(server, index, "Extra")
                 server.kill_worker(0)
                 assert await server.wait_restarts(1) == 1
                 return [
-                    await _lists_spec(server, index, "Extra")
+                    await _lists_spec(server, index, "Extra", tries=1)
                     for index in range(server.procs)
                 ]
             finally:
+                watching.cancel()
                 await server.stop()
 
         assert asyncio.run(run()) == [True, True]
+
+
+class TestChainRespawn:
+    def test_durable_session_on_an_updated_spec_rides_out_a_respawn(
+        self, tmp_path
+    ):
+        """A respawned worker is built from the chain, updates included."""
+        lines = [EVENT, "c -> o : N(Data:d)", EVENT, EVENT]
+
+        async def run():
+            server = ScaleOutServer(
+                document=DOC, procs=1, data_dir=tmp_path, fsync_every=1
+            )
+            await server.start()
+            try:
+                assert (await _update(server.port, text=EDITED_DOC))[0] == "OK"
+                client = MonitorClient(
+                    "127.0.0.1",
+                    server.port,
+                    spec="Extra",
+                    session="k1",
+                    connect_retries=10,
+                )
+                await client.connect()
+                try:
+                    for line in lines[:3]:
+                        await client.send_event(line)
+                    await client.status()
+                    server.kill_worker(0)
+                    assert await server.wait_restarts(1) == 1
+                    listed = await _lists_spec(server, 0, "Extra", tries=1)
+                    for line in lines[3:]:
+                        await client.send_event(line)
+                    status = await client.status()
+                finally:
+                    await client.close()
+            finally:
+                await server.stop()
+            return listed, status
+
+        listed, status = asyncio.run(run())
+        assert listed
+        (oracle,) = asyncio.run(_baseline([lines], EDITED_DOC, "Extra"))
+        assert _verdict(status) == _verdict(oracle)

@@ -1,10 +1,17 @@
-"""``--watch FILE``: mtime-polled document hot-swap under live traffic."""
+"""``--watch FILE``: mtime-polled document hot-swap under live traffic.
+
+The poller of ``repro serve --watch`` sends each edit as an ``UPDATE``
+to the service's own port, so these tests run it against a server the
+way the CLI does.
+"""
 
 import asyncio
+import contextlib
 import os
 
 import pytest
 
+from repro import cli
 from repro.obs.registry import use_registry
 from repro.service import MonitorClient, MonitorServer, SpecRegistry
 
@@ -44,6 +51,25 @@ def _rewrite(path, text):
     os.utime(path, ns=(bumped, bumped))
 
 
+@pytest.fixture(autouse=True)
+def _fast_polls(monkeypatch):
+    monkeypatch.setattr(cli, "_WATCH_INTERVAL_S", 0.02)
+
+
+@contextlib.asynccontextmanager
+async def _watching(path, server):
+    """Run the ``--watch`` poller against ``server`` from ``path``'s stamp."""
+    task = asyncio.create_task(
+        cli._watch_document(path, "127.0.0.1", server.port, cli._stamp(path))
+    )
+    try:
+        yield
+    finally:
+        task.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await task
+
+
 async def _wait_for(predicate, *, tries=400, pause=0.01):
     for _ in range(tries):
         if predicate():
@@ -59,9 +85,9 @@ class TestWatch:
 
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
-            async with MonitorServer(
-                registry, watch=doc, watch_interval=0.02
-            ) as server:
+            async with MonitorServer(registry) as server, _watching(
+                doc, server
+            ):
                 async with MonitorClient(
                     "127.0.0.1", server.port, spec="B"
                 ) as session:
@@ -87,9 +113,9 @@ class TestWatch:
 
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
-            async with MonitorServer(
-                registry, watch=doc, watch_interval=0.02
-            ) as server:
+            async with MonitorServer(registry) as server, _watching(
+                doc, server
+            ):
                 _rewrite(doc, "specification {")  # a half-saved document
                 # a broken edit must not take the service down: new
                 # sessions keep binding the last good build while the
@@ -114,26 +140,27 @@ class TestWatch:
     def test_unchanged_stamp_is_never_reapplied(self, tmp_path, monkeypatch):
         doc = tmp_path / "spec.oun"
         doc.write_text(OLD_DOC, encoding="utf-8")
-        stamp, polls = MonitorServer._watch_stamp, []
+        stamp, polls = cli._stamp, []
 
         def counted_stamp(path):
             polls.append(path)
             return stamp(path)
 
-        monkeypatch.setattr(
-            MonitorServer, "_watch_stamp", staticmethod(counted_stamp)
-        )
+        monkeypatch.setattr(cli, "_stamp", counted_stamp)
+        monkeypatch.setattr(cli, "_WATCH_INTERVAL_S", 0.01)
 
         async def run():
             registry = SpecRegistry.from_text(OLD_DOC)
-            async with MonitorServer(
-                registry, watch=doc, watch_interval=0.01
-            ) as server:
-                del server
-                # one stamp at construction, then one per poll, no edit
+            async with MonitorServer(registry) as server, _watching(
+                doc, server
+            ):
+                # one stamp at start, then one per poll, no edit
                 await _wait_for(lambda: len(polls) > 10)
             return registry
 
-        registry = asyncio.run(run())
+        with use_registry() as metrics:
+            registry = asyncio.run(run())
         assert registry.get("A").version == 0
         assert registry.get("B").version == 0
+        assert metrics.counter("repro_watch_reloads_total").value == 0
+        assert metrics.counter("repro_watch_errors_total").value == 0
