@@ -20,7 +20,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-claim index.
 """
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 #: Names resolved lazily from :mod:`repro.api` on first attribute access.
 #: Kept equal to ``api.__all__`` — tests/test_api.py enforces the sync.

@@ -39,7 +39,9 @@ one session queue; it is a major version because callers that pass the
 keyword break.  2.1.0 added :attr:`Gateway.loop` and one coroutine per
 :class:`Gateway` operation (``asend_events``, ``asession_status``,
 ``aend_session``, ``adocuments``, ``aupdate_from_text``, ``asessions``,
-``ametrics_text``, ``ahealth``), which the HTTP front awaits.
+``ametrics_text``, ``ahealth``), which the HTTP front awaits.  2.2.0:
+:class:`Gateway` asks for wire proto 3 by default (``proto=3``), so an
+ended session's backend connection carries the next key's session.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ __all__ = [
 
 #: The facade's compatibility version (semver); the module docstring
 #: says what each minor and major version changed.
-API_VERSION = "2.1.0"
+API_VERSION = "2.2.0"
 
 
 def parse(text: str):
@@ -355,9 +357,9 @@ def _timed(method):
     """Bound the :class:`Gateway` coroutine ``method`` by its ``timeout``.
 
     The caller gets ``asyncio.TimeoutError`` once the timeout passes
-    (the HTTP front answers ``504``), while the operation, shielded from
-    that cancellation, runs on to its end, so a session is never left halfway through
-    an exchange with the service.
+    (the HTTP front answers ``504``), while the operation runs on to its
+    end, so a session is never left halfway through an exchange with the
+    service.
     """
 
     @functools.wraps(method)
@@ -388,12 +390,15 @@ class Gateway:
     Python 3.11), awaited or blocking alike.
 
     Sessions are keyed by caller-chosen names: the first
-    :meth:`send_events` for a key opens a TCP session (durable when
+    :meth:`send_events` for a key opens a session (durable when
     requested and the server has a data directory) and later calls
     reuse it, so HTTP's stateless requests still map onto the service's
-    per-connection sessions.  Requests for one key are serialised by a
-    per-key lock, which is dropped again once no session and no other
-    request needs it.  Typed errors
+    sessions.  At proto 3 (the default) a connection outlives its
+    session: :meth:`end_session` puts the ended session's connection on
+    a short LIFO idle list, and the next key opens on it with one
+    ``HELLO`` instead of a TCP connect.  Requests for one key are
+    serialised by a per-key lock, which is dropped again once no session
+    and no other request needs it.  Typed errors
     (:class:`~repro.core.errors.UnknownSpecificationError`,
     :class:`~repro.core.errors.UnknownSessionError`,
     :class:`~repro.core.errors.SessionStateError`) carry enough intent
@@ -412,7 +417,7 @@ class Gateway:
         host: str = "127.0.0.1",
         port: int = 7471,
         *,
-        proto: int = 2,
+        proto: int = 3,
         connect_retries: int = 5,
         timeout: float = 60.0,
         metrics_targets=None,
@@ -426,6 +431,9 @@ class Gateway:
         self._loop = None
         self._thread = None
         self._clients: dict[str, object] = {}
+        #: Clients whose session ended on a connection kept open, the
+        #: most recent last (at most ``_IDLE_CONNECTIONS``).
+        self._idle: list = []
         #: key → [lock, requests holding or waiting on it]
         self._locks: dict[str, list] = {}
 
@@ -471,12 +479,10 @@ class Gateway:
             for task in others:
                 task.cancel()
             await asyncio.gather(*others, return_exceptions=True)
-            for client in list(self._clients.values()):
-                try:
-                    await client.close()
-                except Exception:
-                    pass
+            for client in [*self._clients.values(), *self._idle]:
+                await client.disconnect()
             self._clients.clear()
+            self._idle.clear()
             self._locks.clear()
 
         try:
@@ -516,12 +522,36 @@ class Gateway:
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     async def _within(self, coro):
-        """Await ``coro`` for at most ``timeout`` seconds (see :func:`_timed`)."""
+        """Await ``coro`` for at most ``timeout`` seconds (see :func:`_timed`).
+
+        ``coro`` runs as one task.  The caller waits on a future that the
+        task's end or one timer resolves, whichever comes first, so a
+        timeout leaves the task running and a cancelled caller does not
+        cancel it.
+        """
         import asyncio
 
-        return await asyncio.wait_for(asyncio.shield(coro), self._timeout)
+        loop = asyncio.get_running_loop()
+        task = loop.create_task(coro)
+        released = loop.create_future()
 
-    def _new_client(self, *, session: str | None = None):
+        def release(_=None) -> None:
+            if not released.done():
+                released.set_result(None)
+
+        task.add_done_callback(release)
+        # A caller that stops waiting leaves an outcome nobody retrieves.
+        task.add_done_callback(_retrieve)
+        timer = loop.call_later(self._timeout, release)
+        try:
+            await released
+        finally:
+            timer.cancel()
+        if task.done():
+            return task.result()
+        raise asyncio.TimeoutError()
+
+    def _new_client(self):
         from repro.service.client import MonitorClient
 
         return MonitorClient(
@@ -529,17 +559,44 @@ class Gateway:
             self.port,
             connect_retries=self._retries,
             proto=self._proto,
-            session=session,
         )
 
     async def _round(self, fn):
         """One throwaway control connection: connect, run, close."""
-        client = self._new_client()
-        await client.connect()
-        try:
+        async with self._new_client() as client:
             return await fn(client)
-        finally:
-            await client.close()
+
+    async def _attach(self, session: str | None):
+        """A client attached for ``session``, on the last idled connection if any."""
+        client = self._idle.pop() if self._idle else self._new_client()
+        client.session, client.spec = session, None
+        try:
+            await client.connect()
+        except BaseException:
+            await client.disconnect()
+            raise
+        self._count_connect(client.reused)
+        return client
+
+    async def _end(self, client):
+        """End ``client``'s session; keep its connection if the list has room."""
+        status = await client.close()
+        if client.idle and len(self._idle) < _IDLE_CONNECTIONS:
+            self._idle.append(client)
+        else:
+            await client.disconnect()
+        return status
+
+    @staticmethod
+    def _count_connect(reused: bool) -> None:
+        from repro.obs.registry import get_registry
+
+        get_registry().counter(
+            "repro_gateway_backend_connects_total",
+            (("reused", "1" if reused else "0"),),
+            help="Sessions the gateway attached to the service, by whether "
+            "they reused an idle connection.",
+        ).inc()
 
     def _count(self, op: str) -> None:
         from repro.obs.registry import get_registry
@@ -701,7 +758,8 @@ class Gateway:
                     f"end it (or pick a new key) to check {spec!r}"
                 )
             await client.send_trace(lines)
-            return self._status_payload(key, client, await client.status())
+            status = await client.status()
+            return self._status_payload(key, status, client.durable)
 
     def session_status(self, key: str) -> dict:
         """STATUS of session ``key``: counters, verdict, violation."""
@@ -715,7 +773,8 @@ class Gateway:
             client = self._clients.get(key)
             if client is None:
                 raise UnknownSessionError(f"no open session {key!r}")
-            return self._status_payload(key, client, await client.status())
+            status = await client.status()
+            return self._status_payload(key, status, client.durable)
 
     def end_session(self, key: str) -> dict:
         """Close session ``key``; returns its final status dict."""
@@ -729,8 +788,13 @@ class Gateway:
             client = self._clients.pop(key, None)
             if client is None:
                 raise UnknownSessionError(f"no open session {key!r}")
-            payload = self._status_payload(key, client, await client.status())
-            await client.close()
+            durable = client.durable
+            status = await self._end(client)
+        if status is None:
+            raise ConnectionError(
+                f"session {key!r} lost its connection to the service"
+            )
+        payload = self._status_payload(key, status, durable)
         payload["closed"] = True
         return payload
 
@@ -741,23 +805,23 @@ class Gateway:
                 f"no open session {key!r} (open: {known}); "
                 "name a spec to open one"
             )
-        client = self._new_client(session=key if durable else None)
-        await client.connect()
+        client = await self._attach(key if durable else None)
+        if spec not in client.server_specs:
+            await self._end(client)
+            have = ", ".join(client.server_specs) or "none"
+            raise UnknownSpecificationError(
+                f"no specification named {spec!r} (have: {have})"
+            )
         try:
-            if spec not in client.server_specs:
-                have = ", ".join(client.server_specs) or "none"
-                raise UnknownSpecificationError(
-                    f"no specification named {spec!r} (have: {have})"
-                )
             await client.use_spec(spec)
         except BaseException:
-            await client.close()
+            await client.disconnect()
             raise
         self._clients[key] = client
         return client
 
     @staticmethod
-    def _status_payload(key, client, status) -> dict:
+    def _status_payload(key, status, durable: bool) -> dict:
         violation = None
         if status.violation_index is not None:
             violation = {
@@ -773,7 +837,7 @@ class Gateway:
             "errors": status.errors,
             "violation": violation,
             "applied": status.applied,
-            "durable": client.durable,
+            "durable": durable,
         }
 
     # -- metrics / health ------------------------------------------------
@@ -816,14 +880,10 @@ class Gateway:
         async def fetch(host: str, port: int) -> str:
             from repro.service.client import MonitorClient
 
-            client = MonitorClient(
+            async with MonitorClient(
                 host, port, connect_retries=self._retries
-            )
-            await client.connect()
-            try:
+            ) as client:
                 return await client.metrics()
-            finally:
-                await client.close()
 
         targets = self._targets()
         texts = await asyncio.gather(*(fetch(h, p) for h, p in targets))
@@ -847,8 +907,18 @@ class Gateway:
 
 
 #: The families of the process that runs the gateway: its own request
-#: counters and the ``serve --watch`` poller's reload counters.
+#: and connect counters and the ``serve --watch`` poller's reload counters.
 _LOCAL_PREFIXES = ("repro_gateway_", "repro_watch_")
+
+#: Idle backend connections one :class:`Gateway` keeps for the keys it
+#: opens next; a session that ends with the list full closes its own.
+_IDLE_CONNECTIONS = 8
+
+
+def _retrieve(task) -> None:
+    """Mark a finished task's exception retrieved (nobody awaits it)."""
+    if not task.cancelled():
+        task.exception()
 
 
 def _families(text: str, prefixes: tuple[str, ...]) -> str:

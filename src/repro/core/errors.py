@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+#: What every parser says about input nested past the recursion limit.
+NESTING_MESSAGE = "document nests too deeply to parse"
+
+
 class ReproError(Exception):
     """Base class for all errors raised by the library."""
 

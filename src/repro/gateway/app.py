@@ -45,6 +45,7 @@ import sys
 import time
 from email.utils import formatdate
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii as _quote
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro import api
@@ -168,6 +169,85 @@ def _fields(lines: list[bytes]) -> dict[str, str]:
     if name is not None:
         fields.setdefault(name, "".join(value).rstrip("\r\n"))
     return fields
+
+
+_INF = float("inf")
+
+
+class _NotPlainJson(Exception):
+    """A value :func:`_render` leaves to ``json.dumps`` (not plain JSON)."""
+
+
+def _json_body(payload) -> bytes:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline.
+
+    The same bytes, but strings go through the C string encoder: any
+    ``indent`` turns ``json.dumps`` onto its pure-Python encoder.  A
+    value other than plain JSON (a non-string key, a set, …) is left to
+    ``json.dumps`` itself.
+    """
+    parts: list[str] = []
+    try:
+        _render(payload, "\n", parts)
+    except _NotPlainJson:
+        return json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n"
+    parts.append("\n")
+    return "".join(parts).encode()
+
+
+def _render(value, newline: str, parts: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it.
+
+    The type tests run in ``json.encoder``'s order; ``newline`` is the
+    line break plus the indent of the line ``value`` starts on.
+    """
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            parts.append("NaN")
+        elif value == _INF:
+            parts.append("Infinity")
+        elif value == -_INF:
+            parts.append("-Infinity")
+        else:
+            parts.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in value:
+            parts.append(opener)
+            _render(item, inner, parts)
+            opener = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise _NotPlainJson()
+            parts.append(opener)
+            parts.append(_quote(key))
+            parts.append(": ")
+            _render(item, inner, parts)
+            opener = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise _NotPlainJson()
 
 
 class _Connection:
@@ -379,11 +459,7 @@ class _Connection:
         return value
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = (
-            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-            + b"\n"
-        )
-        self._send_bytes(status, body, "application/json")
+        self._send_bytes(status, _json_body(payload), "application/json")
 
     def _send_bytes(self, status: int, body: bytes, ctype: str) -> None:
         if self.version == "HTTP/0.9":  # no status line, no headers

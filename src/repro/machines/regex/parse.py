@@ -32,7 +32,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 
-from repro.core.errors import RegexError
+from repro.core.errors import NESTING_MESSAGE, RegexError
 from repro.core.sorts import Sort
 from repro.core.values import Value
 
@@ -270,4 +270,7 @@ def parse_regex(
     and arity checking); ``free_vars`` declares externally-bound variables.
     """
     p = _Parser(text, dict(symbols or {}), dict(methods or {}), dict(free_vars or {}))
-    return p.parse()
+    try:
+        return p.parse()
+    except RecursionError:  # one frame per group level
+        raise RegexError(NESTING_MESSAGE) from None

@@ -279,11 +279,11 @@ class ServiceMetrics:
         )
         self._c_opened = registry.counter(
             "repro_sessions_opened_total",
-            help="connections whose first SPEC succeeded (durable re-attach included)",
+            help="sessions whose first SPEC succeeded (durable re-attach included)",
         )
         self._c_closed = registry.counter(
             "repro_sessions_closed_total",
-            help="connections counted as opened that have since ended",
+            help="sessions counted as opened that have since ended",
         )
         self._h_check = registry.histogram(
             "repro_event_check_seconds", help="per-event check latency, all specs"

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.errors import OUNSyntaxError
+from repro.core.errors import NESTING_MESSAGE, OUNSyntaxError, ReproError
 from repro.oun.lexer import Token, tokenize
 
 __all__ = [
@@ -475,6 +475,13 @@ class _Parser:
 
 
 def parse_document(text: str) -> Document:
-    """Parse an OUN document into its AST."""
+    """Parse an OUN document into its AST.
+
+    The parser recurses once per nesting level, so a document nested
+    past the interpreter's recursion limit is a :class:`ReproError`.
+    """
     p = _Parser(text)
-    return p.document()
+    try:
+        return p.document()
+    except RecursionError:
+        raise ReproError(NESTING_MESSAGE) from None

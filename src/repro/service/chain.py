@@ -27,7 +27,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.core.errors import ReproError
+from repro.core.errors import NESTING_MESSAGE, ReproError
 from repro.obs.registry import get_registry
 from repro.service.durability import DurabilityError
 from repro.service.registry import SpecRegistry
@@ -78,8 +78,8 @@ def load_update(
         return get_scenario(scenario).specifications(), None
     try:
         build = registry.pipeline.load(text or "")
-    except RecursionError:
-        raise ReproError("document nests too deeply to parse") from None
+    except RecursionError:  # past the parsers, e.g. in elaboration
+        raise ReproError(NESTING_MESSAGE) from None
     return build.specifications().values(), build.keys()
 
 

@@ -7,6 +7,8 @@ backpressure bound between the producer and the server), while
 synchronising verbs (``HELLO``/``SPEC``/``STATUS``/``RESET``/``BYE``)
 perform one request/reply round-trip.  One connection is one ordered
 stream, so a verb's reply accounts for every event written before it.
+Ending a session is one exchange too: :meth:`close` writes ``STATUS``
+and ``BYE`` together and returns the final status.
 
 Attaching a session is one handshake — open the connection, send one
 ``HELLO``, then ``SPEC`` when a spec is bound — retried as a whole with
@@ -27,7 +29,10 @@ table, and table lines that do not read back canonically (a fresh
 caller's ``#Obj0 -> o : CR`` is a comment on the text door), fall back
 to per-event ``EVENT`` frames in stream order.  The session speaks the
 version the server grants, ``min(requested, server maximum)`` —
-``proto=2`` is a request, not a requirement.
+``proto=2`` is a request, not a requirement.  At proto 3 a pending batch
+travels in the same write as the request after it, and the connection
+outlives the session: after :meth:`close` it stays open (:attr:`idle`),
+and the next :meth:`connect` starts its session on it with a ``HELLO``.
 
 A client constructed with ``session="key"`` asks for a *durable* session
 (:mod:`repro.service.durability`): the HELLO carries the key, and when
@@ -43,12 +48,14 @@ data directory simply never confirm, and the client behaves as a plain
 session.
 
 A client instance is designed to be driven from one task; it is not a
-connection pool.
+connection pool (:class:`repro.api.Gateway` keeps one of idle clients).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import random
 from array import array
 from typing import Iterator
@@ -85,6 +92,30 @@ _REPLY_KEYWORDS = {
     wire.OP_ERR: "ERR",
     wire.OP_VIOLATION: "VIOLATION",
 }
+
+
+#: Distinct letter tables whose canonical lines are remembered: one per
+#: ``(spec, version)`` a client binds, so an update adds at most one and
+#: the oldest goes.
+_LETTER_TABLES = 64
+
+
+@functools.lru_cache(maxsize=_LETTER_TABLES)
+def _letter_table(payload: bytes) -> tuple[tuple[str, ...], dict[str, int]]:
+    """A ``LETTERS`` payload's lines and the id of each canonical one.
+
+    Only lines that read back canonically get an id: a fresh caller's
+    ``#Obj0 -> o : CR`` is a comment on the text door, so it travels as
+    an ``EVENT`` frame here too.  The letters of one ``(spec, version)``
+    are the same payload at every bind, so this runs once per table;
+    callers share the dict and never change it.
+    """
+    letters = tuple(wire.unpack_letters(payload))
+    return letters, {
+        line: i
+        for i, line in enumerate(letters)
+        if tracefile.canonical_event(line) is not None
+    }
 
 
 class ServiceUnavailable(ReproError):
@@ -155,6 +186,12 @@ class MonitorClient:
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._send_error: Exception | None = None
+        #: True while the connection is open with no session on it: a
+        #: proto-3 session ended, and the next attach says ``HELLO`` on it.
+        self.idle = False
+        #: Whether the last attach started its session on a kept
+        #: connection rather than a fresh one.
+        self.reused = False
         self.server_specs: tuple[str, ...] = ()
         self.events_sent = 0
         #: Connection attempts made by the last attach — :meth:`connect`
@@ -192,11 +229,7 @@ class MonitorClient:
                     await self._handshake()
                     return await then() if then is not None else None
                 except (ConnectionError, OSError) as exc:
-                    # close() without wait_closed(): the transport is
-                    # dead, and its close waiter would re-raise the reset.
-                    if self._writer is not None:
-                        self._writer.close()
-                    self._reader = self._writer = None
+                    self._drop()
                     delay = next(delays, None)
                     if delay is None:
                         raise ServiceUnavailable(
@@ -214,13 +247,15 @@ class MonitorClient:
     async def _handshake(self) -> None:
         """One attach attempt: open, one HELLO, and SPEC if a spec is bound.
 
-        On a durable re-attach the SPEC also resends the unacked suffix
-        of the resend log (:meth:`_bind`).
+        An idle connection is not opened again: the HELLO goes on it.  If
+        that HELLO fails on the link (the server ended the connection
+        while it sat idle), the attempt drops it and opens a fresh one at
+        once.  On a durable re-attach the SPEC also resends the unacked
+        suffix of the resend log (:meth:`_bind`).
         """
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        self._send_error = None
+        reused, self.idle = self.idle, False
+        if not reused:
+            await self._open()
         del self._pending[:]
         self.proto = 1  # negotiation itself is always text
         self.durable = False
@@ -228,7 +263,16 @@ class MonitorClient:
         fields = [f"proto={want}"] if want > 1 else []
         if self.session is not None:
             fields.append(f"session={self.session}")
-        hello = await self._sync_once(" ".join(["HELLO", *fields]))
+        line = " ".join(["HELLO", *fields])
+        try:
+            hello = await self._sync_once(line)
+        except (ConnectionError, OSError):
+            if not reused:
+                raise
+            reused = False
+            await self._open()
+            hello = await self._sync_once(line)
+        self.reused = reused
         if hello.kind != "ok":
             raise ReproError(f"server rejected HELLO: {hello.detail}")
         # The server answers min(requested, its maximum); the min() here
@@ -239,6 +283,26 @@ class MonitorClient:
         self.server_specs = tuple(n for n in specs_field.split(",") if n)
         if self.spec is not None:
             await self._bind(self.spec)
+
+    async def _open(self) -> None:
+        """A fresh connection in place of whatever link there was."""
+        self._drop()
+        self._reader, self._writer = await asyncio.open_connection(
+            self.host, self.port
+        )
+        self._writer.transport.max_size = wire.RECV_BYTES
+        self._send_error = None
+
+    def _drop(self) -> None:
+        """Forget the connection, closing its transport.
+
+        ``close()`` without ``wait_closed()``: a dead transport's close
+        waiter would re-raise the reset.
+        """
+        if self._writer is not None:
+            self._writer.close()
+        self._reader = self._writer = None
+        self.idle = False
 
     @staticmethod
     def _agreed_proto(detail: str) -> int:
@@ -252,26 +316,53 @@ class MonitorClient:
         return 1
 
     async def close(self) -> SessionStatus | None:
-        """Say BYE and close; returns nothing on a dead link.
+        """End the session in one exchange; its final status.
 
-        The BYE is one round trip, never a resume: a durable session
-        does not reconnect just to say goodbye.
+        ``STATUS`` and ``BYE`` go out in one write.  At proto 3 the
+        connection then stays open and :attr:`idle`; below 3 it closes.
+        A durable session whose link died resumes first, as
+        :meth:`status` does.  On a plain session's dead link, or a
+        service that cannot be reached, the connection is dropped and
+        the result is None.
         """
-        if self._writer is None:
+        if self._writer is None or self.idle:
             return None
-        writer = self._writer
         try:
-            await self._sync_once("BYE")
+            status = await self._retried(self._end_once)
         except (ReproError, OSError):
-            pass
-        finally:
-            self._reader = self._writer = None
-            writer.close()
-            try:
+            await self.disconnect()
+            return None
+        self._forget_session()
+        if self.proto >= 3:
+            self.idle = True
+        else:
+            await self.disconnect()
+        return status
+
+    async def _end_once(self) -> SessionStatus:
+        await self._request(self._encode("STATUS") + self._encode("BYE"))
+        status = self._status_of(await self._read_reply())
+        bye = await self._read_reply()
+        if bye.kind != "ok" or not bye.detail.startswith("bye "):
+            raise ReproError(f"malformed BYE reply: {bye.detail}")
+        return status
+
+    def _forget_session(self) -> None:
+        """Drop what the ended session left: nothing of it can be resent."""
+        self._sent_log = []
+        self._base = self._trimmed = 0
+        self._bound_spec = None
+        self.letters = ()
+        self._line_ids = {}
+        self._event_ids = {}
+
+    async def disconnect(self) -> None:
+        """Close the connection without a ``BYE`` (an idle one needs none)."""
+        writer = self._writer
+        self._drop()
+        if writer is not None:
+            with contextlib.suppress(OSError):
                 await writer.wait_closed()
-            except OSError:
-                pass
-        return None
 
     async def __aenter__(self) -> "MonitorClient":
         await self.connect()
@@ -279,6 +370,7 @@ class MonitorClient:
 
     async def __aexit__(self, *exc) -> None:
         await self.close()
+        await self.disconnect()
 
     # -- protocol ------------------------------------------------------------
 
@@ -306,15 +398,7 @@ class MonitorClient:
                         f"expected a LETTERS frame after SPEC, "
                         f"got opcode 0x{opcode:02x}"
                     )
-                self.letters = tuple(wire.unpack_letters(payload))
-                # Only lines that read back canonically get an id: a
-                # fresh caller's ``#Obj0 -> o : CR`` is a comment on the
-                # text door, so it travels as an ``EVENT`` frame here too.
-                self._line_ids = {
-                    line: i
-                    for i, line in enumerate(self.letters)
-                    if tracefile.canonical_event(line) is not None
-                }
+                self.letters, self._line_ids = _letter_table(payload)
         if self.durable and applied is not None:
             if name == self._bound_spec:
                 # Re-attach after a reconnect: trim what the server has
@@ -384,12 +468,14 @@ class MonitorClient:
                 return await self._sync_once(f"UPDATE scenario={scenario}{suffix}")
             if self.proto >= 2:
                 payload = f"doc{suffix}\n{text}".encode("utf-8")
-                return await self._frame_round_trip(wire.OP_UPDATE, payload)
+                return await self._round_trip(
+                    wire.encode_frame(wire.OP_UPDATE, payload)
+                )
             # The text protocol's one multi-line request: header + body.
             lines = (text or "").split("\n")
             header = f"UPDATE lines={len(lines)}{suffix}"
-            return await self._text_round_trip(
-                "".join(f"{line}\n" for line in (header, *lines))
+            return await self._round_trip(
+                "".join(f"{line}\n" for line in (header, *lines)).encode("utf-8")
             )
 
         reply = await self._retried(request)
@@ -419,7 +505,7 @@ class MonitorClient:
         grows once, :attr:`events_sent` once, and table hits join the
         pending batch with no await until it fills.
         """
-        if self._writer is None:
+        if self._writer is None or self.idle:
             raise ReproError("client is not connected")
         if self.durable:
             # Durable sessions render lines eagerly: the resend log must
@@ -441,10 +527,29 @@ class MonitorClient:
         A table hit is appended to the pending ``array('i')``, awaiting
         only when the batch is full; an out-of-table event on a binary
         session flushes the batch first, then travels as an ``EVENT``
-        frame, so stream order is kept.
+        frame, so stream order is kept.  Lines that are all table hits
+        join the batch in one pass, cut into the same frames.
         """
         binary = self.proto >= 2
         pending = self._pending
+        if binary and self._line_ids:
+            try:
+                # None (a miss) or an Event (never a str key) fails here.
+                pending.extend(array("i", map(self._line_ids.get, events)))
+            except TypeError:
+                pass
+            else:
+                batch = self.batch
+                full = len(pending) - len(pending) % batch
+                for start in range(0, full, batch):
+                    await self._write(
+                        wire.encode_frame(
+                            wire.OP_EVENTS,
+                            wire.pack_event_ids(pending[start:start + batch]),
+                        )
+                    )
+                del pending[:full]
+                return
         for event in events:
             lid = self._letter_id(event) if binary else None
             if lid is not None:
@@ -464,7 +569,12 @@ class MonitorClient:
 
     async def status(self) -> SessionStatus:
         """Synchronise and fetch the session verdict."""
-        reply = await self._retried(lambda: self._sync_once("STATUS"))
+        return self._status_of(
+            await self._retried(lambda: self._sync_once("STATUS"))
+        )
+
+    def _status_of(self, reply: Reply) -> SessionStatus:
+        """A ``STATUS`` reply's status; trims the resend log it acks."""
         if reply.status is None:
             raise ReproError(f"malformed status reply: {reply.detail}")
         if self.durable:
@@ -527,13 +637,16 @@ class MonitorClient:
             return lid
         return self._line_ids.get(event)
 
-    async def _flush_pending(self) -> None:
-        """Write the pending letter-id batch as one ``EVENTS`` frame."""
-        if not self._pending:
-            return
+    def _take_pending(self) -> bytes:
+        """The pending letter-id batch as one ``EVENTS`` frame (emptied)."""
         payload = wire.pack_event_ids(self._pending)
         del self._pending[:]
-        await self._write(wire.encode_frame(wire.OP_EVENTS, payload))
+        return wire.encode_frame(wire.OP_EVENTS, payload)
+
+    async def _flush_pending(self) -> None:
+        """Write the pending letter-id batch as one ``EVENTS`` frame."""
+        if self._pending:
+            await self._write(self._take_pending())
 
     async def _write(self, data: bytes) -> None:
         """Write ``data``; ``drain`` waits past the transport's high-water mark.
@@ -552,10 +665,17 @@ class MonitorClient:
             self._send_error = exc
 
     async def _request(self, data: bytes) -> None:
-        """Write one request after the pending batch; raise a dead link."""
+        """Write one request after the pending batch; raise a dead link.
+
+        At proto 3 the batch and the request share one write.
+        """
         if self._writer is None or self._reader is None:
             raise ReproError("client is not connected")
-        await self._flush_pending()
+        if self._pending:
+            if self.proto >= 3:
+                data = self._take_pending() + data
+            else:
+                await self._flush_pending()
         await self._write(data)
         if self._send_error is not None:
             raise ConnectionError(
@@ -576,9 +696,10 @@ class MonitorClient:
             raise ConnectionError("server closed the connection")
         return raw.decode("utf-8", errors="replace")
 
-    async def _frame_round_trip(self, opcode: int, payload: bytes) -> Reply:
-        """A framed request whose reply payload reuses a text keyword's grammar."""
-        await self._request(wire.encode_frame(opcode, payload))
+    async def _read_reply(self) -> Reply:
+        """One reply: a line, or a frame whose payload reuses a keyword's grammar."""
+        if self.proto < 2:
+            return parse_reply(await self._readline())
         opcode, raw = await self._read_frame()
         keyword = _REPLY_KEYWORDS.get(opcode)
         if keyword is None:
@@ -586,10 +707,10 @@ class MonitorClient:
         text = raw.decode("utf-8", errors="replace")
         return parse_reply(f"{keyword} {text}" if text else keyword)
 
-    async def _text_round_trip(self, request: str) -> Reply:
-        """Text request lines, then the one reply line."""
-        await self._request(request.encode("utf-8"))
-        return parse_reply(await self._readline())
+    async def _round_trip(self, request: bytes) -> Reply:
+        """One request (lines or a frame), then its one reply."""
+        await self._request(request)
+        return await self._read_reply()
 
     async def _retried(self, step):
         """Run the round trip ``step()``; a durable session resumes.
@@ -620,9 +741,11 @@ class MonitorClient:
         replaces — one :class:`~repro.service.protocol.Reply` shape
         either way, so every caller above is framing-agnostic.
         """
+        return await self._round_trip(self._encode(line))
+
+    def _encode(self, line: str) -> bytes:
+        """A synchronising verb line as this session's framing writes it."""
         if self.proto >= 2:
             verb, _, arg = line.partition(" ")
-            return await self._frame_round_trip(
-                _VERB_OPS[verb], arg.encode("utf-8")
-            )
-        return await self._text_round_trip(line + "\n")
+            return wire.encode_frame(_VERB_OPS[verb], arg.encode("utf-8"))
+        return f"{line}\n".encode("utf-8")

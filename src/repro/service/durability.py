@@ -54,7 +54,10 @@ Recovery finds a key's records through a :class:`LogIndex`: an
 incremental key → record-location map over every worker's logs.  Logs
 are append-only, so the index only ever reads the bytes appended since
 its previous refresh; one recovery costs the new bytes plus the key's
-own records, not the size of the data directory.
+own records, not the size of the data directory.  A key with no records
+has no snapshot either (records are never deleted, and a snapshot is
+only written after the records it covers), so its recovery opens no
+snapshot file.
 """
 
 from __future__ import annotations
@@ -356,21 +359,42 @@ class LogIndex:
         self._reset()
 
     def _reset(self) -> None:
-        self._paths: list[Path] = []  # file number → path
-        self._numbers: dict[Path, int] = {}
+        self._paths: list[str] = []  # file number → path
+        self._numbers: dict[str, int] = {}
         self._inodes: list[int] = []
         self._consumed: list[int] = []
         self._locations: dict[str, array] = {}
 
+    def _logs(self) -> dict[str, os.DirEntry]:
+        """Every ``worker-*/shard-*.log`` by path, listed with ``os.scandir``."""
+        logs: dict[str, os.DirEntry] = {}
+        try:
+            workers = [
+                entry.path
+                for entry in os.scandir(self.data_dir)
+                if entry.name.startswith("worker-")
+            ]
+        except FileNotFoundError:
+            return logs
+        for worker in sorted(workers):
+            try:
+                with os.scandir(worker) as entries:
+                    for entry in entries:
+                        name = entry.name
+                        if name.startswith("shard-") and name.endswith(".log"):
+                            logs[entry.path] = entry
+            except (FileNotFoundError, NotADirectoryError):
+                continue
+        return logs
+
     def refresh(self) -> None:
         """Index every whole record appended since the last refresh."""
-        paths = sorted(self.data_dir.glob("worker-*/shard-*.log"))
-        present = set(paths)
-        if any(path not in present for path in self._paths):
+        logs = self._logs()
+        if any(path not in logs for path in self._paths):
             self._reset()  # a log vanished: the directory was rewritten
-        for path in paths:
+        for path in sorted(logs):
             try:
-                stat = path.stat()
+                stat = logs[path].stat()
             except FileNotFoundError:
                 continue
             number = self._numbers.get(path)
@@ -482,11 +506,17 @@ def recover(
     ``data_dir``; without one a fresh index reads every log.
     """
     session = Session(registry, key=key)
+    records = (index or LogIndex(data_dir)).records(key)
+    if not records:
+        # No records ⇒ no snapshot: a snapshot is written only after the
+        # log records it covers are fsynced, and nothing deletes records.
+        # Compaction (ROADMAP item 4) deletes records and must revisit
+        # this: a compacted key may have a snapshot and no records.
+        return session
     snap = load_best_snapshot(data_dir, key)
     if snap is not None and not session.restore(snap):
         # A state the spec's dense image does not have: as if torn.
         session, snap = Session(registry, key=key), None
-    records = (index or LogIndex(data_dir)).records(key)
     covered, base = session.next_lsn, session.received
     with span(
         "durability.replay", key=key, snapshot=snap is not None

@@ -1,14 +1,16 @@
 """Asyncio TCP server: many concurrent monitoring sessions.
 
-Each connection is one session — an event stream checked online against
-one registered specification (the paper's soundness condition
-``h/α(Γ) ∈ T(Γ)`` per connection).  The session's input semantics live
-in :class:`~repro.service.session.Session`, the ingest core that crash
-replay drives too; this module adds the sockets, the write-ahead log,
-the session-queue hop and the metrics around it.  Each session has one
-monitor, and its whole stream steps in arrival order on the server's
-one FIFO queue (:mod:`repro.service.shards`).  The monitor's first
-violation is what ``STATUS`` reports.
+Each connection carries one session at a time — an event stream checked
+online against one registered specification (the paper's soundness
+condition ``h/α(Γ) ∈ T(Γ)`` per session).  At proto ≤ 2 the session's
+``BYE`` closes the connection; at proto 3 it ends only the session, and
+the next ``HELLO`` on the connection starts a fresh one.  The session's
+input semantics live in :class:`~repro.service.session.Session`, the
+ingest core that crash replay drives too; this module adds the sockets,
+the write-ahead log, the session-queue hop and the metrics around it.
+Each session has one monitor, and its whole stream steps in arrival
+order on the server's one FIFO queue (:mod:`repro.service.shards`).  The
+monitor's first violation is what ``STATUS`` reports.
 
 The server keeps no compiled state of its own: a session binds one
 :class:`~repro.service.registry.CompiledSpec` of the registry, which
@@ -82,7 +84,8 @@ class _TextReader:
     raises :class:`_LineTooLong` only when it is reached, so the lines
     before it apply first, and an unterminated last line is still a line
     at EOF.  After a ``HELLO proto=2`` upgrade :meth:`readexactly` serves
-    what is buffered, then reads the stream directly.
+    what is buffered, then reads the stream directly; after a proto-3
+    ``BYE``, :meth:`to_lines` turns what is buffered back into lines.
     """
 
     __slots__ = ("_stream", "_lines", "_pos", "_tail")
@@ -131,6 +134,13 @@ class _TextReader:
         while line is None and await self._fill():
             line = self.next_line()
         return line
+
+    def to_lines(self) -> None:
+        """Back to lines after framed reads: split what is buffered."""
+        if self._tail:
+            lines = self._tail.split(b"\n")
+            self._tail = lines.pop()
+            self._lines, self._pos = lines, 0
 
     def readexactly(self, n: int) -> Awaitable[bytes]:
         """``n`` bytes: the buffered ones first, then the stream's own."""
@@ -314,6 +324,7 @@ class MonitorServer:
         if task is not None:
             self._conn_tasks.add(task)
         self._conn_writers.add(writer)
+        writer.transport.max_size = wire.RECV_BYTES
         session = Session(self.registry)
         text = _TextReader(reader)
         try:
@@ -351,8 +362,13 @@ class MonitorServer:
                 elif verb == "HELLO":
                     session = await self._hello(session, arg, writer)
                     if session.proto >= 2:
-                        await self._binary_loop(session, text, writer)
-                        break
+                        if not await self._binary_loop(session, text, writer):
+                            break
+                        # A proto-3 BYE: the session ended, the connection
+                        # is back in its just-accepted state.
+                        self._session_ended(task)
+                        session = Session(self.registry)
+                        text.to_lines()
                 elif verb == "UPDATE" and arg is None:
                     break  # EOF inside the announced body
                 elif await self._handle_sync(session, verb, arg, writer):
@@ -363,9 +379,7 @@ class MonitorServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            if task in self._bound_conns:
-                self._bound_conns.discard(task)
-                self.metrics.session_closed()
+            self._session_ended(task)
             self._conn_writers.discard(writer)
             writer.close()
             try:
@@ -376,6 +390,12 @@ class MonitorServer:
             # just for the read loop.
             if task is not None:
                 self._conn_tasks.discard(task)
+
+    def _session_ended(self, task: asyncio.Task | None) -> None:
+        """Count the connection's bound session, if any, as closed."""
+        if task in self._bound_conns:
+            self._bound_conns.discard(task)
+            self.metrics.session_closed()
 
     async def _reply(self, writer: asyncio.StreamWriter, line: str) -> None:
         writer.write(line.encode("utf-8") + b"\n")
@@ -590,11 +610,13 @@ class MonitorServer:
         session: Session,
         text: _TextReader,
         writer: asyncio.StreamWriter,
-    ) -> None:
+    ) -> bool:
         """Serve framed requests until ``BYE``, EOF, or an unsyncable frame.
 
         Frames are read through the connection's text reader, which first
-        serves the bytes it buffered past the ``HELLO`` line.
+        serves the bytes it buffered past the ``HELLO`` line.  True when a
+        proto-3 ``BYE`` ended the session and the connection reads text
+        lines again; False when the connection is done.
 
         Error handling mirrors the framing guarantees: a malformed
         *payload* of a well-framed message elicits an ``ERR`` frame and
@@ -606,17 +628,17 @@ class MonitorServer:
             try:
                 opcode, payload = await wire.read_frame(text)
             except asyncio.IncompleteReadError:
-                return  # clean EOF between frames: client vanished
+                return False  # clean EOF between frames: client vanished
             except wire.FrameError as exc:
                 await self._send_frame(writer, wire.OP_ERR, str(exc).encode())
-                return
+                return False
             try:
                 done = await self._handle_frame(session, opcode, payload, writer)
             except wire.FrameError as exc:
                 await self._send_frame(writer, wire.OP_ERR, str(exc).encode())
                 continue
             if done:
-                return
+                return session.proto >= 3
 
     async def _handle_frame(
         self,

@@ -1,7 +1,7 @@
-"""Binary framing of the monitoring service (wire protocol 2).
+"""Binary framing of the monitoring service (wire protocols 2 and 3).
 
 The normative specification of both wire framings lives in
-``docs/wire-protocol.md``; this module is the proto=2 codec.  In one
+``docs/wire-protocol.md``; this module is the framed codec.  In one
 sentence: after a text-mode ``HELLO proto=2`` negotiation, every message
 in both directions is a length-prefixed frame
 
@@ -23,6 +23,10 @@ little-endian hosts; :func:`pack_event_ids`/:func:`unpack_event_ids`
 byte-swap on big-endian ones, so the wire is platform-independent while
 the hot path on commodity hardware is a zero-copy ``tobytes``/
 ``frombytes`` pair.
+
+Proto 3 keeps these frames and changes one thing: the ``BYE`` reply ends
+the session but not the connection, which goes back to text mode with
+no session, so the next session on it starts with ``HELLO``.
 """
 
 from __future__ import annotations
@@ -60,14 +64,29 @@ __all__ = [
     "unpack_letters",
 ]
 
-#: The protocol version negotiated by ``HELLO proto=2``.
-WIRE_VERSION = 2
+#: The highest protocol version the server grants (``HELLO proto=N``
+#: agrees ``min(N, WIRE_VERSION)``).  From 3 on, a connection outlives
+#: its session: ``BYE`` ends the session and the connection is back in
+#: text mode.
+WIRE_VERSION = 3
 
 #: Hard cap on one frame's payload (bytes).  Large enough for any sane
 #: batch (16 Mi ÷ 4 ≈ 4M letter ids) or metrics dump; anything larger is
 #: a corrupt or hostile stream and the connection is closed — a bogus
 #: length field cannot be resynchronised past.
 MAX_FRAME = 16 * 1024 * 1024
+
+#: The most one socket read takes, on every connection the service and
+#: its client open or accept (each sets its transport's ``max_size``).
+#: asyncio's socket transport allocates ``max_size`` (256 KiB by default)
+#: for each ``recv``.  That is past glibc's mmap threshold unless the
+#: process's earlier allocations happened to raise it, and then every
+#: read costs an mmap, page faults and an munmap.  A 64 KiB buffer always
+#: comes from the heap.  On ``http-faulted`` a process on the mmap side
+#: took three times the minor page faults, and which side it got was
+#: decided by as little as an empty ``sitecustomize`` module; 64 KiB
+#: reads here took it from 13.3 to 11.6 µs of server CPU per event.
+RECV_BYTES = 1 << 16
 
 # -- request opcodes (client → server) --------------------------------------
 OP_SPEC = 0x01  # payload: utf-8 spec name

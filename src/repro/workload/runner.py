@@ -256,18 +256,27 @@ def _since(after: Histogram | None, before: Histogram | None) -> Histogram | Non
 
 
 async def _chaos_killer(
-    server, kill_at: tuple[int, ...], clients: list, seed, record: dict
+    server,
+    kill_at: tuple[int, ...],
+    clients: list,
+    sent: asyncio.Event,
+    seed,
+    record: dict,
 ) -> None:
     """SIGKILL a seeded-random worker at each sent-events threshold.
 
     Watches the *client-side* send counters (the only vantage point that
     exists while a worker is dying) and leaves respawning to the
     server's supervisor; durable sessions then resume exactly-once.
+    The session drivers set ``sent`` after each send, so a threshold is
+    seen at the first await after it is crossed, however fast the
+    sessions run.
     """
     rng = random.Random(f"{seed}:chaos")
     for threshold in sorted(kill_at):
         while sum(c.events_sent for c in clients) < threshold:
-            await asyncio.sleep(0.01)
+            sent.clear()
+            await sent.wait()
         index = rng.randrange(server.procs)
         server.kill_worker(index)
         record["kills"] += 1
@@ -293,6 +302,7 @@ async def _drive_session(
     counters,
     session_key: str | None = None,
     client_sink: list | None = None,
+    sent: asyncio.Event | None = None,
 ) -> SessionOutcome:
     stream = StreamSession(compiled, faults, seed=f"{seed}:{index}")
     errors = 0
@@ -323,6 +333,8 @@ async def _drive_session(
                 batch = stream.next_batch(events)
                 for event in batch:
                     await client.send_event(event)
+                    if sent is not None:
+                        sent.set()
                 if not batch:
                     break  # walk hit a dead end; the stream is complete
                 if deadline is None or time.monotonic() >= deadline:
@@ -392,10 +404,11 @@ async def _run(
             await _check_latency(target_host, target_port) if latency else None
         )
         clients: list = []
+        sent = asyncio.Event()
         started = time.monotonic()
         chaos_task = (
             asyncio.create_task(
-                _chaos_killer(chaos_server, kill_at, clients, seed, chaos)
+                _chaos_killer(chaos_server, kill_at, clients, sent, seed, chaos)
             )
             if chaos_server is not None and kill_at
             else None
@@ -420,6 +433,7 @@ async def _run(
                             f"{scenario.name}-{seed}:{i}" if durable else None
                         ),
                         client_sink=clients,
+                        sent=sent,
                     )
                     for i in range(sessions)
                 )

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gateway.app import _json_body
 from repro.service import SpecRegistry
 
 from tests.gateway.conftest import DOC, EVENT, live_gateway
@@ -94,3 +95,27 @@ def test_post_events_body_never_500(gateway_stack, body):
 def test_put_document_json_body_never_500(gateway_stack, body):
     api, _gw = gateway_stack
     _check(api, "PUT", "/v1/documents/Prop", body)
+
+
+_objects = st.dictionaries(
+    _text,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | _text,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(_text, children, max_size=4),
+        max_leaves=16,
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=_objects)
+def test_response_body_is_json_dumps_byte_for_byte(payload):
+    """The C-speed renderer writes what ``json.dumps`` writes, on any object.
+
+    Nested dicts and lists, unicode and lone-surrogate strings, ints,
+    floats (NaN and infinities included), booleans and null.
+    """
+    expected = json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n"
+    assert _json_body(payload) == expected

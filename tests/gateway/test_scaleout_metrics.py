@@ -29,7 +29,7 @@ from tests.gateway.conftest import DOC, EVENT, EXTRA_DOC
 
 
 @contextlib.contextmanager
-def live_scaleout(**kwargs):
+def live_scaleout(document=DOC, **kwargs):
     """Run a ScaleOutServer on a background thread; yields the server."""
     from repro.service.topology import ScaleOutServer
 
@@ -38,7 +38,7 @@ def live_scaleout(**kwargs):
 
     def run() -> None:
         async def main() -> None:
-            server = ScaleOutServer(document=DOC, **kwargs)
+            server = ScaleOutServer(document=document, **kwargs)
             try:
                 await server.start()
                 box["server"] = server

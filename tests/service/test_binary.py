@@ -66,11 +66,11 @@ class TestNegotiation:
         assert proto == 2
         assert letters == registry.get(SPEC).letter_lines
 
-    def test_proto3_request_degrades_to_2(self, registry):
-        async def go():
+    def test_proto4_request_degrades_to_3(self, registry):
+        async def go(requested):
             async with MonitorServer(registry) as server:
                 client = MonitorClient(
-                    "127.0.0.1", server.port, spec=SPEC, proto=3
+                    "127.0.0.1", server.port, spec=SPEC, proto=requested
                 )
                 await client.connect()
                 try:
@@ -79,10 +79,13 @@ class TestNegotiation:
                     return client.proto, await client.status()
                 finally:
                     await client.close()
+                    await client.disconnect()
 
-        proto, status = _run(go())
-        assert proto == 2  # min(requested 3, server max 2)
-        assert status.ok and status.events == len(HAPPY)
+        # min(requested, server max 3); a proto-2 request still gets 2
+        for requested, agreed in ((4, 3), (2, 2)):
+            proto, status = _run(go(requested))
+            assert proto == agreed
+            assert status.ok and status.events == len(HAPPY)
 
     def test_text_client_against_proto2_server(self, registry):
         async def go():
@@ -133,11 +136,13 @@ class TestNegotiation:
         proto, letters, specs = _run(go())
         assert proto == 1 and letters == ()  # degraded, no table sync
         assert specs == ("Old",)
-        # min(requested 2, granted 1): every line after HELLO is text.
+        # min(requested 2, granted 1): every line after HELLO is text,
+        # and close() ends the session with STATUS and BYE in one write.
         assert received == [
             "HELLO proto=2",
             "SPEC Old",
             *(f"EVENT {line}" for line in HAPPY),
+            "STATUS",
             "BYE",
         ]
 

@@ -83,6 +83,43 @@ class TestParse:
         assert code == 2 and "error:" in text
 
 
+def _deep(constraint: str) -> str:
+    return (
+        "object o\nsort Objects = Obj \\ { o }\n"
+        "specification Deep {\n  objects o\n  method M\n"
+        "  alphabet { <x, o, M> where x : Objects; }\n"
+        f"  traces {constraint}\n}}\n"
+    )
+
+
+class TestDeepNesting:
+    """Input nested past the recursion limit is one error line, exit 2."""
+
+    NOT = "not " * 2000 + "true"
+    #: verify reads no regex here: it elaborates what assertions name
+    REGEX = 'prs "' + "[" * 2000 + "<x,o,M>" + "]" * 2000 + '"'
+
+    @pytest.mark.parametrize(
+        "command, constraint",
+        [
+            ("verify", NOT),
+            ("parse", NOT),
+            ("reload", NOT),
+            ("parse", REGEX),
+            ("reload", REGEX),
+        ],
+        ids=["verify-not", "parse-not", "reload-not", "parse-regex", "reload-regex"],
+    )
+    def test_one_line_and_exit_2(self, tmp_path, command, constraint):
+        path = tmp_path / "deep.oun"
+        path.write_text(_deep(constraint))
+        # reload validates locally before it connects: port 1 is never dialled
+        extra = ("--port", "1") if command == "reload" else ()
+        code, text = run(command, str(path), *extra)
+        assert code == 2
+        assert text == "error: document nests too deeply to parse\n"
+
+
 class TestCheck:
     def test_refines_positive(self, doc_file):
         code, text = run("check", str(doc_file), "--refines", "Read2", "Read")
