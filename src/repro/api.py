@@ -613,8 +613,11 @@ class Gateway:
 
         The lock goes once this request leaves no session for ``key``
         and no other request holds or waits on it, so failing requests
-        for ever-new keys leave nothing behind.  Everything runs on the
-        gateway loop, so the bookkeeping cannot race.
+        for ever-new keys leave nothing behind.  A plain session whose
+        backend link died is forgotten, so the next request for ``key``
+        opens it afresh; a durable one resumes inside its client.
+        Everything runs on the gateway loop, so the bookkeeping cannot
+        race.
         """
         import asyncio
 
@@ -624,7 +627,14 @@ class Gateway:
         entry[1] += 1
         try:
             async with entry[0]:
-                yield
+                try:
+                    yield
+                except (ConnectionError, OSError):
+                    client = self._clients.get(key)
+                    if client is not None and not client.durable:
+                        del self._clients[key]
+                        await client.disconnect()
+                    raise
         finally:
             entry[1] -= 1
             if not entry[1] and key not in self._clients:

@@ -854,7 +854,7 @@ def _cmd_serve(args, out) -> int:
 def _cmd_send(args, out) -> int:
     import asyncio
 
-    from repro.service import MonitorClient
+    from repro.service import MonitorClient, ServiceUnavailable
 
     async def run() -> int:
         extra = {}
@@ -879,9 +879,11 @@ def _cmd_send(args, out) -> int:
                 from repro.runtime import tracefile
 
                 await client.send_trace(tracefile.load(Path(args.trace)))
-            status = await client.status()
         finally:
-            await client.close()
+            # One exchange: the final STATUS rides with the BYE.
+            status = await client.close()
+        if status is None:  # the link died before the final status
+            raise ServiceUnavailable(f"cannot reach {args.host}:{args.port}")
         if status.ok:
             print(
                 f"{args.spec}: {status.events} events ok "

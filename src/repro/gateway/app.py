@@ -36,6 +36,7 @@ page.  Every accepted socket gets ``TCP_NODELAY``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import html
 import json
@@ -101,6 +102,13 @@ _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 
 #: Seconds :meth:`GatewayServer.close` lets requests in flight finish.
 CLOSE_TIMEOUT = 10.0
+
+#: Seconds the sender of an over-long head gets to read the refusal.
+_LINGER_S = 1.0
+
+#: The most one socket read takes: 64 KiB comes from the heap, where 256
+#: KiB can cost an mmap per read (see the service's ``RECV_BYTES``).
+_RECV_BYTES = 1 << 16
 
 #: A header line's start: a field name and its colon, or a continuation.
 _FIELD = re.compile(r"[\041-\071\073-\176]*:|[\t ]")
@@ -264,11 +272,23 @@ class _Connection:
         self.headers: dict[str, str] = {}
         #: Waiting for a request line: no request is in progress.
         self.idle = True
+        #: An over-long head was refused with its rest unread.
+        self.linger = False
 
     async def serve(self) -> None:
         while await self._one_request() and not self.front._closing:
             await self.writer.drain()
         await self.writer.drain()
+        if self.linger:
+            # Closing on unread input would reset the connection, which
+            # can discard the refusal before the client reads it.
+            self.writer.write_eof()
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._discard(), _LINGER_S)
+
+    async def _discard(self) -> None:
+        while await self.reader.read(_RECV_BYTES):
+            pass
 
     async def _one_request(self) -> bool:
         """Answer one request; True while the connection stays open."""
@@ -492,6 +512,10 @@ class _Connection:
             }
         ).encode("utf-8", "replace")
         self.close = True
+        self.linger = code in (
+            HTTPStatus.REQUEST_URI_TOO_LONG,
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+        )
         head = b""
         if self.version != "HTTP/0.9":
             head = (
@@ -644,6 +668,7 @@ class GatewayServer:
         # and those accepted from ``create_server``'s listener say 0
         sock = writer.get_extra_info("socket")
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        writer.transport.max_size = _RECV_BYTES
         conn = _Connection(self, reader, writer)
         task = asyncio.get_running_loop().create_task(self._serve(conn))
         self._conns[task] = conn

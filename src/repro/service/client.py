@@ -75,23 +75,8 @@ __all__ = ["MonitorClient", "ServiceUnavailable", "backoff_delays", "DEFAULT_BAT
 #: of being fed.
 DEFAULT_BATCH = 256
 
-#: Synchronising verb → request opcode (binary sessions translate the
-#: same text verbs the caller-facing API has always used).
-_VERB_OPS = {
-    "SPEC": wire.OP_SPEC,
-    "UPDATE": wire.OP_UPDATE,
-    "STATUS": wire.OP_STATUS,
-    "METRICS": wire.OP_METRICS,
-    "RESET": wire.OP_RESET,
-    "BYE": wire.OP_BYE,
-}
-
 #: Reply opcode → the text keyword whose grammar the payload reuses.
-_REPLY_KEYWORDS = {
-    wire.OP_OK: "OK",
-    wire.OP_ERR: "ERR",
-    wire.OP_VIOLATION: "VIOLATION",
-}
+_REPLY_KEYWORDS = {op: keyword for keyword, op in wire.REPLY_OPS.items()}
 
 
 #: Distinct letter tables whose canonical lines are remembered: one per
@@ -747,5 +732,5 @@ class MonitorClient:
         """A synchronising verb line as this session's framing writes it."""
         if self.proto >= 2:
             verb, _, arg = line.partition(" ")
-            return wire.encode_frame(_VERB_OPS[verb], arg.encode("utf-8"))
+            return wire.encode_frame(wire.VERB_OPS[verb], arg.encode("utf-8"))
         return f"{line}\n".encode("utf-8")

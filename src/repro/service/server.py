@@ -12,6 +12,14 @@ Each session has one monitor, and its whole stream steps in arrival
 order on the server's one FIFO queue (:mod:`repro.service.shards`).  The
 monitor's first violation is what ``STATUS`` reports.
 
+A connection is one loop over one reader for both framings: each read
+takes what has arrived, and each pass hands out the next whole line or
+frame in the session's framing with no ``await``, decodes it to a verb
+and its argument, and dispatches it.  Only a queue hand-off, a due
+snapshot and the reply-bearing verbs wait.  The upgrade at a ``HELLO``
+that agrees proto ≥ 2 and the return to text after a proto-3 ``BYE``
+change the session's framing, not the reader.
+
 The server keeps no compiled state of its own: a session binds one
 :class:`~repro.service.registry.CompiledSpec` of the registry, which
 carries the machine, the dense image and the pre-encoded ``LETTERS``
@@ -48,19 +56,8 @@ from repro.service.shards import DEFAULT_QUEUE_SIZE, ShardPool
 
 __all__ = ["MonitorServer"]
 
-#: Binary request opcodes of the reply-bearing verbs.
-_FRAME_VERBS = {
-    wire.OP_SPEC: "SPEC",
-    wire.OP_STATUS: "STATUS",
-    wire.OP_METRICS: "METRICS",
-    wire.OP_RESET: "RESET",
-    wire.OP_BYE: "BYE",
-    wire.OP_UPDATE: "UPDATE",
-}
-
-#: Reply keyword (the text framing's first word) → reply opcode.
-_REPLY_OPS = {"OK": wire.OP_OK, "ERR": wire.OP_ERR, "VIOLATION": wire.OP_VIOLATION}
-
+#: Binary request opcode → reply-bearing verb.
+_FRAME_VERBS = {op: verb for verb, op in wire.VERB_OPS.items()}
 
 #: Seconds an over-long line's sender gets to read the refusal.
 _LINGER_S = 1.0
@@ -74,28 +71,37 @@ class _LineTooLong(Exception):
     """A text line past the reader's limit: its tail would read as commands."""
 
 
-class _TextReader:
-    """Whole text lines out of one stream, one socket read per arrival.
+class _Reader:
+    """Whole lines and whole frames out of one stream, one socket read per arrival.
 
-    When no whole line is buffered, :meth:`readline` takes whatever has
-    arrived (one ``read``) and splits it at ``\\n``; :meth:`next_line`
-    hands the buffered lines out with no ``await``.  Both behave as
-    ``StreamReader.readline``: a line longer than ``_LINE_LIMIT`` bytes
-    raises :class:`_LineTooLong` only when it is reached, so the lines
-    before it apply first, and an unterminated last line is still a line
-    at EOF.  After a ``HELLO proto=2`` upgrade :meth:`readexactly` serves
-    what is buffered, then reads the stream directly; after a proto-3
-    ``BYE``, :meth:`to_lines` turns what is buffered back into lines.
+    :meth:`fill` takes whatever has arrived (one ``read``), and
+    :meth:`next_line` or :meth:`next_frame`, whichever is the
+    connection's framing, hands it out with no ``await``.  Lines behave
+    as ``StreamReader.readline``: each read splits at ``\\n`` once, a line
+    past ``_LINE_LIMIT`` bytes raises :class:`_LineTooLong` only when it
+    is reached, and an unterminated last line is a line at EOF.  Frames
+    behave as :func:`wire.read_frame`: a bogus length raises
+    :class:`~repro.service.wire.FrameError` once its header is buffered.
     """
 
-    __slots__ = ("_stream", "_lines", "_pos", "_tail")
+    __slots__ = (
+        "_stream", "_lines", "_pos", "_buf", "_off", "_unsplit", "_need", "_eof"
+    )
 
     def __init__(self, stream: asyncio.StreamReader) -> None:
         self._stream = stream
+        #: Lines split off the buffer and not yet all handed out.
         self._lines: list[bytes] = []
         self._pos = 0
-        #: The bytes after the last newline: the start of the next line.
-        self._tail = b""
+        #: The bytes after those lines, from ``_off`` on: the start of the
+        #: next line, or the next frames.
+        self._buf = b""
+        self._off = 0
+        #: Whether ``_buf`` got bytes since it was last split at newlines.
+        self._unsplit = False
+        #: The bytes a frame whose header is buffered still lacks.
+        self._need = 0
+        self._eof = False
 
     def next_line(self) -> bytes | None:
         """The next buffered line, newline stripped; None if none is whole."""
@@ -106,62 +112,69 @@ class _TextReader:
             if len(line) > _LINE_LIMIT:
                 raise _LineTooLong()
             return line
-        if len(self._tail) > _LINE_LIMIT:
+        if self._unsplit or self._off:
+            lines = self._buf[self._off:].split(b"\n")
+            self._buf, self._off, self._unsplit = lines.pop(), 0, False
+            if lines:
+                self._lines, self._pos = lines, 0
+                return self.next_line()
+        tail = self._buf
+        if len(tail) > _LINE_LIMIT:
             raise _LineTooLong()
+        if tail and self._eof:
+            self._buf = b""
+            return tail
         return None
 
-    async def _fill(self) -> bool:
-        """Read what has arrived; call it once every line is handed out.
-
-        False at EOF with nothing left; at EOF an unterminated tail
-        becomes the last line.
-        """
-        data = await self._stream.read(_LINE_LIMIT)
-        tail = self._tail
-        if not data:
-            if not tail:
-                return False
-            self._lines, self._pos, self._tail = [tail], 0, b""
-            return True
-        lines = (tail + data if tail else data).split(b"\n")
-        self._tail = lines.pop()
-        self._lines, self._pos = lines, 0
-        return True
-
-    async def readline(self) -> bytes | None:
-        """The next line, reading as needed; None at EOF."""
-        line = self.next_line()
-        while line is None and await self._fill():
-            line = self.next_line()
-        return line
-
-    def to_lines(self) -> None:
-        """Back to lines after framed reads: split what is buffered."""
-        if self._tail:
-            lines = self._tail.split(b"\n")
-            self._tail = lines.pop()
-            self._lines, self._pos = lines, 0
-
-    def readexactly(self, n: int) -> Awaitable[bytes]:
-        """``n`` bytes: the buffered ones first, then the stream's own."""
-        if self._pos < len(self._lines):
-            rest = self._lines[self._pos:]
-            self._tail = b"\n".join(rest) + b"\n" + self._tail
+    def next_frame(self) -> tuple[int, bytes] | None:
+        """The next buffered ``(opcode, payload)``; None if none is whole."""
+        pos = self._pos
+        if pos < len(self._lines):
+            # Lines split past the HELLO that upgraded: bytes again, once.
+            rest = self._lines[pos:]
+            rest.append(self._buf[self._off:])
+            self._buf, self._off, self._unsplit = b"\n".join(rest), 0, True
             self._lines, self._pos = [], 0
-        if not self._tail:
-            return self._stream.readexactly(n)
-        return self._take(n)
+        buf, off = self._buf, self._off
+        start = off + wire.HEADER_BYTES
+        if len(buf) < start:
+            return None
+        opcode, length = wire.unpack_header(buf, off)
+        end = start + length
+        if len(buf) < end:
+            self._need = end - len(buf)
+            return None
+        if end == len(buf):
+            self._buf, self._off = b"", 0
+        else:
+            self._off = end
+        return opcode, buf[start:end]
 
-    async def _take(self, n: int) -> bytes:
-        buffered = self._tail
-        if len(buffered) >= n:
-            self._tail = buffered[n:]
-            return buffered[:n]
-        self._tail = b""
-        try:
-            return buffered + await self._stream.readexactly(n - len(buffered))
-        except asyncio.IncompleteReadError as exc:
-            raise asyncio.IncompleteReadError(buffered + exc.partial, n) from None
+    async def fill(self) -> bool:
+        """Read what has arrived; call it when nothing whole is buffered.
+
+        A frame whose header is buffered reads its remainder in one
+        await.  False at EOF once nothing more can be handed out.
+        """
+        need, self._need = self._need, 0
+        if need:
+            try:
+                data = await self._stream.readexactly(need)
+            except asyncio.IncompleteReadError:
+                return False  # EOF inside a frame
+        else:
+            data = await self._stream.read(_LINE_LIMIT)
+        buf = self._buf
+        if not data:
+            if self._eof or len(buf) == self._off:
+                return False
+            self._eof = True
+            return True
+        if self._off:
+            buf, self._off = buf[self._off:], 0
+        self._buf = buf + data if buf else data
+        self._unsplit = True
+        return True
 
 
 async def _refuse(
@@ -208,24 +221,16 @@ class MonitorServer:
         #: One connection per key at a time is the operator's contract —
         #: the server does not arbitrate concurrent writers of one key.
         self.data_dir = Path(data_dir) if data_dir is not None else None
-        self._store = (
-            durability.WorkerStore(
+        self._store = self._log_index = self._chain = None
+        if self.data_dir is not None:
+            self._store = durability.WorkerStore(
                 self.data_dir, worker_id, fsync_every=fsync_every
             )
-            if self.data_dir is not None
-            else None
-        )
-        #: Every worker's logs, indexed incrementally across recoveries.
-        self._log_index = (
-            durability.LogIndex(self.data_dir)
-            if self.data_dir is not None
-            else None
-        )
-        self.snapshot_every = snapshot_every
-        #: The document chain of the registry as given (with a data dir).
-        self._chain = None
-        if self.data_dir is not None:
+            #: Every worker's logs, indexed incrementally across recoveries.
+            self._log_index = durability.LogIndex(self.data_dir)
+            #: The document chain of the registry as given.
             self._chain = ChainStore(self.data_dir, registry.build_key())
+        self.snapshot_every = snapshot_every
         #: ``sock``: serve an externally prepared listening socket (the
         #: SO_REUSEPORT workers of :mod:`~repro.service.topology`).
         self._sock = sock
@@ -266,16 +271,11 @@ class MonitorServer:
                 apply_update(self.registry, *entry)
         publish_versions(self.registry)
         await self.pool.start()
-        if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self._requested_port
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
+        address = (self.host, self._requested_port) if self._sock is None else ()
+        self._server = await asyncio.start_server(
+            self._handle_connection, *address, sock=self._sock
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
         if self.direct_port is not None:
             self._direct_server = await asyncio.start_server(
                 self._handle_connection, self.host, self.direct_port
@@ -290,14 +290,11 @@ class MonitorServer:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        if self._direct_server is not None:
-            self._direct_server.close()
-            await self._direct_server.wait_closed()
-            self._direct_server = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        for server in (self._direct_server, self._server):
+            if server is not None:
+                server.close()
+                await server.wait_closed()
+        self._direct_server = self._server = None
         # Sever live connections and let their handlers finish *before*
         # the queue worker goes away.
         for conn_writer in list(self._conn_writers):
@@ -326,53 +323,78 @@ class MonitorServer:
         self._conn_writers.add(writer)
         writer.transport.max_size = wire.RECV_BYTES
         session = Session(self.registry)
-        text = _TextReader(reader)
+        stream = _Reader(reader)
         try:
             while True:
-                raw = text.next_line()
-                if raw is None:
-                    raw = await text.readline()
-                    if raw is None:
-                        break
-                line = raw.decode("utf-8", errors="replace").strip()
-                if line.startswith("EVENT "):
-                    # The hot path: no Command, and no await unless the
-                    # accept must wait.  The argument is what
-                    # parse_command would give.
-                    waiting = self._accept_event(session, line[6:].lstrip())
-                    if waiting is not None:
-                        await waiting
-                    continue
-                if not line:
-                    continue
+                # One pass: the next whole line or frame in the session's
+                # framing, decoded to a verb and its argument.
+                framed = session.proto > 1
                 try:
-                    command = parse_command(line)
-                    verb, arg = command.verb, command.arg
-                    if verb == "UPDATE":
-                        # The lines=<n> form reads its document body off
-                        # the same reader.
-                        arg = await self._read_update(arg, text)
-                except ProtocolError as exc:
-                    await self._reply(writer, f"ERR {exc}")
-                    continue
+                    item = stream.next_frame() if framed else stream.next_line()
+                except wire.FrameError as exc:
+                    # A bogus length field: the stream cannot resync, so close.
+                    await self._answer(writer, session, "ERR", str(exc))
+                    break
+                if item is None:
+                    if await stream.fill():
+                        continue
+                    break
+                if framed:
+                    # A malformed payload or an unknown opcode leaves the
+                    # frame boundary intact: ERR, and the session goes on.
+                    try:
+                        opcode, payload = item
+                        if opcode == wire.OP_EVENTS:
+                            waiting = self._accept_events(session, payload)
+                            if waiting is not None:
+                                await waiting
+                            continue
+                        verb, arg = _decode_frame(opcode, payload)
+                    except wire.FrameError as exc:
+                        await self._answer(writer, session, "ERR", str(exc))
+                        continue
+                else:
+                    line = item.decode("utf-8", errors="replace").strip()
+                    if line.startswith("EVENT "):
+                        # The hot path: no Command, and no await unless the
+                        # accept must wait.  The argument is what
+                        # parse_command would give.
+                        waiting = self._accept_event(session, line[6:].lstrip())
+                        if waiting is not None:
+                            await waiting
+                        continue
+                    if not line:
+                        continue
+                    try:
+                        command = parse_command(line)
+                        verb, arg = command.verb, command.arg
+                        if verb == "UPDATE":
+                            # The lines=<n> form reads its document body
+                            # off the same reader.
+                            arg = await self._read_update(arg, stream)
+                            if arg is None:
+                                break  # EOF inside the announced body
+                    except ProtocolError as exc:
+                        await self._answer(writer, session, "ERR", str(exc))
+                        continue
                 if verb == "EVENT":
                     waiting = self._accept_event(session, arg)
                     if waiting is not None:
                         await waiting
                 elif verb == "HELLO":
+                    # Negotiation is always text; its reply switches the
+                    # framing when it agrees proto >= 2.
                     session = await self._hello(session, arg, writer)
-                    if session.proto >= 2:
-                        if not await self._binary_loop(session, text, writer):
+                else:
+                    keyword, detail = await self._verb(session, verb, arg)
+                    await self._answer(writer, session, keyword, detail, verb)
+                    if verb == "BYE":
+                        if session.proto < 3:
                             break
-                        # A proto-3 BYE: the session ended, the connection
-                        # is back in its just-accepted state.
+                        # A proto-3 BYE ends the session, not the
+                        # connection: it is back in its just-accepted state.
                         self._session_ended(task)
                         session = Session(self.registry)
-                        text.to_lines()
-                elif verb == "UPDATE" and arg is None:
-                    break  # EOF inside the announced body
-                elif await self._handle_sync(session, verb, arg, writer):
-                    break
         except _LineTooLong:
             # The stream cannot resync, so refuse and close.
             await _refuse(reader, writer, b"ERR line too long\n")
@@ -397,10 +419,6 @@ class MonitorServer:
             self._bound_conns.discard(task)
             self.metrics.session_closed()
 
-    async def _reply(self, writer: asyncio.StreamWriter, line: str) -> None:
-        writer.write(line.encode("utf-8") + b"\n")
-        await writer.drain()
-
     # -- durable sessions ----------------------------------------------------
 
     async def _hello(
@@ -422,11 +440,10 @@ class MonitorServer:
             )
             durable = " durable=1"
         names = ",".join(self.registry.names())
-        await self._reply(
-            writer, f"OK repro-service {agreed}{durable} specs={names}"
-        )
         # The switch happens *after* this reply: negotiation is always
         # text, everything past it is framed when agreed >= 2.
+        detail = f"repro-service {agreed}{durable} specs={names}"
+        await self._answer(writer, session, "OK", detail)
         session.proto = agreed
         return session
 
@@ -472,23 +489,14 @@ class MonitorServer:
         input watermark still monotonic).
         """
         await self.pool.flush()
-        durable = session.key is not None
-        if (
-            durable
-            and session.compiled is not None
-            and session.compiled.name == compiled.name
-        ):
-            return session.received
-        session.bind(compiled)
-        if durable:
-            self._append_record(
-                session,
-                durability.REC_BIND,
-                compiled.name.encode("utf-8"),
-                session.received,
-            )
-            return session.received
-        return None
+        if session.key is None:
+            session.bind(compiled)
+            return None
+        if session.compiled is None or session.compiled.name != compiled.name:
+            session.bind(compiled)
+            name = compiled.name.encode("utf-8")
+            self._append_record(session, durability.REC_BIND, name, session.received)
+        return session.received
 
     async def _verb(
         self, session: Session, verb: str, arg
@@ -533,18 +541,39 @@ class MonitorServer:
             return "OK", f"bye events={session.events}"
         raise AssertionError(f"unhandled verb {verb}")  # pragma: no cover
 
-    async def _handle_sync(
-        self, session: Session, verb: str, arg, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Answer a reply-bearing verb as text; True when the session ends."""
-        keyword, detail = await self._verb(session, verb, arg)
-        if verb == "METRICS":
-            # The one multi-line reply: an up-front line count frames the
-            # Prometheus dump inside the one-line protocol.
-            lines = detail.splitlines()
-            detail = "\n".join([f"metrics lines={len(lines)}", *lines])
-        await self._reply(writer, f"{keyword} {detail}")
-        return verb == "BYE"
+    async def _answer(
+        self,
+        writer: asyncio.StreamWriter,
+        session: Session,
+        keyword: str,
+        detail: str,
+        verb: str = "",
+    ) -> None:
+        """Send a reply (to ``verb``, if any) in the session's framing."""
+        if session.proto == 1:
+            if verb == "METRICS":
+                # The one multi-line reply: an up-front line count frames
+                # the Prometheus dump inside the one-line protocol.
+                lines = detail.splitlines()
+                detail = "\n".join([f"metrics lines={len(lines)}", *lines])
+            writer.write(f"{keyword} {detail}\n".encode("utf-8"))
+        elif verb == "SPEC" and keyword == "OK":
+            # The OK reply and the letter table travel back to back: the
+            # client knows from ``letters=<k>`` (k > 0) that exactly one
+            # OP_LETTERS frame follows before any other reply.  A durable
+            # re-attach keeps the recovered pinned build, so the table is
+            # *that* build's, not a post-swap one.
+            compiled = session.compiled
+            count = len(compiled.letter_lines)
+            detail += f" letters={count}"
+            writer.write(wire.encode_frame(wire.OP_OK, detail.encode()))
+            if count:
+                writer.write(compiled.letters_frame)
+        else:
+            if verb == "METRICS":
+                detail = "metrics\n" + detail
+            writer.write(wire.encode_frame(wire.REPLY_OPS[keyword], detail.encode()))
+        await writer.drain()
 
     # -- hot updates ---------------------------------------------------------
 
@@ -557,7 +586,7 @@ class MonitorServer:
 
     @staticmethod
     async def _read_update(
-        arg: str, text: _TextReader
+        arg: str, stream: _Reader
     ) -> tuple[str | None, str | None, bool] | None:
         """Decode a text ``UPDATE``; None when EOF truncated the body.
 
@@ -590,98 +619,14 @@ class MonitorServer:
         if count is None:
             return scenario, None, force
         body: list[str] = []
-        for _ in range(count):
-            raw = await text.readline()
+        while len(body) < count:
+            raw = stream.next_line()
             if raw is None:
-                return None  # client vanished mid-body
+                if not await stream.fill():
+                    return None  # client vanished mid-body
+                continue
             body.append(raw.decode("utf-8", errors="replace").rstrip("\r"))
         return None, "\n".join(body), force
-
-    # -- binary framing (proto >= 2) -----------------------------------------
-
-    async def _send_frame(
-        self, writer: asyncio.StreamWriter, opcode: int, payload: bytes = b""
-    ) -> None:
-        writer.write(wire.encode_frame(opcode, payload))
-        await writer.drain()
-
-    async def _binary_loop(
-        self,
-        session: Session,
-        text: _TextReader,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Serve framed requests until ``BYE``, EOF, or an unsyncable frame.
-
-        Frames are read through the connection's text reader, which first
-        serves the bytes it buffered past the ``HELLO`` line.  True when a
-        proto-3 ``BYE`` ended the session and the connection reads text
-        lines again; False when the connection is done.
-
-        Error handling mirrors the framing guarantees: a malformed
-        *payload* of a well-framed message elicits an ``ERR`` frame and
-        the session continues (the stream is still in sync), while a
-        bogus *length field* cannot be skipped past, so the error is
-        reported and the connection closed.
-        """
-        while True:
-            try:
-                opcode, payload = await wire.read_frame(text)
-            except asyncio.IncompleteReadError:
-                return False  # clean EOF between frames: client vanished
-            except wire.FrameError as exc:
-                await self._send_frame(writer, wire.OP_ERR, str(exc).encode())
-                return False
-            try:
-                done = await self._handle_frame(session, opcode, payload, writer)
-            except wire.FrameError as exc:
-                await self._send_frame(writer, wire.OP_ERR, str(exc).encode())
-                continue
-            if done:
-                return session.proto >= 3
-
-    async def _handle_frame(
-        self,
-        session: Session,
-        opcode: int,
-        payload: bytes,
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        """Dispatch one request frame; returns True when the session ends."""
-        if opcode == wire.OP_EVENTS:
-            await self._handle_events(session, payload)
-            return False
-        text = payload.decode("utf-8", errors="replace")
-        if opcode == wire.OP_EVENT:
-            waiting = self._accept_event(session, text)
-            if waiting is not None:
-                await waiting
-            return False
-        verb = _FRAME_VERBS.get(opcode)
-        if verb is None:
-            # The frame boundary is intact, so the loop reports this and
-            # continues — the binary analogue of the text unknown verb.
-            raise wire.FrameError(f"unknown opcode 0x{opcode:02x}")
-        arg = _decode_update(text) if verb == "UPDATE" else text.strip()
-        keyword, detail = await self._verb(session, verb, arg)
-        if verb == "METRICS":
-            detail = "metrics\n" + detail
-        if verb == "SPEC" and keyword == "OK":
-            # The OK reply and the letter table travel back to back: the
-            # client knows from ``letters=<k>`` (k > 0) that exactly one
-            # OP_LETTERS frame follows before any other reply.  A durable
-            # re-attach keeps the recovered pinned build, so the table is
-            # *that* build's, not a post-swap one.
-            compiled = session.compiled
-            count = len(compiled.letter_lines)
-            detail += f" letters={count}"
-            writer.write(wire.encode_frame(wire.OP_OK, detail.encode()))
-            if count:
-                writer.write(compiled.letters_frame)
-            await writer.drain()
-            return False
-        await self._send_frame(writer, _REPLY_OPS[keyword], detail.encode())
-        return verb == "BYE"
 
     # -- event ingest --------------------------------------------------------
 
@@ -711,7 +656,7 @@ class MonitorServer:
             and not snapshotted
             and session.since_snapshot >= self.snapshot_every
         ):
-            return self._snapshot_then_accept(session, arg)
+            return self._snapshot_then(self._accept_event, session, arg)
         received, errors = session.received, session.errors
         pending = session.accept_line(arg)
         if durable:
@@ -746,15 +691,17 @@ class MonitorServer:
 
         return self.pool.submit_to(check)
 
-    async def _snapshot_then_accept(self, session: Session, arg: str) -> None:
+    async def _snapshot_then(self, accept, session: Session, arg) -> None:
         # Before accepting: the checkpoint covers exactly the records
         # before this input, all already applied.
         await self._snapshot_session(session)
-        waiting = self._accept_event(session, arg, snapshotted=True)
+        waiting = accept(session, arg, snapshotted=True)
         if waiting is not None:
             await waiting
 
-    async def _handle_events(self, session: Session, payload: bytes) -> None:
+    def _accept_events(
+        self, session: Session, payload: bytes, *, snapshotted: bool = False
+    ) -> Awaitable[None] | None:
         """Feed one ``EVENTS`` batch: silent on success, like text ``EVENT``.
 
         A structurally malformed payload raises
@@ -762,11 +709,17 @@ class MonitorServer:
         ``ERR`` frame).  The whole batch becomes *one* session-queue thunk
         and one monitor call — the amortisation the binary protocol
         exists for.  It closes the session's open text run, so later
-        ``EVENT`` frames cannot step ahead of it.
+        ``EVENT`` frames cannot step ahead of it.  As with
+        :meth:`_accept_event`, the caller awaits only the ``submit_to``
+        or a due snapshot.
         """
         durable = session.key is not None
-        if durable and session.since_snapshot >= self.snapshot_every:
-            await self._snapshot_session(session)
+        if (
+            durable
+            and not snapshotted
+            and session.since_snapshot >= self.snapshot_every
+        ):
+            return self._snapshot_then(self._accept_events, session, payload)
         received, errors = session.received, session.errors
         pending = session.accept_ids(payload)
         if durable and session.received > received:
@@ -776,7 +729,7 @@ class MonitorServer:
         if session.errors > errors:
             self.metrics.record_malformed(session.errors - errors)
         if pending is None:
-            return
+            return None
         self._runs.pop(session, None)
         monitor, ids, base = pending
         n = len(ids)
@@ -791,20 +744,31 @@ class MonitorServer:
                 if violated:
                     metrics.record_violation()
 
-        await self.pool.submit_to(check)
+        return self.pool.submit_to(check)
 
 
-def _decode_update(text: str) -> tuple[str | None, str | None, bool]:
-    """Decode a binary ``UPDATE`` payload into ``(scenario, text, force)``.
+def _decode_frame(opcode: int, payload: bytes) -> tuple[str, object]:
+    """A request frame other than ``EVENTS`` as the text verb and argument.
 
-    A utf-8 header line then the optional body:
-    ``scenario=<name> [force=1]`` or ``doc [force=1]\n<text>``.
+    A binary ``UPDATE`` payload is a utf-8 header line, then the optional
+    body: ``scenario=<name> [force=1]`` or ``doc [force=1]\n<text>``;
+    its argument is the ``(scenario, text, force)`` request.  Raises
+    :class:`~repro.service.wire.FrameError` for an unknown opcode (the
+    binary analogue of the text unknown verb) or ``UPDATE`` header.
     """
+    text = payload.decode("utf-8", errors="replace")
+    if opcode == wire.OP_EVENT:
+        return "EVENT", text
+    verb = _FRAME_VERBS.get(opcode)
+    if verb is None:
+        raise wire.FrameError(f"unknown opcode 0x{opcode:02x}")
+    if verb != "UPDATE":
+        return verb, text.strip()
     header, _, body = text.partition("\n")
     tokens = header.split()
     force = "force=1" in tokens[1:]
     if tokens and tokens[0].startswith("scenario="):
-        return tokens[0][len("scenario="):], None, force
+        return verb, (tokens[0][len("scenario="):], None, force)
     if tokens and tokens[0] == "doc":
-        return None, body, force
+        return verb, (None, body, force)
     raise wire.FrameError("malformed UPDATE header")

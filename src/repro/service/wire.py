@@ -54,9 +54,11 @@ __all__ = [
     "OP_ERR",
     "OP_VIOLATION",
     "OP_LETTERS",
-    "REQUEST_OPS",
+    "VERB_OPS",
     "REPLY_OPS",
+    "HEADER_BYTES",
     "encode_frame",
+    "unpack_header",
     "read_frame",
     "pack_event_ids",
     "unpack_event_ids",
@@ -104,13 +106,17 @@ OP_ERR = 0x81  # payload: utf-8 error message
 OP_VIOLATION = 0x82  # payload: utf-8, the text reply minus "VIOLATION "
 OP_LETTERS = 0x83  # payload: the letter table (see pack_letters)
 
-REQUEST_OPS = frozenset(
-    {OP_SPEC, OP_EVENT, OP_EVENTS, OP_STATUS, OP_METRICS, OP_RESET,
-     OP_BYE, OP_UPDATE}
-)
-REPLY_OPS = frozenset({OP_OK, OP_ERR, OP_VIOLATION, OP_LETTERS})
+#: The reply-bearing verbs' request opcodes, by text verb.
+VERB_OPS = {
+    "SPEC": OP_SPEC, "STATUS": OP_STATUS, "METRICS": OP_METRICS,
+    "RESET": OP_RESET, "BYE": OP_BYE, "UPDATE": OP_UPDATE,
+}
+#: Reply opcodes, by the text keyword whose grammar their payload reuses.
+REPLY_OPS = {"OK": OP_OK, "ERR": OP_ERR, "VIOLATION": OP_VIOLATION}
 
 _HEADER = struct.Struct("<BI")
+#: A frame header's size: the opcode and the payload length.
+HEADER_BYTES = _HEADER.size
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 
@@ -131,20 +137,25 @@ def encode_frame(opcode: int, payload: bytes = b"") -> bytes:
     return _HEADER.pack(opcode, len(payload)) + payload
 
 
-async def read_frame(reader) -> tuple[int, bytes]:
-    """Read one frame off an ``asyncio.StreamReader``.
+def unpack_header(data: bytes, offset: int = 0) -> tuple[int, int]:
+    """The opcode and payload length of the header at ``offset``.
 
-    Raises :class:`FrameError` for an over-cap length field (the stream
-    cannot be resynchronised — callers must close the connection) and
-    lets ``asyncio.IncompleteReadError`` propagate for a clean EOF.
+    Raises :class:`FrameError` for an over-cap length field: the stream
+    cannot be resynchronised, so callers must close the connection.
     """
-    header = await reader.readexactly(_HEADER.size)
-    opcode, length = _HEADER.unpack(header)
+    opcode, length = _HEADER.unpack_from(data, offset)
     if length > MAX_FRAME:
         raise FrameError(
             f"frame 0x{opcode:02x} declares {length} payload bytes "
             f"(cap {MAX_FRAME}); closing the unsynchronisable stream"
         )
+    return opcode, length
+
+
+async def read_frame(reader) -> tuple[int, bytes]:
+    """Read one frame off an ``asyncio.StreamReader``; EOF raises
+    ``asyncio.IncompleteReadError``, a bogus length :class:`FrameError`."""
+    opcode, length = unpack_header(await reader.readexactly(HEADER_BYTES))
     payload = await reader.readexactly(length) if length else b""
     return opcode, payload
 

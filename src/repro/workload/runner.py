@@ -305,9 +305,6 @@ async def _drive_session(
     sent: asyncio.Event | None = None,
 ) -> SessionOutcome:
     stream = StreamSession(compiled, faults, seed=f"{seed}:{index}")
-    errors = 0
-    observed = None
-    unreachable = False
     with span(
         "workload.session",
         scenario=scenario.name,
@@ -339,13 +336,14 @@ async def _drive_session(
                     break  # walk hit a dead end; the stream is complete
                 if deadline is None or time.monotonic() >= deadline:
                     break
-            status = await client.status()
-            errors = status.errors
-            observed = status.violation_index
         except ServiceUnavailable:
-            unreachable = True
+            pass  # no connection: close() reports no status
         finally:
-            await client.close()
+            # One exchange: the final STATUS rides with the BYE.
+            status = await client.close()
+    unreachable = status is None
+    errors = 0 if unreachable else status.errors
+    observed = None if unreachable else status.violation_index
     counters["sessions"].inc()
     counters["events"].inc(stream.events_emitted)
     for kind, count in stream.fault_counts.items():

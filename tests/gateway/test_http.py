@@ -12,7 +12,7 @@ from concurrent.futures import CancelledError
 
 import pytest
 
-from repro.api import Gateway
+from repro.api import Gateway, check, load
 from repro.core.errors import (
     ReproError,
     UnknownSessionError,
@@ -20,6 +20,7 @@ from repro.core.errors import (
 )
 from repro.gateway import GatewayServer
 from repro.obs.registry import use_registry
+from repro.runtime.tracefile import parse_line
 from repro.service import SpecRegistry
 
 from tests.gateway.conftest import (
@@ -204,6 +205,43 @@ class TestSessions:
                     api.close()
         assert status == 503
         assert body["error"]["kind"] == "ServiceUnavailable"
+
+    def test_plain_session_whose_backend_restarted_is_forgotten(self):
+        # A plain key's backend link dies with its server: that request
+        # is 502, and the key is gone, so naming the spec opens it afresh.
+        registry = SpecRegistry.from_text(DOC)
+        server = live_server(registry)
+        port = server.__enter__()
+        try:
+            with Gateway("127.0.0.1", port) as gateway:
+                with GatewayServer(gateway, host="127.0.0.1", port=0) as front:
+                    api = HttpApi(front.port)
+                    try:
+                        status, _ = api.request(
+                            "POST", "/v1/sessions/k/events", {"spec": "One", "event": EVENT}
+                        )
+                        assert status == 200
+                        server.__exit__(None, None, None)
+                        server = live_server(registry, port=port)
+                        server.__enter__()
+                        status, body = api.request(
+                            "POST", "/v1/sessions/k/events", {"event": EVENT}
+                        )
+                        assert status == 502, body
+                        _, listed = api.request("GET", "/v1/sessions")
+                        status, body = api.request(
+                            "POST",
+                            "/v1/sessions/k/events",
+                            {"spec": "One", "events": [EVENT, EVENT]},
+                        )
+                    finally:
+                        api.close()
+        finally:
+            server.__exit__(None, None, None)
+        assert "k" not in listed["sessions"], listed
+        oracle = check(load(DOC)["One"], [parse_line(EVENT)] * 2).violations[0]
+        assert status == 200 and body["events"] == 2
+        assert body["violation"] == {"index": oracle.index, "event": EVENT}
 
     def test_plain_session_has_null_applied(self):
         with live_gateway(SpecRegistry.from_text(DOC)) as (api, _gw):

@@ -8,6 +8,7 @@ silently desynchronising.
 """
 
 import asyncio
+import io
 import random
 import socket
 import struct
@@ -427,3 +428,81 @@ class TestBackpressure:
                 return client.events_sent, status.events
 
         assert asyncio.run(run()) == (5, 5)
+
+
+class _RecordingPeer:
+    """A text-protocol service that answers every verb and records them."""
+
+    def __init__(self) -> None:
+        #: Each connection's verbs, in order.
+        self.connections: list[list[str]] = []
+
+    async def __call__(self, reader, writer) -> None:
+        verbs: list[str] = []
+        self.connections.append(verbs)
+        spec, events = "-", 0
+        while line := await reader.readline():
+            verb, _, arg = line.decode().strip().partition(" ")
+            verbs.append(verb)
+            if verb == "EVENT":
+                events += 1
+                continue
+            if verb == "SPEC":
+                spec = arg
+            counters = f"spec={spec} events={events} skipped=0 errors=0"
+            reply = {
+                "HELLO": f"OK repro-service 1 specs={spec}",
+                "SPEC": f"OK spec {spec}",
+                "STATUS": f"OK status {counters}",
+                "BYE": f"OK bye events={events}",
+            }[verb]
+            writer.write(f"{reply}\n".encode())
+            await writer.drain()
+        writer.close()
+
+
+class TestOneStatusPerSession:
+    """``repro send`` and the workload runner end a session in one exchange."""
+
+    def test_each_caller_sends_one_status(self, tmp_path):
+        from repro.cli import main
+        from repro.workload.generator import FaultSpec
+        from repro.workload.runner import _drive_session, _workload_counters
+        from repro.workload.scenarios import get_scenario
+
+        trace = tmp_path / "t.trace"
+        trace.write_text("x -> o : OR\nx -> o : CR\n")
+        scenario = get_scenario("two_phase_dynamic")
+        compiled = scenario.registry().get(scenario.monitored)
+        out = io.StringIO()
+
+        async def run():
+            peer = _RecordingPeer()
+            server, port = await _stub_server(peer)
+            async with server:
+                argv = ["send", str(trace), "--spec", "S", "--port", str(port)]
+                code = await asyncio.get_running_loop().run_in_executor(
+                    None, main, argv, out
+                )
+                with use_registry():
+                    outcome = await _drive_session(
+                        0,
+                        "127.0.0.1",
+                        port,
+                        scenario,
+                        compiled,
+                        seed=1,
+                        faults=FaultSpec(),
+                        events=20,
+                        duration=None,
+                        binary=False,
+                        batch=None,
+                        counters=_workload_counters(),
+                    )
+            return code, outcome, peer.connections
+
+        code, outcome, (sent, driven) = asyncio.run(run())
+        assert code == 0 and "S: 2 events ok" in out.getvalue()
+        assert sent.count("STATUS") == 1 and sent[-2:] == ["STATUS", "BYE"]
+        assert driven.count("STATUS") == 1 and driven[-2:] == ["STATUS", "BYE"]
+        assert not outcome.unreachable and outcome.observed is None

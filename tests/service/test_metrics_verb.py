@@ -168,6 +168,21 @@ class TestScrapeEndpoint:
         )
         assert length == len(body)
 
+    def test_a_megabyte_head_still_reads_its_refusal(self, cast):
+        """The front reads a refused head's rest before it closes.
+
+        Closing on unread input resets the connection, and the reset
+        could discard the ``431`` before the client read it.
+        """
+        request = (
+            b"GET /metrics HTTP/1.0\r\n"
+            + (b"X-Filler: " + b"y" * 50 + b"\r\n") * 20_000
+            + b"\r\n"
+        )
+        with metrics_front(cast) as port:
+            raw = exchange(port, request)
+        assert raw.startswith(b"HTTP/1.1 431 ")
+
     def test_no_metrics_port_means_no_endpoint(self, cast):
         """Without a metrics port no HTTP front and no Gateway open."""
 

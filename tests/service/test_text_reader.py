@@ -1,19 +1,24 @@
-"""The text door reads what arrived: how the bytes split changes nothing.
+"""The doors read what arrived: how the bytes split changes nothing.
 
-The server reads a text connection one socket read at a time and splits
-each read into lines (``_TextReader`` in :mod:`repro.service.server`);
-``EVENT`` lines then go straight to the accept step.  Two properties pin
-that to the line-at-a-time door it replaced:
+The server reads a connection one socket read at a time and hands out
+whole lines and whole frames from that one buffer (``_Reader`` in
+:mod:`repro.service.server`); ``EVENT`` lines and ``EVENTS`` frames then
+go straight to the accept step.  These properties pin that to the
+line-at-a-time and frame-at-a-time doors it replaced:
 
 * the reader alone, fed any bytes in any chunks, yields exactly the
   lines ``StreamReader.readline`` yields and refuses an over-long line
-  at the same place, and after the last line it hands the rest of the
-  stream out byte-exact (the ``HELLO proto=2`` upgrade);
-* the server, sent one mixed stream in arbitrary chunks — split points
-  anywhere, inside a multi-byte UTF-8 character and between ``\\r`` and
-  ``\\n`` included — answers byte for byte as when it is sent one line
-  per write, ends in the same state and, on a durable session, logs the
-  same records.
+  at the same place, and after a line it hands the frames buffered with
+  it out byte-exact (the ``HELLO proto=2`` upgrade);
+* the server, sent one mixed text stream in arbitrary chunks — split
+  points anywhere, inside a multi-byte UTF-8 character and between
+  ``\\r`` and ``\\n`` included — answers byte for byte as when it is sent
+  one line per write, ends in the same state and, on a durable session,
+  logs the same records;
+* the same holds for a proto-2 or proto-3 frame stream sent in
+  arbitrary chunks against one frame per write, split points inside
+  frame headers included, with a proto-3 ``BYE`` and the text ``HELLO``
+  after it in the mix.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.registry import use_registry
-from repro.service import MonitorServer
+from repro.service import MonitorServer, wire
 from repro.service.durability import REC_LINE, scan_records
 from repro.service.protocol import parse_command
-from repro.service.server import _LineTooLong, _TextReader
+from repro.service.server import _LineTooLong, _Reader
 from repro.workload.scenarios import get_scenario
 from tests.service.test_line_table import _pools
 
@@ -111,11 +116,15 @@ def _stream_lines():
     )
 
 
-def _cut(data, blob: bytes) -> list[bytes]:
-    """Split ``blob`` at drawn points, some inside characters and CRLFs."""
+def _cut(data, blob: bytes, awkward: tuple[int, ...] = ()) -> list[bytes]:
+    """Split ``blob`` at drawn points, some inside characters and CRLFs.
+
+    ``awkward`` adds more points the cuts favour.
+    """
     if len(blob) < 2:
         return [blob]
-    awkward = [i + 1 for i in range(len(blob) - 1) if blob[i : i + 2] == b"\r\n"]
+    awkward = [i for i in awkward if 0 < i < len(blob)]
+    awkward += [i + 1 for i in range(len(blob) - 1) if blob[i : i + 2] == b"\r\n"]
     awkward += [i for i in range(1, len(blob)) if blob[i] >= 0x80]
     cuts = data.draw(st.sets(st.integers(1, len(blob) - 1), max_size=12))
     if awkward:
@@ -152,19 +161,22 @@ async def _feed(stream: asyncio.StreamReader, chunks: list[bytes]) -> None:
     stream.feed_eof()
 
 
+async def _take(reader: _Reader, take):
+    """``take()``'s next item, reading as needed; None at EOF."""
+    item = take()
+    while item is None and await reader.fill():
+        item = take()
+    return item
+
+
 async def _text_reader_lines(chunks: list[bytes]) -> list:
     stream = asyncio.StreamReader(limit=LIMIT)
-    text = _TextReader(stream)
+    text = _Reader(stream)
     out: list = []
 
     async def consume() -> None:
         try:
-            while True:
-                line = text.next_line()
-                if line is None:
-                    line = await text.readline()
-                    if line is None:
-                        return
+            while (line := await _take(text, text.next_line)) is not None:
                 out.append(line)
         except _LineTooLong:
             out.append(TOO_LONG)
@@ -193,29 +205,55 @@ def test_reader_yields_readline_lines(pieces, data):
     )
 
 
+_FRAMES = st.lists(
+    st.tuples(st.integers(0, 255), st.binary(max_size=40)), max_size=8
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.binary(max_size=40).map(lambda b: b.replace(b"\n", b"")),
-    st.lists(st.binary(min_size=1, max_size=40), max_size=8),
+    _FRAMES,
+    st.integers(0, 1 << 16),
     st.data(),
 )
-def test_reader_hands_the_rest_out_byte_exact(line, frames, data):
-    """After a line, ``readexactly`` serves the buffered bytes, then the stream."""
-    payload = b"".join(frames)
-    chunks = _cut(data, line + b"\n" + payload)
+def test_reader_hands_the_rest_out_byte_exact(line, frames, torn, data):
+    """After a line, ``next_frame`` serves the bytes buffered with it first.
+
+    A frame that EOF cuts short is never handed out.
+    """
+    blob = line + b"\n" + b"".join(wire.encode_frame(*f) for f in frames)
+    last = wire.encode_frame(0x01, b"\n" * 9)
+    chunks = _cut(data, blob + last[: torn % len(last)])
 
     async def run():
         stream = asyncio.StreamReader(limit=LIMIT)
-        text = _TextReader(stream)
+        reader = _Reader(stream)
         feeder = asyncio.create_task(_feed(stream, chunks))
-        first = await text.readline()
-        got = [await text.readexactly(len(frame)) for frame in frames]
-        with pytest.raises(asyncio.IncompleteReadError) as eof:
-            await text.readexactly(1)
+        first = await _take(reader, reader.next_line)
+        got = []
+        while (frame := await _take(reader, reader.next_frame)) is not None:
+            got.append(frame)
         await feeder
-        return first, got, eof.value.partial
+        return first, got
 
-    assert asyncio.run(run()) == (line, frames, b"")
+    assert asyncio.run(run()) == (line, frames)
+
+
+def test_a_bogus_length_raises_once_its_header_is_buffered():
+    header = bytes([wire.OP_EVENTS]) + (wire.MAX_FRAME + 1).to_bytes(4, "little")
+
+    async def run():
+        stream = asyncio.StreamReader(limit=LIMIT)
+        reader = _Reader(stream)
+        stream.feed_data(header[:4])
+        assert await reader.fill() and reader.next_frame() is None
+        stream.feed_data(header[4:])  # no payload follows, no EOF either
+        assert await reader.fill()
+        with pytest.raises(wire.FrameError, match="cap"):
+            reader.next_frame()
+
+    asyncio.run(run())
 
 
 # -- the server ----------------------------------------------------------------
@@ -311,3 +349,81 @@ def test_the_event_fast_path_takes_parse_commands_argument():
     _replies, _counters, _final, records = _serve([blob.encode()], durable=True)
     logged = [body for opcode, _lsn, _received, body in records if opcode == REC_LINE]
     assert logged == [parse_command(line).arg.encode() for line in lines]
+
+
+# -- the server, framed ------------------------------------------------------
+
+
+def _frame(opcode: int, payload: bytes | str = b"") -> bytes:
+    if isinstance(payload, str):
+        payload = payload.encode()
+    return wire.encode_frame(opcode, payload)
+
+
+def _frame_streams():
+    """``(durable, writes)``: a framed session's writes, one frame or line each.
+
+    ``HELLO`` and ``SPEC``, then a mix, then ``STATUS``.
+    """
+    compiled = SCENARIO.registry().get(SPEC)
+    k = len(compiled.letter_lines)
+    lines = sorted({line for pool in _pools(compiled).values() for line in pool})
+    # 10 is also "\n": ids, counts and lengths put newline bytes in frames.
+    lid = st.one_of(st.integers(0, k - 1), st.sampled_from([-1, k, 10, 0x0A0A]))
+    events = st.lists(lid, max_size=12).map(
+        lambda ids: [_frame(wire.OP_EVENTS, wire.pack_event_ids(ids))]
+    )
+    malformed = st.sampled_from([
+        b"\n\x00",
+        (2).to_bytes(4, "little") + (10).to_bytes(4, "little"),
+        wire.pack_event_ids([1, 10])[:-1],
+    ]).map(lambda payload: [_frame(wire.OP_EVENTS, payload)])
+    event = st.sampled_from(lines).map(lambda line: [_frame(wire.OP_EVENT, line)])
+    verb = st.sampled_from([
+        _frame(0x7F, b"??\n"),
+        _frame(wire.OP_STATUS),
+        _frame(wire.OP_RESET),
+        _frame(wire.OP_SPEC, OTHER),
+        _frame(wire.OP_SPEC, SPEC),
+        _frame(wire.OP_SPEC, "Nope"),
+        _frame(wire.OP_UPDATE, b"doc\n" + b"\n".join(DOC)),
+        _frame(wire.OP_UPDATE, b"doc force=1\nspecification Broken {"),
+        _frame(wire.OP_UPDATE, b"frob"),
+    ]).map(lambda frame: [frame])
+    spec = _frame(wire.OP_SPEC, SPEC)
+
+    def stream(proto: int, durable: bool):
+        hello = f"HELLO proto={proto}{' session=k' if durable else ''}\n".encode()
+        kinds = [events, events, malformed, event, event, verb]
+        if proto >= 3:
+            # A new session on the same connection: BYE, text HELLO, SPEC.
+            kinds.append(st.just([_frame(wire.OP_BYE), hello, spec]))
+        return st.lists(st.one_of(kinds), max_size=20).map(
+            lambda items: (
+                durable,
+                [hello, spec, *(w for item in items for w in item), _frame(wire.OP_STATUS)],
+            )
+        )
+
+    return st.tuples(st.sampled_from([2, 3]), st.booleans()).flatmap(
+        lambda drawn: stream(*drawn)
+    )
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_frame_streams(), st.data())
+def test_any_split_of_a_frame_stream_gets_the_same_replies(stream, data):
+    durable, writes = stream
+    ends = list(itertools.accumulate(len(write) for write in writes))
+    # Inside every header, and at every write's end.
+    awkward = tuple(end + i for end in ends for i in range(5))
+    chunks = _cut(data, b"".join(writes), awkward)
+    expected = _serve(writes, durable)
+    assert _serve(chunks, durable) == expected
+    replies, _counters, final, records = expected
+    assert replies.startswith(b"OK repro-service ")
+    assert bool(records) == durable and (final is not None) == durable
